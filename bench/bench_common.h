@@ -42,10 +42,9 @@ void WriteBenchJson(const obs::Json& root, const std::string& path);
 int ParseRepeat(int argc, char** argv);
 
 /// Parses `--trace-detail off|phase|full` (default off). Benches that honor
-/// it enable the global tracer (and metrics) before their timed sections so
-/// the observability overhead is measurable with the same harness that
-/// produced the committed baselines (DESIGN.md §13). CHECK-fails on an
-/// unknown level.
+/// it enable the global tracer before their timed sections so the
+/// observability overhead is measurable with the same harness that produced
+/// the committed baselines (DESIGN.md §13). CHECK-fails on an unknown level.
 obs::TraceDetail ParseTraceDetail(int argc, char** argv);
 
 /// Median of `samples` — the average of the middle two for even counts;

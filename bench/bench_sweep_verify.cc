@@ -20,7 +20,6 @@
 #include "core/bi_qgen.h"
 #include "core/enum_qgen.h"
 #include "core/rf_qgen.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace fairsqg::bench {
@@ -176,12 +175,11 @@ void Run(int repeat) {
 
 int main(int argc, char** argv) {
   // --trace-detail full turns the whole bench into an overhead probe: same
-  // timed sections, tracer + metrics hot (DESIGN.md §13 quotes the delta).
+  // timed sections, tracer hot (DESIGN.md §13 quotes the delta).
   fairsqg::obs::TraceDetail detail =
       fairsqg::bench::ParseTraceDetail(argc, argv);
   if (detail != fairsqg::obs::TraceDetail::kOff) {
     fairsqg::obs::Tracer::Global().Enable(detail);
-    fairsqg::obs::MetricsRegistry::Global().set_enabled(true);
   }
   fairsqg::bench::Run(fairsqg::bench::ParseRepeat(argc, argv));
   return 0;

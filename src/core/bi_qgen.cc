@@ -305,9 +305,6 @@ struct BiExplorer : ExplorerState {
       if (!forward.empty()) StepForward();
       if (!backward.empty() && Budget()) StepBackward();
     }
-    result->stats.SetSequentialVerifySeconds(verifier.verify_seconds());
-    result->stats.cache_hits = verifier.cache_hits();
-    result->stats.cache_misses = verifier.cache_misses();
     FoldVerifierStats(verifier, &result->stats);
   }
 };
@@ -495,18 +492,10 @@ struct ParallelBiExplorer : ExplorerState {
       for (Slot& slot : batch) FoldSlot(slot);
     }
     for (const std::unique_ptr<InstanceVerifier>& v : verifiers) {
-      double seconds = v->verify_seconds();
-      result->stats.per_worker_verify_seconds.push_back(seconds);
-      result->stats.verify_cpu_seconds += seconds;
-      result->stats.verify_wall_seconds =
-          std::max(result->stats.verify_wall_seconds, seconds);
-      result->stats.cache_hits += v->cache_hits();
-      result->stats.cache_misses += v->cache_misses();
+      result->stats.per_worker_verify_seconds.push_back(v->verify_seconds());
       FoldVerifierStats(*v, &result->stats);
     }
     result->stats.stolen = pool.stats().stolen;
-    FAIRSQG_COUNT_N("fairsqg.pool.stolen", result->stats.stolen);
-    FAIRSQG_COUNT_N("fairsqg.pool.enqueued", result->stats.enqueued);
   }
 };
 

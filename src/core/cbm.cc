@@ -60,9 +60,6 @@ Result<QGenResult> Cbm::Run(const QGenConfig& config, size_t num_sections) {
   std::sort(anchors.begin(), anchors.end());
   anchors.erase(std::unique(anchors.begin(), anchors.end()), anchors.end());
   result.pareto = ExactParetoSet(std::move(anchors));
-  result.stats.SetSequentialVerifySeconds(verifier.verify_seconds());
-  result.stats.cache_hits = verifier.cache_hits();
-  result.stats.cache_misses = verifier.cache_misses();
   result.stats.total_seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -46,9 +46,6 @@ Result<QGenResult> EnumQGen::Run(const QGenConfig& config) {
     FAIRSQG_TRACE_SPAN("archive_collect");
     result.pareto = archive.SortedEntries();
   }
-  result.stats.SetSequentialVerifySeconds(verifier.verify_seconds());
-  result.stats.cache_hits = verifier.cache_hits();
-  result.stats.cache_misses = verifier.cache_misses();
   FoldVerifierStats(verifier, &result.stats);
   result.stats.total_seconds = timer.ElapsedSeconds();
   FAIRSQG_RETURN_NOT_OK(ApplyExpiryPolicy(config, result.stats));

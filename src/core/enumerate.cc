@@ -98,6 +98,11 @@ Result<std::vector<EvaluatedPtr>> VerifyAllInstances(const QGenConfig& config,
 }
 
 void FoldVerifierStats(const InstanceVerifier& verifier, GenStats* stats) {
+  const double seconds = verifier.verify_seconds();
+  stats->verify_cpu_seconds += seconds;
+  stats->verify_wall_seconds = std::max(stats->verify_wall_seconds, seconds);
+  stats->cache_hits += verifier.cache_hits();
+  stats->cache_misses += verifier.cache_misses();
   stats->aborted_matches += verifier.aborted_matches();
   stats->timed_out_instances += verifier.timed_out_instances();
   stats->sweep_chains += verifier.sweep_chains();

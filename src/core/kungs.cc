@@ -16,9 +16,6 @@ Result<QGenResult> Kungs::Run(const QGenConfig& config) {
       std::vector<EvaluatedPtr> all,
       VerifyAllInstances(config, &verifier, &result.stats));
   result.pareto = ExactParetoSet(FeasibleOnly(all));
-  result.stats.SetSequentialVerifySeconds(verifier.verify_seconds());
-  result.stats.cache_hits = verifier.cache_hits();
-  result.stats.cache_misses = verifier.cache_misses();
   result.stats.total_seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -5,7 +5,6 @@
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
-#include "obs/trace.h"
 
 namespace fairsqg {
 
@@ -116,13 +115,7 @@ bool MatchSetCache::Lookup(const std::string& key, NodeSet* out) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(std::string_view(key));
-  if (it == shard.index.end()) {
-    ++shard.misses;
-    FAIRSQG_COUNT("fairsqg.cache.misses");
-    return false;
-  }
-  ++shard.hits;
-  FAIRSQG_COUNT("fairsqg.cache.hits");
+  if (it == shard.index.end()) return false;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   *out = it->second->matches;
   return true;
@@ -148,14 +141,12 @@ void MatchSetCache::Insert(const std::string& key, const NodeSet& matches) {
                       shard.lru.begin());
   shard.bytes += bytes;
   ++shard.insertions;
-  FAIRSQG_COUNT("fairsqg.cache.insertions");
   while (shard.bytes > shard_capacity_) {
     Entry& victim = shard.lru.back();
     shard.bytes -= victim.bytes;
     shard.index.erase(std::string_view(victim.key));
     shard.lru.pop_back();
     ++shard.evictions;
-    FAIRSQG_COUNT("fairsqg.cache.evictions");
   }
 }
 
@@ -164,8 +155,6 @@ MatchSetCache::CacheStats MatchSetCache::GetStats() const {
   for (size_t i = 0; i < num_shards_; ++i) {
     Shard& shard = shards_[i];
     std::lock_guard<std::mutex> lock(shard.mu);
-    total.hits += shard.hits;
-    total.misses += shard.misses;
     total.insertions += shard.insertions;
     total.evictions += shard.evictions;
     total.entries += shard.lru.size();

@@ -81,12 +81,9 @@ class MatchSetCache {
   /// shard's budget are not admitted. Thread-safe.
   void Insert(const std::string& key, const NodeSet& matches);
 
-  /// Point-in-time aggregate over all shards. Hit/miss totals here are
-  /// cache-global and schedule-dependent under parallel runs; algorithms
-  /// report the deterministic per-verifier counters instead.
+  /// Point-in-time aggregate of the cache's own state over all shards.
+  /// Hits and misses are counted per verifier and reported in GenStats.
   struct CacheStats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
     uint64_t insertions = 0;
     uint64_t evictions = 0;
     size_t entries = 0;
@@ -110,8 +107,6 @@ class MatchSetCache {
     // Views point at Entry::key; std::list nodes never relocate.
     std::unordered_map<std::string_view, std::list<Entry>::iterator> index;
     size_t bytes = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
     uint64_t insertions = 0;
     uint64_t evictions = 0;
   };

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/timer.h"
+#include "core/enumerate.h"
 #include "obs/trace.h"
 
 namespace fairsqg {
@@ -56,8 +57,6 @@ double OnlineQGen::Process(const Instantiation& inst) {
   EvaluatedPtr eval = verifier_.Verify(inst);  // Line 4.
   if (eval == nullptr) {
     // Aborted mid-match; drop this element, keep the stream alive.
-    stats_.aborted_matches = verifier_.aborted_matches();
-    stats_.timed_out_instances = verifier_.timed_out_instances();
     double aborted_elapsed = timer.ElapsedSeconds();
     stats_.total_seconds += aborted_elapsed;
     return aborted_elapsed;
@@ -124,18 +123,19 @@ double OnlineQGen::Process(const Instantiation& inst) {
       << "online archive exceeded k=" << online_.k;
   double elapsed = timer.ElapsedSeconds();
   stats_.total_seconds += elapsed;
-  stats_.SetSequentialVerifySeconds(verifier_.verify_seconds());
-  stats_.cache_hits = verifier_.cache_hits();
-  stats_.cache_misses = verifier_.cache_misses();
-  stats_.aborted_matches = verifier_.aborted_matches();
-  stats_.timed_out_instances = verifier_.timed_out_instances();
   return elapsed;
+}
+
+GenStats OnlineQGen::stats() const {
+  GenStats out = stats_;
+  FoldVerifierStats(verifier_, &out);
+  return out;
 }
 
 QGenResult OnlineQGen::Snapshot() const {
   QGenResult out;
   out.pareto = archive_.SortedEntries();
-  out.stats = stats_;
+  out.stats = stats();
   return out;
 }
 

@@ -47,7 +47,9 @@ class OnlineQGen {
   std::vector<EvaluatedPtr> Current() const { return archive_.SortedEntries(); }
   size_t size() const { return archive_.size(); }
 
-  const GenStats& stats() const { return stats_; }
+  /// The generator's own counters with the verifier's folded in, current
+  /// after every Process call whatever its outcome.
+  GenStats stats() const;
 
   /// Snapshot as a QGenResult (for the indicator harness).
   QGenResult Snapshot() const;
@@ -66,7 +68,7 @@ class OnlineQGen {
   InstanceVerifier verifier_;
   ParetoArchive archive_;
   std::deque<CachedInstance> window_;
-  GenStats stats_;
+  GenStats stats_;  ///< Generator-side counters; see stats().
   uint64_t now_ = 0;
 };
 

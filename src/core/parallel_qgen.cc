@@ -125,13 +125,8 @@ Result<QGenResult> ParallelQGen::Run(const QGenConfig& config,
   for (const WorkerState& s : states) {
     result.stats.verified += s.verified;
     result.stats.feasible += s.feasible;
-    double seconds = s.verifier->verify_seconds();
-    result.stats.per_worker_verify_seconds.push_back(seconds);
-    result.stats.verify_cpu_seconds += seconds;
-    result.stats.verify_wall_seconds =
-        std::max(result.stats.verify_wall_seconds, seconds);
-    result.stats.cache_hits += s.verifier->cache_hits();
-    result.stats.cache_misses += s.verifier->cache_misses();
+    result.stats.per_worker_verify_seconds.push_back(
+        s.verifier->verify_seconds());
     FoldVerifierStats(*s.verifier, &result.stats);
   }
   if (expired || (ctx != nullptr && ctx->Expired())) {
@@ -140,8 +135,6 @@ Result<QGenResult> ParallelQGen::Run(const QGenConfig& config,
   result.stats.generated = dispatched;
   result.stats.enqueued = num_chunks;
   result.stats.stolen = pool.stats().stolen;
-  FAIRSQG_COUNT_N("fairsqg.pool.stolen", result.stats.stolen);
-  FAIRSQG_COUNT_N("fairsqg.pool.enqueued", result.stats.enqueued);
   {
     FAIRSQG_TRACE_SPAN("archive_collect");
     result.pareto = archive.MergedSortedEntries();

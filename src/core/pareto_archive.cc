@@ -3,24 +3,8 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "obs/trace.h"
 
 namespace fairsqg {
-
-namespace {
-
-// kRejected* leaves the archive untouched; everything else mutated it.
-// Counts cover every path into an archive, including the per-worker merges
-// ConcurrentArchive::Merged performs through Update.
-void CountOutcome(UpdateOutcome outcome) {
-  FAIRSQG_COUNT("fairsqg.archive.updates");
-  if (outcome != UpdateOutcome::kRejectedSameBox &&
-      outcome != UpdateOutcome::kRejectedDominated) {
-    FAIRSQG_COUNT("fairsqg.archive.inserts");
-  }
-}
-
-}  // namespace
 
 ParetoArchive::ParetoArchive(double epsilon) : epsilon_(epsilon) {
   FAIRSQG_CHECK(epsilon > 0) << "epsilon must be positive";
@@ -43,12 +27,6 @@ UpdateOutcome ParetoArchive::Classify(const EvaluatedInstance& q) const {
 }
 
 UpdateOutcome ParetoArchive::Update(EvaluatedPtr q) {
-  UpdateOutcome outcome = UpdateUncounted(std::move(q));
-  CountOutcome(outcome);
-  return outcome;
-}
-
-UpdateOutcome ParetoArchive::UpdateUncounted(EvaluatedPtr q) {
   BoxCoord box = BoxOf(q->obj, epsilon_);
 
   // Case 1 scan: boxes strictly dominated by Box(q).
@@ -111,7 +89,7 @@ void ParetoArchive::SetEpsilon(double epsilon) {
   // one-representative-per-box antichain invariant under the coarser grid.
   std::vector<Entry> old = std::move(entries_);
   entries_.clear();
-  for (Entry& e : old) UpdateUncounted(std::move(e.instance));
+  for (Entry& e : old) Update(std::move(e.instance));
 }
 
 void ParetoArchive::Remove(const EvaluatedPtr& q) {

@@ -83,11 +83,6 @@ class ParetoArchive {
   Objectives BestObjectives() const;
 
  private:
-  /// Update without touching the observability counters; SetEpsilon's
-  /// re-boxing goes through here so internal churn is not reported as
-  /// fresh archive traffic.
-  UpdateOutcome UpdateUncounted(EvaluatedPtr q);
-
   double epsilon_;
   std::vector<Entry> entries_;
 };

@@ -128,9 +128,6 @@ Result<QGenResult> RfQGen::Run(const QGenConfig& config) {
     FAIRSQG_TRACE_SPAN("archive_collect");
     result.pareto = explorer.archive.SortedEntries();
   }
-  result.stats.SetSequentialVerifySeconds(explorer.verifier.verify_seconds());
-  result.stats.cache_hits = explorer.verifier.cache_hits();
-  result.stats.cache_misses = explorer.verifier.cache_misses();
   FoldVerifierStats(explorer.verifier, &result.stats);
   result.stats.total_seconds = timer.ElapsedSeconds();
   FAIRSQG_RETURN_NOT_OK(ApplyExpiryPolicy(config, result.stats));

@@ -56,12 +56,6 @@ struct GenStats {
   /// Per-worker verifier seconds (parallel runs only; empty otherwise).
   std::vector<double> per_worker_verify_seconds;
 
-  /// Records a sequential verifier's time on both timing axes.
-  void SetSequentialVerifySeconds(double seconds) {
-    verify_cpu_seconds = seconds;
-    verify_wall_seconds = seconds;
-  }
-
   std::string ToString() const {
     std::string s = "generated=" + std::to_string(generated) +
                     " verified=" + std::to_string(verified) +

@@ -84,7 +84,6 @@ SweepVerifier::Outcome SweepVerifier::SweepChain(
     MatchResult res =
         matcher->MatchOutputBounded(q, candidates, ctx, output_restrict);
     if (res.outcome == MatchOutcome::kAborted) {
-      FAIRSQG_COUNT("fairsqg.sweep.fallbacks");
       ++fallbacks_;
       return Outcome::kAborted;
     }
@@ -97,9 +96,6 @@ SweepVerifier::Outcome SweepVerifier::SweepChain(
       member.set_range_binding(var, k);
       PublishMember(member, res.matches);
     }
-    FAIRSQG_COUNT("fairsqg.sweep.chains");
-    FAIRSQG_COUNT_N("fairsqg.sweep.instances",
-                    static_cast<uint64_t>(m - 1 - head_level));
     ++chains_;
     instances_ += static_cast<uint64_t>(m - 1 - head_level);
     *head_matches = std::move(res.matches);
@@ -121,7 +117,6 @@ SweepVerifier::Outcome SweepVerifier::SweepChain(
   SweepMatchResult head = matcher->MatchOutputWithWitness(q, candidates, spec,
                                                           ctx, output_restrict);
   if (head.outcome == MatchOutcome::kAborted) {
-    FAIRSQG_COUNT("fairsqg.sweep.fallbacks");
     ++fallbacks_;
     return Outcome::kAborted;
   }
@@ -132,7 +127,6 @@ SweepVerifier::Outcome SweepVerifier::SweepChain(
   if (matcher->ResolveSweepThresholds(q, candidates, spec, head.matches, ctx,
                                       &head.thresholds) ==
       MatchOutcome::kAborted) {
-    FAIRSQG_COUNT("fairsqg.sweep.fallbacks");
     ++fallbacks_;
     return Outcome::kAborted;  // Partial thresholds: publish nothing.
   }
@@ -149,9 +143,6 @@ SweepVerifier::Outcome SweepVerifier::SweepChain(
     }
     PublishMember(member, std::move(set));
   }
-  FAIRSQG_COUNT("fairsqg.sweep.chains");
-  FAIRSQG_COUNT_N("fairsqg.sweep.instances",
-                  static_cast<uint64_t>(m - 1 - head_level));
   ++chains_;
   instances_ += static_cast<uint64_t>(m - 1 - head_level);
   *head_matches = std::move(head.matches);

@@ -47,11 +47,7 @@ bool InstanceVerifier::SweepAllowed() const {
 }
 
 bool InstanceVerifier::ServeSwept(const Instantiation& inst, NodeSet* matches) {
-  if (sweep_ != nullptr && sweep_->Serve(inst, matches)) {
-    FAIRSQG_COUNT("fairsqg.verify.sweep_served");
-    return true;
-  }
-  return false;
+  return sweep_ != nullptr && sweep_->Serve(inst, matches);
 }
 
 uint64_t InstanceVerifier::sweep_chains() const {
@@ -70,7 +66,6 @@ EvaluatedPtr InstanceVerifier::FinishWithParts(const Instantiation& inst,
                                                NodeSet matches,
                                                DiversityEvaluator::Parts parts) {
   FAIRSQG_TRACE_SPAN_FULL("evaluate");
-  FAIRSQG_COUNT("fairsqg.verify.completed");
   auto out = std::make_shared<EvaluatedInstance>();
   out->inst = inst;
   out->relevance_sum = parts.relevance_sum;
@@ -91,7 +86,6 @@ EvaluatedPtr InstanceVerifier::Finish(const Instantiation& inst, NodeSet matches
 }
 
 EvaluatedPtr InstanceVerifier::RecordAbort() {
-  FAIRSQG_COUNT("fairsqg.verify.aborted_instances");
   ++aborted_matches_;
   ++timed_out_instances_;
   return nullptr;
@@ -100,15 +94,12 @@ EvaluatedPtr InstanceVerifier::RecordAbort() {
 bool InstanceVerifier::LookupCached(const QueryInstance& q, NodeSet* matches,
                                     std::string* key) {
   if (config_->match_cache == nullptr) return false;
-  FAIRSQG_COUNT("fairsqg.verify.cache_lookups");
   *key = MatchSetCache::KeyFor(q);
   if (config_->match_cache->Lookup(*key, matches)) {
-    FAIRSQG_COUNT("fairsqg.verify.cache_hits");
     ++cache_hits_;
     key->clear();
     return true;
   }
-  FAIRSQG_COUNT("fairsqg.verify.cache_misses");
   ++cache_misses_;
   return false;
 }

@@ -216,7 +216,6 @@ MatchResult SubgraphMatcher::MatchNodeBounded(const QueryInstance& q,
                                               QNodeId anchor, RunContext* ctx,
                                               const NodeSet* output_restrict) {
   FAIRSQG_TRACE_SPAN_FULL("match");
-  FAIRSQG_COUNT("fairsqg.match.instances");
   ++stats_.instances_matched;
   MatchResult result;
   if (!q.is_active(anchor)) return result;  // Unconstrained by the instance.
@@ -227,7 +226,6 @@ MatchResult SubgraphMatcher::MatchNodeBounded(const QueryInstance& q,
   budget.limit = ctx != nullptr ? ctx->match_step_limit() : 0;
   if (ctx != nullptr && ctx->HardExpired()) {
     ++stats_.aborted_matches;
-    FAIRSQG_COUNT("fairsqg.match.aborted");
     result.outcome = MatchOutcome::kAborted;
     return result;
   }
@@ -260,7 +258,6 @@ MatchResult SubgraphMatcher::MatchNodeBounded(const QueryInstance& q,
   }
   if (budget.aborted) {
     ++stats_.aborted_matches;
-    FAIRSQG_COUNT("fairsqg.match.aborted");
     result.outcome = MatchOutcome::kAborted;
   }
   // `outer` iterations are ascending, so the result is sorted.
@@ -273,7 +270,6 @@ SweepMatchResult SubgraphMatcher::MatchOutputWithWitness(
   // One chain, one instance count: every member set derives from this
   // invocation (plus ResolveSweepThresholds, which counts none).
   FAIRSQG_TRACE_SPAN_FULL("match_sweep");
-  FAIRSQG_COUNT("fairsqg.match.instances");
   ++stats_.instances_matched;
   SweepMatchResult result;
   const QNodeId anchor = q.output_node();
@@ -284,7 +280,6 @@ SweepMatchResult SubgraphMatcher::MatchOutputWithWitness(
   budget.ctx = ctx;  // Sweeps run without a per-match step budget.
   if (ctx != nullptr && ctx->HardExpired()) {
     ++stats_.aborted_matches;
-    FAIRSQG_COUNT("fairsqg.match.aborted");
     result.outcome = MatchOutcome::kAborted;
     return result;
   }
@@ -334,7 +329,6 @@ SweepMatchResult SubgraphMatcher::MatchOutputWithWitness(
   }
   if (budget.aborted) {
     ++stats_.aborted_matches;
-    FAIRSQG_COUNT("fairsqg.match.aborted");
     result.outcome = MatchOutcome::kAborted;
     result.matches.clear();
     result.thresholds.clear();
@@ -382,7 +376,6 @@ MatchOutcome SubgraphMatcher::ResolveSweepThresholds(
     }
     if (budget.aborted) {
       ++stats_.aborted_matches;
-      FAIRSQG_COUNT("fairsqg.match.aborted");
       return MatchOutcome::kAborted;
     }
     (*thresholds)[i] = bound;

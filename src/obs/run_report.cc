@@ -22,27 +22,6 @@ Status WriteTextFile(const std::string& path, const std::string& content) {
   return Status::OK();
 }
 
-Json HistogramJson(const HistogramSnapshot& h) {
-  Json j = Json::Object();
-  j.Set("count", Json(h.count));
-  j.Set("sum", Json(h.sum));
-  if (h.count > 0) {
-    j.Set("min", Json(h.min));
-    j.Set("max", Json(h.max));
-  }
-  // Sparse bucket dump: bucket i spans values [2^i, 2^(i+1)).
-  Json buckets = Json::Array();
-  for (size_t i = 0; i < kHistogramBuckets; ++i) {
-    if (h.buckets[i] == 0) continue;
-    Json b = Json::Object();
-    b.Set("pow2", Json(static_cast<uint64_t>(i)));
-    b.Set("count", Json(h.buckets[i]));
-    buckets.Push(std::move(b));
-  }
-  j.Set("buckets", std::move(buckets));
-  return j;
-}
-
 Json SpanJson(const SpanRecord& s) {
   Json j = Json::Object();
   j.Set("id", Json(s.id));
@@ -74,26 +53,6 @@ void RunReport::SetGenStats(const GenStats& stats) {
 
 void RunReport::SetField(const std::string& key, Json value) {
   root_.Set(key, std::move(value));
-}
-
-void RunReport::AttachMetrics(const MetricsSnapshot& snapshot) {
-  Json metrics = Json::Object();
-  Json counters = Json::Object();
-  for (const auto& [name, value] : snapshot.counters) {
-    counters.Set(name, Json(value));
-  }
-  metrics.Set("counters", std::move(counters));
-  Json gauges = Json::Object();
-  for (const auto& [name, value] : snapshot.gauges) {
-    gauges.Set(name, Json(value));
-  }
-  metrics.Set("gauges", std::move(gauges));
-  Json histograms = Json::Object();
-  for (const auto& [name, h] : snapshot.histograms) {
-    histograms.Set(name, HistogramJson(h));
-  }
-  metrics.Set("histograms", std::move(histograms));
-  root_.Set("metrics", std::move(metrics));
 }
 
 void RunReport::AttachTrace(const std::vector<SpanRecord>& spans,

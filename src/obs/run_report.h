@@ -7,7 +7,6 @@
 
 #include "common/status.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace fairsqg {
@@ -27,15 +26,14 @@ namespace fairsqg::obs {
 ///                   mismatch rather than misread renamed fields
 ///   algorithm       generator name, when set
 ///   stats           every GenStats counter, flat (see StatsJson)
-///   metrics         {counters, gauges, histograms} from a MetricsSnapshot
 ///   trace           {detail, dropped, spans:[...]} from a Tracer snapshot
 ///
-/// `stats` is always present once SetGenStats is called; `metrics` and
-/// `trace` appear only when attached, so a bench row embedding just the
-/// deterministic GenStats view stays byte-stable across repeats.
+/// `stats` is always present once SetGenStats is called; `trace` appears
+/// only when attached, so a bench row embedding just the deterministic
+/// GenStats view stays byte-stable across repeats.
 class RunReport {
  public:
-  static constexpr int kSchemaVersion = 1;
+  static constexpr int kSchemaVersion = 2;
   static constexpr const char* kKind = "fairsqg.run_report";
 
   RunReport();
@@ -45,7 +43,6 @@ class RunReport {
   /// Attaches an arbitrary top-level field (scenario parameters, repeat
   /// counts — whatever the producer wants downstream tools to see).
   void SetField(const std::string& key, Json value);
-  void AttachMetrics(const MetricsSnapshot& snapshot);
   void AttachTrace(const std::vector<SpanRecord>& spans, TraceDetail detail,
                    uint64_t dropped);
 

@@ -6,8 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.h"
-
 namespace fairsqg::obs {
 
 /// How much a run records. kPhase captures the coarse phase boundaries
@@ -43,7 +41,7 @@ struct SpanRecord {
 /// state. When more than `capacity` spans close, the oldest records are
 /// overwritten and counted in dropped().
 ///
-/// Like the metrics registry, the tracer is write-only for the algorithms:
+/// The tracer is write-only for the algorithms:
 /// nothing under src/core or src/matching reads it, which is what the
 /// cross-generator differential test locks in (DESIGN.md §13).
 class Tracer {
@@ -129,16 +127,13 @@ class TraceSpan {
 // Instrumentation macros. Compiling with FAIRSQG_OBS=OFF (the CMake option,
 // which defines FAIRSQG_OBS_DISABLED) expands every site to nothing — the
 // hard compile-time gate. With observability compiled in, each site is
-// runtime-gated: spans check the tracer detail level, counters check the
-// registry's enabled flag; both are one relaxed atomic load when off.
+// runtime-gated on the tracer detail level: one relaxed atomic load when
+// off.
 #if defined(FAIRSQG_OBS_DISABLED)
 
 #define FAIRSQG_TRACE_SPAN(name)
 #define FAIRSQG_TRACE_SPAN_FULL(name)
 #define FAIRSQG_TRACE_INSTANT(name) ((void)0)
-#define FAIRSQG_COUNT(name) ((void)0)
-#define FAIRSQG_COUNT_N(name, n) ((void)0)
-#define FAIRSQG_OBSERVE(name, value) ((void)0)
 
 #else
 
@@ -161,31 +156,6 @@ class TraceSpan {
 #define FAIRSQG_TRACE_INSTANT(name)                                       \
   ::fairsqg::obs::Tracer::Global().Instant(                               \
       name, ::fairsqg::obs::TraceDetail::kPhase)
-
-/// Named-counter increment. The instrument is resolved once per call site
-/// (function-local static), then each hit is a sharded relaxed fetch_add.
-#define FAIRSQG_COUNT_N(name, n)                                          \
-  do {                                                                    \
-    if (::fairsqg::obs::MetricsRegistry::Global().enabled()) {            \
-      static ::fairsqg::obs::MetricsRegistry::Counter*                    \
-          fairsqg_obs_counter =                                           \
-              ::fairsqg::obs::MetricsRegistry::Global().GetCounter(name); \
-      fairsqg_obs_counter->Add(static_cast<uint64_t>(n));                 \
-    }                                                                     \
-  } while (0)
-#define FAIRSQG_COUNT(name) FAIRSQG_COUNT_N(name, 1)
-
-/// Histogram observation (durations in nanoseconds, sizes in items).
-#define FAIRSQG_OBSERVE(name, value)                                      \
-  do {                                                                    \
-    if (::fairsqg::obs::MetricsRegistry::Global().enabled()) {            \
-      static ::fairsqg::obs::MetricsRegistry::Histogram*                  \
-          fairsqg_obs_histogram =                                         \
-              ::fairsqg::obs::MetricsRegistry::Global().GetHistogram(     \
-                  name);                                                  \
-      fairsqg_obs_histogram->Observe(static_cast<double>(value));         \
-    }                                                                     \
-  } while (0)
 
 #endif  // FAIRSQG_OBS_DISABLED
 

@@ -8,6 +8,7 @@
 #include "core/enumerate.h"
 #include "core/indicators.h"
 #include "core/kungs.h"
+#include "core/match_cache.h"
 #include "core/rf_qgen.h"
 #include "scenario_fixture.h"
 
@@ -160,6 +161,26 @@ TEST(CbmTest, AnchorsAreNonDominatedAndIncludeExtremes) {
           << "CBM result contains a dominated anchor";
     }
   }
+}
+
+// With group constraints no instance meets, CBM returns an empty archive
+// early, but it still verified every instance: its verify time and cache
+// traffic must be reported like any other run's.
+TEST(CbmTest, InfeasibleSpaceStillReportsVerifierStats) {
+  SmallScenario s;
+  GroupSet unmeetable = s.UnmeetableGroups();
+  MatchSetCache cache;
+  QGenConfig config = s.Config(0.05);
+  config.groups = &unmeetable;
+  config.match_cache = &cache;
+  QGenResult result = Cbm::Run(config, 8).ValueOrDie();
+  EXPECT_TRUE(result.pareto.empty());
+  EXPECT_EQ(result.stats.feasible, 0u);
+  ASSERT_GT(result.stats.verified, 0u);
+  EXPECT_GT(result.stats.verify_cpu_seconds, 0.0);
+  EXPECT_EQ(result.stats.verify_wall_seconds, result.stats.verify_cpu_seconds);
+  EXPECT_EQ(result.stats.cache_hits + result.stats.cache_misses,
+            result.stats.verified);
 }
 
 TEST(AlgorithmsTest, SizeBoundHolds) {

@@ -13,7 +13,6 @@
 
 #include "core/bi_qgen.h"
 #include "core/rf_qgen.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "scenario_fixture.h"
 #include "workload/citation_generator.h"
@@ -194,8 +193,8 @@ TEST(CitationPropertyTest, NumberOfCitationsMatchesInDegree) {
 }
 
 // Property form of the observability differential (DESIGN.md §13): across
-// randomized scenario seeds and epsilons, enabling full tracing + metrics
-// never changes a query generator's archive. Complements the fixed-config
+// randomized scenario seeds and epsilons, enabling full tracing never
+// changes a query generator's archive. Complements the fixed-config
 // sweep in observability_test.cc with scenario diversity.
 TEST(QGenPropertyTest, ArchivesInvariantUnderObservability) {
   std::mt19937 rng(7);
@@ -216,15 +215,11 @@ TEST(QGenPropertyTest, ArchivesInvariantUnderObservability) {
                           std::to_string(seed) +
                           " eps=" + std::to_string(epsilon);
       obs::Tracer::Global().Disable();
-      obs::MetricsRegistry::Global().set_enabled(false);
       QGenResult plain = runner.run(s.Config(epsilon)).ValueOrDie();
 
       obs::Tracer::Global().Enable(obs::TraceDetail::kFull);
-      obs::MetricsRegistry::Global().Reset();
-      obs::MetricsRegistry::Global().set_enabled(true);
       QGenResult observed = runner.run(s.Config(epsilon)).ValueOrDie();
       obs::Tracer::Global().Disable();
-      obs::MetricsRegistry::Global().set_enabled(false);
 
       ASSERT_EQ(plain.pareto.size(), observed.pareto.size()) << label;
       for (size_t i = 0; i < plain.pareto.size(); ++i) {

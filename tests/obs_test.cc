@@ -1,7 +1,6 @@
 // Unit coverage of the observability primitives: the self-contained JSON
-// value (dump/parse round-trips, escape handling, error reporting), the
-// sharded metrics registry (cross-thread counters, histogram bucketing),
-// and the span tracer (ring wrap, parent chains, detail gating).
+// value (dump/parse round-trips, escape handling, error reporting) and the
+// span tracer (ring wrap, parent chains, detail gating).
 
 #include <algorithm>
 #include <cmath>
@@ -12,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace fairsqg::obs {
@@ -107,101 +105,6 @@ TEST(ObsJsonTest, FindAndAtAccessors) {
   arr.Push(Json("b"));
   EXPECT_EQ(arr.size(), 2u);
   EXPECT_EQ(arr.at(1).as_string(), "b");
-}
-
-// ------------------------------------------------------------- Metrics --
-
-TEST(ObsMetricsTest, CounterSumsAcrossThreads) {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.Reset();
-  MetricsRegistry::Counter* c = reg.GetCounter("obs_test.threads");
-  constexpr int kThreads = 8;
-  constexpr uint64_t kPerThread = 10000;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([c] {
-      for (uint64_t i = 0; i < kPerThread; ++i) c->Add();
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  EXPECT_EQ(c->Value(), kThreads * kPerThread);
-  MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_EQ(snap.counters.at("obs_test.threads"), kThreads * kPerThread);
-  reg.Reset();
-  EXPECT_EQ(c->Value(), 0u);
-}
-
-TEST(ObsMetricsTest, GetCounterReturnsStablePointer) {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  MetricsRegistry::Counter* first = reg.GetCounter("obs_test.stable");
-  // Registering unrelated instruments must not move existing ones.
-  for (int i = 0; i < 100; ++i) {
-    reg.GetCounter("obs_test.filler." + std::to_string(i));
-  }
-  EXPECT_EQ(reg.GetCounter("obs_test.stable"), first);
-}
-
-TEST(ObsMetricsTest, GaugeStoresLastValue) {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  MetricsRegistry::Gauge* g = reg.GetGauge("obs_test.gauge");
-  g->Set(2.5);
-  g->Set(-1.25);
-  EXPECT_DOUBLE_EQ(g->Value(), -1.25);
-  EXPECT_DOUBLE_EQ(reg.Snapshot().gauges.at("obs_test.gauge"), -1.25);
-  g->Reset();
-  EXPECT_DOUBLE_EQ(g->Value(), 0.0);
-}
-
-TEST(ObsMetricsTest, HistogramBucketsArePowersOfTwo) {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  MetricsRegistry::Histogram* h = reg.GetHistogram("obs_test.hist");
-  h->Reset();
-  h->Observe(0.5);   // Bucket 0: v <= 1.
-  h->Observe(1.0);   // Bucket 0.
-  h->Observe(3.0);   // Bucket 1: [2, 4).
-  h->Observe(1024);  // Bucket 10: [1024, 2048).
-  HistogramSnapshot snap = h->Snapshot();
-  EXPECT_EQ(snap.count, 4u);
-  EXPECT_DOUBLE_EQ(snap.sum, 0.5 + 1.0 + 3.0 + 1024);
-  EXPECT_DOUBLE_EQ(snap.min, 0.5);
-  EXPECT_DOUBLE_EQ(snap.max, 1024);
-  EXPECT_EQ(snap.buckets[0], 2u);
-  EXPECT_EQ(snap.buckets[1], 1u);
-  EXPECT_EQ(snap.buckets[10], 1u);
-  h->Reset();
-  EXPECT_EQ(h->Snapshot().count, 0u);
-}
-
-TEST(ObsMetricsTest, HistogramMinMaxUnderConcurrency) {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  MetricsRegistry::Histogram* h = reg.GetHistogram("obs_test.hist_mt");
-  h->Reset();
-  constexpr int kThreads = 4;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([h, t] {
-      for (int i = 1; i <= 1000; ++i) h->Observe(t * 1000 + i);
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  HistogramSnapshot snap = h->Snapshot();
-  EXPECT_EQ(snap.count, 4000u);
-  EXPECT_DOUBLE_EQ(snap.min, 1);
-  EXPECT_DOUBLE_EQ(snap.max, 4000);
-}
-
-TEST(ObsMetricsTest, CountMacroRespectsEnabledGate) {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.Reset();
-  reg.set_enabled(false);
-  FAIRSQG_COUNT("obs_test.gated");
-  reg.set_enabled(true);
-  FAIRSQG_COUNT("obs_test.gated");
-  FAIRSQG_COUNT_N("obs_test.gated", 4);
-  reg.set_enabled(false);
-  FAIRSQG_COUNT("obs_test.gated");
-  EXPECT_EQ(reg.GetCounter("obs_test.gated")->Value(), 5u);
-  reg.Reset();
 }
 
 // --------------------------------------------------------------- Trace --

@@ -1,18 +1,18 @@
-// Observability inertness and metrics-invariant coverage (DESIGN.md §13).
+// Observability inertness and GenStats-invariant coverage (DESIGN.md §13).
 //
-// The contract under test: the metrics registry and tracer are *write-only*
-// side channels. Enabling them — at any detail level, for any generator,
-// serial or parallel, with or without the match-set cache or sweep
-// verification — must not change a single archive byte. The differential
-// tests below rerun every generator with observability off and on and
-// require exact equality of the result (members, match sets, objective
-// coordinates, stats counters).
+// The contract under test: the tracer is a *write-only* side channel.
+// Enabling it — at any detail level, for any generator, serial or
+// parallel, with or without the match-set cache or sweep verification —
+// must not change a single archive byte. The differential tests below
+// rerun every generator with tracing off and on and require exact
+// equality of the result (members, match sets, objective coordinates,
+// stats counters).
 //
-// The invariant tests pin the registry's counters to the GenStats the
-// algorithms maintain independently, under randomized cancellation: the
-// two bookkeeping paths never share code, so agreement is strong evidence
-// both are right.
+// The invariant tests pin the relations between the GenStats counters
+// that FoldVerifierStats folds from each verifier, under seeded
+// cancellation points.
 
+#include <algorithm>
 #include <functional>
 #include <random>
 #include <set>
@@ -29,7 +29,6 @@
 #include "core/match_cache.h"
 #include "core/parallel_qgen.h"
 #include "core/rf_qgen.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "scenario_fixture.h"
 
@@ -55,14 +54,10 @@ std::vector<NamedRunner> AllRunners() {
   };
 }
 
-/// Restores the process-global observability state on scope exit so a
-/// failing assertion cannot leak an enabled tracer into later tests.
+/// Restores the process-global tracer on scope exit so a failing
+/// assertion cannot leak an enabled tracer into later tests.
 struct ObsGuard {
-  ~ObsGuard() {
-    obs::Tracer::Global().Disable();
-    obs::MetricsRegistry::Global().set_enabled(false);
-    obs::MetricsRegistry::Global().Reset();
-  }
+  ~ObsGuard() { obs::Tracer::Global().Disable(); }
 };
 
 /// Exact archive equality: same members in the same (sorted) order, with
@@ -85,32 +80,23 @@ void ExpectSameArchive(const QGenResult& expected, const QGenResult& got,
   EXPECT_EQ(expected.stats.feasible, got.stats.feasible) << label;
 }
 
-uint64_t CounterOf(const obs::MetricsSnapshot& snap, const std::string& name) {
-  auto it = snap.counters.find(name);
-  return it == snap.counters.end() ? 0 : it->second;
-}
-
-// --- Differential: tracing/metrics on must not change any archive byte ---
+// --- Differential: tracing on must not change any archive byte ---
 
 TEST(ObservabilityTest, ArchivesIdenticalAcrossDetailLevels) {
   SmallScenario s;
   ObsGuard guard;
   for (const NamedRunner& runner : AllRunners()) {
     obs::Tracer::Global().Disable();
-    obs::MetricsRegistry::Global().set_enabled(false);
     QGenResult baseline = runner.run(s.Config(0.05)).ValueOrDie();
 
     for (obs::TraceDetail detail :
          {obs::TraceDetail::kPhase, obs::TraceDetail::kFull}) {
       obs::Tracer::Global().Enable(detail);
-      obs::MetricsRegistry::Global().Reset();
-      obs::MetricsRegistry::Global().set_enabled(true);
       QGenResult traced = runner.run(s.Config(0.05)).ValueOrDie();
       ExpectSameArchive(baseline, traced,
                         std::string(runner.name) + " detail=" +
                             obs::TraceDetailName(detail));
       obs::Tracer::Global().Disable();
-      obs::MetricsRegistry::Global().set_enabled(false);
     }
   }
 }
@@ -134,28 +120,23 @@ TEST(ObservabilityTest, ArchivesIdenticalWithCacheAndSweep) {
         return c;
       };
       obs::Tracer::Global().Disable();
-      obs::MetricsRegistry::Global().set_enabled(false);
       MatchSetCache cold_cache;
       QGenResult baseline = runner.run(configure(&cold_cache)).ValueOrDie();
 
       obs::Tracer::Global().Enable(obs::TraceDetail::kFull);
-      obs::MetricsRegistry::Global().Reset();
-      obs::MetricsRegistry::Global().set_enabled(true);
       MatchSetCache traced_cache;
       QGenResult traced = runner.run(configure(&traced_cache)).ValueOrDie();
       ExpectSameArchive(baseline, traced,
                         std::string(runner.name) + " " + v.name);
       obs::Tracer::Global().Disable();
-      obs::MetricsRegistry::Global().set_enabled(false);
     }
   }
 }
 
-// --- Metrics invariants under randomized cancellation ---
+// --- GenStats invariants under seeded cancellation ---
 
 TEST(ObservabilityTest, VerifyCountersMatchGenStatsUnderCancellation) {
   SmallScenario s;
-  ObsGuard guard;
   // Fixed seed: arbitrary but reproducible cancellation points.
   std::mt19937 rng(20260807);
   std::uniform_int_distribution<uint64_t> pick(1, 60);
@@ -171,62 +152,61 @@ TEST(ObservabilityTest, VerifyCountersMatchGenStatsUnderCancellation) {
       QGenConfig config = s.Config(0.05);
       config.run_context = &ctx;
       config.match_cache = &cache;
+      const GenStats st = runner.run(config).ValueOrDie().stats;
 
-      obs::MetricsRegistry::Global().Reset();
-      obs::MetricsRegistry::Global().set_enabled(true);
-      QGenResult result = runner.run(config).ValueOrDie();
-      obs::MetricsRegistry::Global().set_enabled(false);
-      obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
-
-      // The registry's completion counter and GenStats.verified are
-      // maintained by disjoint code paths (verifier-side FAIRSQG_COUNT vs
-      // per-generator ++stats.verified); they must agree exactly, which
-      // also proves no aborted instance was ever counted as verified.
-      EXPECT_EQ(CounterOf(snap, "fairsqg.verify.completed"),
-                result.stats.verified)
+      // Every cache consultation resolves to a hit or a miss, and lookups
+      // come only from verifications that completed or aborted (sweep
+      // members are served without one), so the cache traffic is bounded
+      // by the instances the verifiers saw.
+      EXPECT_LE(st.cache_hits + st.cache_misses,
+                st.verified + st.timed_out_instances + st.sweep_instances)
           << label;
-      // Every cache consultation resolves to a hit or a miss — no third
-      // outcome, no double counting.
-      EXPECT_EQ(CounterOf(snap, "fairsqg.verify.cache_lookups"),
-                CounterOf(snap, "fairsqg.verify.cache_hits") +
-                    CounterOf(snap, "fairsqg.verify.cache_misses"))
-          << label;
-      // Lookups can only come from completed or aborted verifications, so
-      // the cache traffic is bounded by the instances the verifier saw.
-      EXPECT_LE(CounterOf(snap, "fairsqg.verify.cache_lookups"),
-                CounterOf(snap, "fairsqg.verify.completed") +
-                    CounterOf(snap, "fairsqg.verify.aborted_instances") +
-                    CounterOf(snap, "fairsqg.verify.sweep_served"))
-          << label;
+      // FoldVerifierStats sums verify time into the cpu axis and takes the
+      // max into the wall axis: equal for one verifier, sum/max for many.
+      if (st.per_worker_verify_seconds.empty()) {
+        EXPECT_EQ(st.verify_cpu_seconds, st.verify_wall_seconds) << label;
+      } else {
+        double sum = 0;
+        double mx = 0;
+        for (double w : st.per_worker_verify_seconds) {
+          sum += w;
+          mx = std::max(mx, w);
+        }
+        EXPECT_DOUBLE_EQ(st.verify_cpu_seconds, sum) << label;
+        EXPECT_EQ(st.verify_wall_seconds, mx) << label;
+      }
     }
   }
 }
 
 TEST(ObservabilityTest, SweepCountersMatchGenStats) {
   SmallScenario s;
-  ObsGuard guard;
+  std::mt19937 rng(20260807);
+  std::uniform_int_distribution<uint64_t> pick(1, 60);
   for (const NamedRunner& runner : AllRunners()) {
-    QGenConfig config = s.Config(0.05);
-    config.use_sweep_verify = true;
-
-    obs::MetricsRegistry::Global().Reset();
-    obs::MetricsRegistry::Global().set_enabled(true);
-    QGenResult result = runner.run(config).ValueOrDie();
-    obs::MetricsRegistry::Global().set_enabled(false);
-    obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
-
-    // A chain sweeps at least one member beyond its head, so the instance
-    // counter dominates the chain counter whenever any chain completed.
-    uint64_t chains = CounterOf(snap, "fairsqg.sweep.chains");
-    uint64_t instances = CounterOf(snap, "fairsqg.sweep.instances");
-    EXPECT_GE(instances, chains) << runner.name;
-    // Registry counters and the GenStats sweep counters are written at the
-    // same sites; they must agree exactly.
-    EXPECT_EQ(chains, result.stats.sweep_chains) << runner.name;
-    EXPECT_EQ(instances, result.stats.sweep_instances) << runner.name;
-    EXPECT_EQ(CounterOf(snap, "fairsqg.sweep.fallbacks"),
-              result.stats.sweep_fallbacks)
-        << runner.name;
+    // One full run, then one cancelled at a seeded point with the cache on
+    // so sweep-served members and cache lookups mix.
+    for (uint64_t n : {uint64_t{0}, pick(rng)}) {
+      std::string label =
+          std::string(runner.name) + " cancel@" + std::to_string(n);
+      RunContext ctx;
+      ctx.CancelAfterVerifications(n);
+      ctx.set_on_expiry(ExpiryPolicy::kPartial);
+      MatchSetCache cache;
+      QGenConfig config = s.Config(0.05);
+      config.use_sweep_verify = true;
+      if (n > 0) {
+        config.run_context = &ctx;
+        config.match_cache = &cache;
+      }
+      const GenStats st = runner.run(config).ValueOrDie().stats;
+      // A chain sweeps at least one member beyond its head, so the instance
+      // counter dominates the chain counter whenever any chain completed.
+      EXPECT_GE(st.sweep_instances, st.sweep_chains) << label;
+      EXPECT_LE(st.cache_hits + st.cache_misses,
+                st.verified + st.timed_out_instances + st.sweep_instances)
+          << label;
+    }
   }
 }
 
@@ -253,7 +233,9 @@ TEST(ObservabilityTest, SpanDurationsNonNegativeAndTreeWellFormed) {
     std::set<uint64_t> ids;
     for (const obs::SpanRecord& rec : spans) {
       EXPECT_GE(rec.dur_ns, 0) << runner.name << " span " << rec.name;
-      if (rec.instant) EXPECT_EQ(rec.dur_ns, 0) << runner.name;
+      if (rec.instant) {
+        EXPECT_EQ(rec.dur_ns, 0) << runner.name;
+      }
       EXPECT_NE(rec.id, 0u) << runner.name;
       EXPECT_TRUE(ids.insert(rec.id).second)
           << runner.name << ": duplicate span id " << rec.id;
@@ -280,13 +262,6 @@ TEST(ObservabilityTest, DisabledTracerRecordsNothing) {
   uint64_t before = obs::Tracer::Global().total_recorded();
   (void)BiQGen::Run(s.Config(0.05)).ValueOrDie();
   EXPECT_EQ(obs::Tracer::Global().total_recorded(), before);
-  // Same for the registry: counters stay zero while disabled.
-  obs::MetricsRegistry::Global().Reset();
-  (void)BiQGen::Run(s.Config(0.05)).ValueOrDie();
-  obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
-  for (const auto& [name, value] : snap.counters) {
-    EXPECT_EQ(value, 0u) << name;
-  }
 }
 
 TEST(ObservabilityTest, PhaseDetailOmitsPerInstanceSpans) {

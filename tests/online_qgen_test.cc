@@ -4,6 +4,7 @@
 
 #include "core/enumerate.h"
 #include "core/indicators.h"
+#include "core/match_cache.h"
 #include "scenario_fixture.h"
 #include "workload/instance_stream.h"
 
@@ -130,6 +131,33 @@ TEST(OnlineQGenTest, SnapshotMatchesCurrent) {
   QGenResult snap = gen.Snapshot();
   EXPECT_EQ(snap.pareto.size(), gen.size());
   EXPECT_EQ(snap.stats.verified, 40u);
+}
+
+// Every element is infeasible (no instance meets the group constraints), so
+// Process never reaches the archive; stats() must still carry the
+// verifier's time and cache traffic.
+TEST(OnlineQGenTest, StatsCurrentAfterInfeasibleElements) {
+  SmallScenario s;
+  GroupSet unmeetable = s.UnmeetableGroups();
+  MatchSetCache cache;
+  QGenConfig config = s.Config();
+  config.groups = &unmeetable;
+  config.match_cache = &cache;
+  OnlineQGen gen(config, OnlineConfig{});
+  InstanceStream stream(*s.tmpl, *s.domains, 5);
+  Instantiation inst;
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(stream.Next(&inst));
+    gen.Process(inst);
+  }
+  EXPECT_EQ(gen.size(), 0u);
+  for (const GenStats& st : {gen.stats(), gen.Snapshot().stats}) {
+    EXPECT_EQ(st.verified, 30u);
+    EXPECT_EQ(st.feasible, 0u);
+    EXPECT_GT(st.verify_cpu_seconds, 0.0);
+    EXPECT_EQ(st.verify_wall_seconds, st.verify_cpu_seconds);
+    EXPECT_EQ(st.cache_hits + st.cache_misses, st.verified);
+  }
 }
 
 TEST(InstanceStreamTest, DedupExhaustsSpace) {

@@ -3,7 +3,7 @@
 // produced from a real generation run.
 //
 // The golden file is tests/data/run_report_golden.json. It is built from
-// hand-pinned GenStats / metrics / spans (no clocks, no randomness), so
+// hand-pinned GenStats / spans (no clocks, no randomness), so
 // its dump is byte-stable across machines; any schema drift — a renamed
 // key, a changed number format, a reordered field — fails this test and
 // forces a conscious kSchemaVersion bump.
@@ -25,7 +25,6 @@
 #include "core/bi_qgen.h"
 #include "core/stats.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "scenario_fixture.h"
@@ -73,24 +72,6 @@ obs::RunReport PinnedReport() {
   stats.verify_wall_seconds = 0.0625;
   stats.per_worker_verify_seconds = {0.03125, 0.03125};
   report.SetGenStats(stats);
-
-  obs::MetricsSnapshot metrics;
-  metrics.counters["fairsqg.verify.completed"] = 96;
-  metrics.counters["fairsqg.verify.cache_lookups"] = 96;
-  metrics.counters["fairsqg.verify.cache_hits"] = 11;
-  metrics.counters["fairsqg.verify.cache_misses"] = 85;
-  metrics.counters["fairsqg.sweep.chains"] = 8;
-  metrics.gauges["fairsqg.pool.workers"] = 4;
-  obs::HistogramSnapshot hist;
-  hist.count = 3;
-  hist.sum = 14;
-  hist.min = 2;
-  hist.max = 8;
-  hist.buckets[1] = 1;  // [2, 4)
-  hist.buckets[2] = 1;  // [4, 8)
-  hist.buckets[3] = 1;  // [8, 16)
-  metrics.histograms["fairsqg.verify.duration_ns"] = hist;
-  report.AttachMetrics(metrics);
 
   std::vector<obs::SpanRecord> spans;
   obs::SpanRecord run;
@@ -154,8 +135,8 @@ TEST(RunReportTest, GoldenFileParsesWithExpectedSchema) {
   // Top-level key set is closed: a new key is a schema change.
   std::set<std::string> keys;
   for (const auto& [key, value] : parsed.items()) keys.insert(key);
-  EXPECT_EQ(keys, (std::set<std::string>{"algorithm", "kind", "metrics",
-                                         "schema_version", "stats", "trace"}));
+  EXPECT_EQ(keys, (std::set<std::string>{"algorithm", "kind", "schema_version",
+                                         "stats", "trace"}));
   // stats carries every GenStats counter.
   const obs::Json* stats = parsed.Find("stats");
   ASSERT_NE(stats, nullptr);
@@ -167,12 +148,6 @@ TEST(RunReportTest, GoldenFileParsesWithExpectedSchema) {
         "verify_cpu_seconds", "verify_wall_seconds",
         "per_worker_verify_seconds"}) {
     EXPECT_NE(stats->Find(key), nullptr) << "stats." << key;
-  }
-  // metrics splits by instrument kind.
-  const obs::Json* metrics = parsed.Find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  for (const char* key : {"counters", "gauges", "histograms"}) {
-    EXPECT_NE(metrics->Find(key), nullptr) << "metrics." << key;
   }
   // trace spans are sorted by start_ns with a well-formed parent tree.
   const obs::Json* trace = parsed.Find("trace");
@@ -240,18 +215,14 @@ TEST(RunReportTest, WriteFileRoundTripsAndChromeTraceMarksInstants) {
 TEST(RunReportTest, RealRunProducesWellFormedReport) {
   SmallScenario s;
   obs::Tracer::Global().Enable(obs::TraceDetail::kFull);
-  obs::MetricsRegistry::Global().Reset();
-  obs::MetricsRegistry::Global().set_enabled(true);
   QGenResult result = BiQGen::Run(s.Config(0.05)).ValueOrDie();
   std::vector<obs::SpanRecord> spans = obs::Tracer::Global().Snapshot();
   uint64_t dropped = obs::Tracer::Global().dropped();
   obs::Tracer::Global().Disable();
-  obs::MetricsRegistry::Global().set_enabled(false);
 
   obs::RunReport report;
   report.SetAlgorithm("biqgen");
   report.SetGenStats(result.stats);
-  report.AttachMetrics(obs::MetricsRegistry::Global().Snapshot());
   report.AttachTrace(spans, obs::TraceDetail::kFull, dropped);
 
   // The dump must survive a parse round-trip through our own parser and

@@ -56,6 +56,13 @@ struct SmallScenario {
     return GenerateSocialNetwork(params, std::move(schema)).ValueOrDie();
   }
 
+  /// Group constraints no instance meets: one group holding a single user
+  /// node with coverage target 1, while every match set holds directors.
+  GroupSet UnmeetableGroups() const {
+    NodeSet user = {graph.NodesWithLabel(schema->NodeLabelId("user")).front()};
+    return GroupSet::Create(graph.num_nodes(), {user}, {1}).ValueOrDie();
+  }
+
   QGenConfig Config(double epsilon = 0.05) const {
     QGenConfig config;
     config.graph = &graph;

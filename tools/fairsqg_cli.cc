@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "core/bi_qgen.h"
@@ -157,8 +156,8 @@ int CmdGenerate(int argc, char** argv) {
                      "deadline behaviour: partial (best-so-far archive) | "
                      "fail (non-zero exit)");
   flags.DefineString("metrics-json", "",
-                     "write a fairsqg.run_report JSON (stats + metric "
-                     "counters + trace spans) to this path");
+                     "write a fairsqg.run_report JSON (GenStats + trace "
+                     "spans) to this path");
   flags.DefineString("trace-out", "",
                      "write a chrome://tracing span dump to this path");
   flags.DefineString("trace-detail", "off",
@@ -180,10 +179,6 @@ int CmdGenerate(int argc, char** argv) {
   }
   if (trace_detail != obs::TraceDetail::kOff) {
     obs::Tracer::Global().Enable(trace_detail);
-  }
-  if (!metrics_json_path.empty()) {
-    obs::MetricsRegistry::Global().Reset();
-    obs::MetricsRegistry::Global().set_enabled(true);
   }
 
   Result<Graph> g = ReadGraphFile(flags.GetString("graph"));
@@ -283,8 +278,6 @@ int CmdGenerate(int argc, char** argv) {
       obs::RunReport report;
       report.SetAlgorithm(algo);
       report.SetGenStats(result->stats);
-      report.AttachMetrics(obs::MetricsRegistry::Global().Snapshot());
-      obs::MetricsRegistry::Global().set_enabled(false);
       if (trace_detail != obs::TraceDetail::kOff) {
         report.AttachTrace(spans, trace_detail, dropped);
       }
@@ -319,7 +312,7 @@ int CmdGenerate(int argc, char** argv) {
   if (cache != nullptr) {
     MatchSetCache::CacheStats cs = cache->GetStats();
     std::printf("match cache: %zu hits, %zu misses, %zu entries (%.1f MiB)\n",
-                static_cast<size_t>(cs.hits), static_cast<size_t>(cs.misses),
+                result->stats.cache_hits, result->stats.cache_misses,
                 cs.entries, static_cast<double>(cs.bytes) / (1 << 20));
   }
   for (const EvaluatedPtr& q : result->pareto) {
