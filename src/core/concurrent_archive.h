@@ -20,7 +20,10 @@ namespace fairsqg {
 /// whenever a member is evicted, the evictor's box dominates-or-equals the
 /// evictee's box. Hence the merged archive box-dominates the union of all
 /// verified instances and remains an ε-Pareto set of the full space, the
-/// same guarantee a single sequential archive provides.
+/// same guarantee a single sequential archive provides. Update is also
+/// order-independent (each box keeps its highest-ranked instance, see
+/// RanksAbove), so the merged archive equals the sequential archive of the
+/// same instances, member for member, however the work was scheduled.
 class ConcurrentParetoArchive {
  public:
   ConcurrentParetoArchive(double epsilon, size_t num_shards);

@@ -59,7 +59,7 @@ struct QGenConfig {
   /// per-match step budget (RunContext::match_step_limit) is active.
   bool use_sweep_verify = false;
 
-  /// Optional shared diversity precompute (node fingerprints, categorical
+  /// Optional shared diversity precompute (node attribute cells, categorical
   /// edit-distance matrices, per-node relevance) reused read-only across
   /// verifiers. Must have been built by DiversityEvaluator::BuildIndex for
   /// this graph, the template's output label, and diversity.relevance.

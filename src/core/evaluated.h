@@ -16,9 +16,10 @@ struct EvaluatedInstance {
   Instantiation inst;
   NodeSet matches;               // q(G), sorted.
   Objectives obj;                // (δ(q), f(q)).
-  // Diversity decomposition, kept so children can update δ incrementally
-  // (incVerify maintains the coordinates, Section IV-A): δ =
-  // (1-λ)·relevance_sum + (2λ/(|V_uo|-1))·pair_sum.
+  // Diversity decomposition of `matches` as DiversityEvaluator::ComputeParts
+  // returned it: δ = (1-λ)·relevance_sum + (2λ/(|V_uo|-1))·pair_sum.
+  // Recorded for inspection only; incVerify no longer reads a parent's
+  // parts, since rescoring a match set from scratch is sub-quadratic.
   double relevance_sum = 0;
   double pair_sum = 0;
   bool feasible = false;         // |q(G) ∩ P_i| >= c_i for all i.

@@ -1,13 +1,47 @@
 #include "core/measures.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <limits>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/string_util.h"
 
 namespace fairsqg {
+
+namespace {
+
+using Kind = DiversityEvaluator::Index::Kind;
+
+/// Groups `ids`, each in [0, distinct), into (id, count) runs in ascending
+/// id order. A dense count costs O(p + distinct) and a sort O(p log p) for
+/// p ids; the count is taken when it is no dearer. Both give the same runs.
+void CountRuns(std::vector<int32_t>* ids, size_t distinct,
+               std::vector<uint32_t>* counts,
+               std::vector<std::pair<int32_t, uint32_t>>* runs) {
+  runs->clear();
+  const size_t p = ids->size();
+  if (distinct <= p * static_cast<size_t>(std::bit_width(p))) {
+    counts->assign(distinct, 0);
+    for (int32_t id : *ids) ++(*counts)[static_cast<size_t>(id)];
+    for (size_t id = 0; id < distinct; ++id) {
+      if ((*counts)[id] > 0) {
+        runs->emplace_back(static_cast<int32_t>(id), (*counts)[id]);
+      }
+    }
+    return;
+  }
+  std::sort(ids->begin(), ids->end());
+  for (int32_t id : *ids) {
+    if (runs->empty() || runs->back().first != id) runs->emplace_back(id, 0);
+    ++runs->back().second;
+  }
+}
+
+}  // namespace
 
 std::shared_ptr<const DiversityEvaluator::Index> DiversityEvaluator::BuildIndex(
     const Graph& g, LabelId output_label, const RelevanceFn& relevance) {
@@ -27,53 +61,59 @@ std::shared_ptr<const DiversityEvaluator::Index> DiversityEvaluator::BuildIndex(
     for (const AttrEntry& e : g.attrs(v)) attr_set.insert(e.attr);
   }
   idx.attrs.assign(attr_set.begin(), attr_set.end());
-  idx.attr_range.assign(idx.attrs.size(), 0.0);
-  idx.attr_values.resize(idx.attrs.size());
-
-  // Interned categorical values and numeric ranges per attribute.
-  std::vector<std::map<std::string, int32_t>> value_ids(idx.attrs.size());
-  std::vector<double> min_v(idx.attrs.size(),
-                            std::numeric_limits<double>::infinity());
-  std::vector<double> max_v(idx.attrs.size(),
-                            -std::numeric_limits<double>::infinity());
+  const size_t na = idx.attrs.size();
+  idx.attr_range.assign(na, 0.0);
+  idx.attr_numbers.resize(na);
+  idx.attr_values.resize(na);
 
   idx.node_slot.assign(g.num_nodes(), -1);
-  idx.fingerprints.reserve(nodes.size());
-  for (NodeId v : nodes) {
-    Index::Fingerprint fp;
-    fp.numeric.assign(idx.attrs.size(),
-                      std::numeric_limits<double>::quiet_NaN());
-    fp.categorical.assign(idx.attrs.size(), -1);
-    fp.present.assign(idx.attrs.size(), false);
-    for (size_t i = 0; i < idx.attrs.size(); ++i) {
-      const AttrValue* value = g.GetAttr(v, idx.attrs[i]);
+  for (size_t slot = 0; slot < nodes.size(); ++slot) {
+    idx.node_slot[nodes[slot]] = static_cast<int32_t>(slot);
+  }
+
+  // One column of cells per attribute: strings are interned in order of
+  // first appearance, numbers ranked among the attribute's distinct values.
+  idx.cells.assign(na * nodes.size(), Index::Cell{});
+  for (size_t a = 0; a < na; ++a) {
+    Index::Cell* column = &idx.cells[a * nodes.size()];
+    std::map<std::string, int32_t> string_ids;
+    std::vector<double> number(nodes.size());
+    std::vector<double>& numbers = idx.attr_numbers[a];
+    for (size_t slot = 0; slot < nodes.size(); ++slot) {
+      const AttrValue* value = g.GetAttr(nodes[slot], idx.attrs[a]);
       if (value == nullptr) continue;
-      fp.present[i] = true;
-      if (value->is_numeric()) {
-        double d = value->ToNumeric();
-        fp.numeric[i] = d;
-        min_v[i] = std::min(min_v[i], d);
-        max_v[i] = std::max(max_v[i], d);
-      } else {
-        auto [it, inserted] = value_ids[i].emplace(
+      Index::Cell& cell = column[slot];
+      if (!value->is_numeric()) {
+        auto [it, inserted] = string_ids.emplace(
             value->as_string(),
-            static_cast<int32_t>(idx.attr_values[i].size()));
-        if (inserted) idx.attr_values[i].push_back(value->as_string());
-        fp.categorical[i] = it->second;
+            static_cast<int32_t>(idx.attr_values[a].size()));
+        if (inserted) idx.attr_values[a].push_back(value->as_string());
+        cell.kind = Kind::kString;
+        cell.id = it->second;
+      } else if (std::isnan(value->ToNumeric())) {
+        cell.kind = Kind::kOther;
+      } else {
+        cell.kind = Kind::kNumeric;
+        number[slot] = value->ToNumeric();
+        numbers.push_back(number[slot]);
       }
     }
-    idx.node_slot[v] = static_cast<int32_t>(idx.fingerprints.size());
-    idx.fingerprints.push_back(std::move(fp));
-  }
-  for (size_t i = 0; i < idx.attrs.size(); ++i) {
-    if (max_v[i] > min_v[i]) idx.attr_range[i] = max_v[i] - min_v[i];
+    std::sort(numbers.begin(), numbers.end());
+    numbers.erase(std::unique(numbers.begin(), numbers.end()), numbers.end());
+    if (numbers.size() > 1) idx.attr_range[a] = numbers.back() - numbers.front();
+    for (size_t slot = 0; slot < nodes.size(); ++slot) {
+      if (column[slot].kind != Kind::kNumeric) continue;
+      column[slot].id = static_cast<int32_t>(
+          std::lower_bound(numbers.begin(), numbers.end(), number[slot]) -
+          numbers.begin());
+    }
   }
 
   // Dense normalized-edit-distance matrices per categorical attribute:
   // active domains of categorical attributes are small, so the O(k^2)
-  // precomputation removes all string work from the pairwise hot loop.
-  idx.string_dist.resize(idx.attrs.size());
-  for (size_t i = 0; i < idx.attrs.size(); ++i) {
+  // precomputation removes all string work from scoring.
+  idx.string_dist.resize(na);
+  for (size_t i = 0; i < na; ++i) {
     size_t k = idx.attr_values[i].size();
     if (k == 0) continue;
     idx.string_dist[i].assign(k * k, 0.0);
@@ -88,7 +128,7 @@ std::shared_ptr<const DiversityEvaluator::Index> DiversityEvaluator::BuildIndex(
   }
 
   // Precompute relevance per slot (degree centrality or the custom fn).
-  idx.relevance.resize(idx.fingerprints.size());
+  idx.relevance.resize(nodes.size());
   for (NodeId v : nodes) {
     double r;
     if (relevance) {
@@ -120,27 +160,30 @@ double DiversityEvaluator::Relevance(NodeId v) const {
   return index_->relevance[slot];
 }
 
-double DiversityEvaluator::AttrDistance(size_t attr_idx,
-                                        const Index::Fingerprint& a,
-                                        const Index::Fingerprint& b) const {
-  bool pa = a.present[attr_idx];
-  bool pb = b.present[attr_idx];
-  if (!pa && !pb) return 0.0;
-  if (pa != pb) return 1.0;  // Missing on one side: fully different.
-  bool num_a = !std::isnan(a.numeric[attr_idx]);
-  bool num_b = !std::isnan(b.numeric[attr_idx]);
-  if (num_a != num_b) return 1.0;  // Type mismatch.
-  if (num_a) {
-    if (index_->attr_range[attr_idx] <= 0) return 0.0;
-    return std::abs(a.numeric[attr_idx] - b.numeric[attr_idx]) /
-           index_->attr_range[attr_idx];
+double DiversityEvaluator::AttrDistance(size_t attr, int32_t slot_a,
+                                        int32_t slot_b) const {
+  const Index::Cell& a = index_->cell(attr, slot_a);
+  const Index::Cell& b = index_->cell(attr, slot_b);
+  // Missing on one side, or a type mismatch: fully different.
+  if (a.kind != b.kind) return 1.0;
+  switch (a.kind) {
+    case Kind::kNumeric: {
+      const double range = index_->attr_range[attr];
+      if (range <= 0) return 0.0;
+      const std::vector<double>& x = index_->attr_numbers[attr];
+      return std::abs(x[a.id] - x[b.id]) / range;
+    }
+    case Kind::kString: {
+      if (a.id == b.id) return 0.0;
+      const size_t k = index_->attr_values[attr].size();
+      return index_->string_dist[attr][static_cast<size_t>(a.id) * k +
+                                       static_cast<size_t>(b.id)];
+    }
+    case Kind::kMissing:
+    case Kind::kOther:
+      break;
   }
-  int32_t ia = a.categorical[attr_idx];
-  int32_t ib = b.categorical[attr_idx];
-  if (ia == ib) return 0.0;
-  size_t k = index_->attr_values[attr_idx].size();
-  return index_->string_dist[attr_idx][static_cast<size_t>(ia) * k +
-                                       static_cast<size_t>(ib)];
+  return 0.0;
 }
 
 double DiversityEvaluator::Distance(NodeId a, NodeId b) const {
@@ -148,37 +191,93 @@ double DiversityEvaluator::Distance(NodeId a, NodeId b) const {
   int32_t sa = index_->node_slot[a];
   int32_t sb = index_->node_slot[b];
   FAIRSQG_CHECK(sa >= 0 && sb >= 0) << "Distance on non-output-label node";
-  const Index::Fingerprint& fa = index_->fingerprints[sa];
-  const Index::Fingerprint& fb = index_->fingerprints[sb];
   double total = 0;
-  for (size_t i = 0; i < index_->attrs.size(); ++i) total += AttrDistance(i, fa, fb);
+  for (size_t i = 0; i < index_->attrs.size(); ++i) {
+    total += AttrDistance(i, sa, sb);
+  }
   return total / static_cast<double>(index_->attrs.size());
 }
 
 DiversityEvaluator::Parts DiversityEvaluator::ComputeParts(
     const NodeSet& matches) const {
   Parts parts;
-  // Resolve fingerprint slots once.
-  std::vector<const Index::Fingerprint*> fps;
-  fps.reserve(matches.size());
+  // Resolve slots once.
+  std::vector<int32_t> slots;
+  slots.reserve(matches.size());
   for (NodeId v : matches) {
     int32_t slot = index_->node_slot[v];
     FAIRSQG_CHECK(slot >= 0) << "match is not an output-label node";
     parts.relevance_sum += index_->relevance[slot];
-    fps.push_back(&index_->fingerprints[slot]);
+    slots.push_back(slot);
   }
-  if (config_.lambda > 0 && !index_->attrs.empty()) {
-    const size_t na = index_->attrs.size();
-    for (size_t i = 0; i < fps.size(); ++i) {
-      const Index::Fingerprint& fa = *fps[i];
-      for (size_t j = i + 1; j < fps.size(); ++j) {
-        const Index::Fingerprint& fb = *fps[j];
-        double total = 0;
-        for (size_t a = 0; a < na; ++a) total += AttrDistance(a, fa, fb);
-        parts.pair_sum += total / static_cast<double>(na);
+  const size_t n = slots.size();
+  if (config_.lambda <= 0 || index_->attrs.empty() || n < 2) return parts;
+
+  // Σ_{v<v'} d(v, v') = Σ_a Σ_{v<v'} AttrDistance(a, v, v') / |A|: each
+  // attribute's pair sum has a closed form over the set's values.
+  std::vector<int32_t> numeric;  // Ranks into attr_numbers.
+  std::vector<int32_t> strings;  // Interned ids.
+  std::vector<uint32_t> counts;
+  std::vector<std::pair<int32_t, uint32_t>> runs;  // (id, count), ascending.
+  numeric.reserve(n);
+  strings.reserve(n);
+  double total = 0;
+  for (size_t a = 0; a < index_->attrs.size(); ++a) {
+    numeric.clear();
+    strings.clear();
+    size_t missing = 0;
+    size_t other = 0;
+    const Index::Cell* column = &index_->cell(a, 0);
+    for (int32_t slot : slots) {
+      const Index::Cell& cell = column[slot];
+      switch (cell.kind) {
+        case Kind::kMissing: ++missing; break;
+        case Kind::kNumeric: numeric.push_back(cell.id); break;
+        case Kind::kString: strings.push_back(cell.id); break;
+        case Kind::kOther: ++other; break;
       }
     }
+    // Fully different pairs: the value missing on exactly one side, or
+    // present with different kinds.
+    const size_t p = numeric.size();
+    const size_t c = strings.size();
+    double term = static_cast<double>(missing * (n - missing) +
+                                      p * (c + other) + c * other);
+    // Numeric: with x sorted ascending, Σ_{i<j} (x_j - x_i) =
+    // Σ_i (2i - p + 1)·x_i, summed here gap by gap — the gap between two
+    // adjacent distinct values separates below·(p - below) pairs — so every
+    // term is non-negative.
+    const double range = index_->attr_range[a];
+    if (p > 1 && range > 0) {
+      const std::vector<double>& x = index_->attr_numbers[a];
+      CountRuns(&numeric, x.size(), &counts, &runs);
+      double spread = 0;
+      size_t below = runs[0].second;
+      for (size_t j = 1; j < runs.size(); ++j) {
+        spread += static_cast<double>(below * (p - below)) *
+                  (x[runs[j].first] - x[runs[j - 1].first]);
+        below += runs[j].second;
+      }
+      term += spread / range;
+    }
+    // Categorical: Σ_{u<v} h_u·h_v·dist(u, v) over the histogram h of the
+    // set's strings (equal strings are distance 0).
+    if (c > 1) {
+      const size_t k = index_->attr_values[a].size();
+      const std::vector<double>& dist = index_->string_dist[a];
+      CountRuns(&strings, k, &counts, &runs);
+      for (size_t u = 0; u < runs.size(); ++u) {
+        const size_t row_base = static_cast<size_t>(runs[u].first) * k;
+        double row = 0;
+        for (size_t v = u + 1; v < runs.size(); ++v) {
+          row += runs[v].second * dist[row_base + runs[v].first];
+        }
+        term += runs[u].second * row;
+      }
+    }
+    total += term;
   }
+  parts.pair_sum = total / static_cast<double>(index_->attrs.size());
   return parts;
 }
 
@@ -193,83 +292,6 @@ double DiversityEvaluator::Combine(const Parts& parts) const {
 
 double DiversityEvaluator::Diversity(const NodeSet& matches) const {
   return Combine(ComputeParts(matches));
-}
-
-DiversityEvaluator::Parts DiversityEvaluator::RefineParts(
-    const Parts& parent, const NodeSet& parent_matches,
-    const NodeSet& child_matches) const {
-  NodeSet removed;
-  removed.reserve(parent_matches.size() - child_matches.size());
-  std::set_difference(parent_matches.begin(), parent_matches.end(),
-                      child_matches.begin(), child_matches.end(),
-                      std::back_inserter(removed));
-  // Cheaper to recompute when most of the set went away.
-  if (removed.size() * parent_matches.size() >
-      child_matches.size() * child_matches.size()) {
-    return ComputeParts(child_matches);
-  }
-  Parts parts = parent;
-  const size_t na = index_->attrs.size();
-  // pair_sum(child) = pair_sum(parent) - sum_{r in removed}
-  //   rowsum_parent(r) + pair_sum(removed): the rowsum subtraction counts
-  //   removed-removed pairs twice, which pair_sum(removed) adds back.
-  for (NodeId r : removed) {
-    parts.relevance_sum -= index_->relevance[index_->node_slot[r]];
-    if (config_.lambda <= 0 || na == 0) continue;
-    const Index::Fingerprint& fr = index_->fingerprints[index_->node_slot[r]];
-    double rowsum = 0;
-    for (NodeId v : parent_matches) {
-      if (v == r) continue;
-      const Index::Fingerprint& fv = index_->fingerprints[index_->node_slot[v]];
-      double total = 0;
-      for (size_t a = 0; a < na; ++a) total += AttrDistance(a, fr, fv);
-      rowsum += total / static_cast<double>(na);
-    }
-    parts.pair_sum -= rowsum;
-  }
-  if (config_.lambda > 0 && na > 0) {
-    parts.pair_sum += ComputeParts(removed).pair_sum;
-  }
-  if (parts.pair_sum < 0) parts.pair_sum = 0;  // Guard numeric drift.
-  if (parts.relevance_sum < 0) parts.relevance_sum = 0;
-  return parts;
-}
-
-DiversityEvaluator::Parts DiversityEvaluator::RelaxParts(
-    const Parts& parent, const NodeSet& parent_matches,
-    const NodeSet& child_matches) const {
-  NodeSet added;
-  added.reserve(child_matches.size() - parent_matches.size());
-  std::set_difference(child_matches.begin(), child_matches.end(),
-                      parent_matches.begin(), parent_matches.end(),
-                      std::back_inserter(added));
-  if (added.size() * child_matches.size() >
-      child_matches.size() * child_matches.size() / 2) {
-    return ComputeParts(child_matches);
-  }
-  Parts parts = parent;
-  const size_t na = index_->attrs.size();
-  // pair_sum(child) = pair_sum(parent) + sum_{a in added}
-  //   rowsum_child(a) - pair_sum(added) (added-added pairs counted twice).
-  for (NodeId x : added) {
-    parts.relevance_sum += index_->relevance[index_->node_slot[x]];
-    if (config_.lambda <= 0 || na == 0) continue;
-    const Index::Fingerprint& fx = index_->fingerprints[index_->node_slot[x]];
-    double rowsum = 0;
-    for (NodeId v : child_matches) {
-      if (v == x) continue;
-      const Index::Fingerprint& fv = index_->fingerprints[index_->node_slot[v]];
-      double total = 0;
-      for (size_t a = 0; a < na; ++a) total += AttrDistance(a, fx, fv);
-      rowsum += total / static_cast<double>(na);
-    }
-    parts.pair_sum += rowsum;
-  }
-  if (config_.lambda > 0 && na > 0) {
-    parts.pair_sum -= ComputeParts(added).pair_sum;
-  }
-  if (parts.pair_sum < 0) parts.pair_sum = 0;
-  return parts;
 }
 
 CoverageResult CoverageEvaluator::Evaluate(const NodeSet& matches) const {

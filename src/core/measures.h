@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,25 +34,36 @@ struct DiversityConfig {
 /// normalized distance of the nodes' matching attributes — per attribute of
 /// the label, numeric values differ by |a-b|/range and categorical values by
 /// the normalized edit distance of their strings (memoized per value pair);
-/// attributes missing on one side count as fully different. Node
-/// fingerprints are precomputed once per shared Index (see BuildIndex) and
-/// reused read-only by every evaluator holding it, so a distance
-/// evaluation is O(#attrs) and parallel workers skip the precompute.
+/// attributes missing on one side, or of different types, count as fully
+/// different. Per-node attribute cells are precomputed once per shared
+/// Index (see BuildIndex) and reused read-only by every evaluator holding
+/// it, so a distance evaluation is O(#attrs) and parallel workers skip the
+/// precompute.
+///
+/// Because d is a mean over attributes, the pair sum of a set splits per
+/// attribute into closed forms — sorted-gap sums for numeric values, a
+/// value-count histogram for categorical ones, and pair counts for missing
+/// or type-mismatched values — so scoring a set of n nodes costs
+/// O(n log n + m_a²) per attribute a (m_a: distinct strings of a in the
+/// set) instead of O(n²) distance evaluations. δ depends only on the set.
 class DiversityEvaluator {
  public:
   /// \brief Immutable per-(graph, output label, relevance fn) precompute:
-  /// node fingerprints, interned categorical values with dense
-  /// normalized-edit-distance matrices, numeric ranges, and per-slot
-  /// relevance. Built once by BuildIndex and shared read-only across
-  /// evaluators — parallel workers reuse one index instead of redoing the
-  /// O(|V_label|·#attrs + Σk²) precompute per verifier.
+  /// per-node attribute cells, ranked numeric values, interned categorical
+  /// values with dense normalized-edit-distance matrices, numeric ranges,
+  /// and per-slot relevance. Built once by BuildIndex and shared read-only
+  /// across evaluators — parallel workers reuse one index instead of
+  /// redoing the O(|V_label|·#attrs + Σk²) precompute per verifier.
   struct Index {
-    /// Per-node, per-attribute compact value: numeric value, interned
-    /// string id, or missing.
-    struct Fingerprint {
-      std::vector<double> numeric;       // NaN when not numeric/missing.
-      std::vector<int32_t> categorical;  // -1 when not string/missing.
-      std::vector<bool> present;
+    /// How a node holds one attribute. kOther is a present value that is
+    /// neither a number nor a string (a NaN number).
+    enum class Kind : uint8_t { kMissing, kNumeric, kString, kOther };
+
+    /// One node's value of one attribute: for kNumeric, `id` ranks the
+    /// value in attr_numbers; for kString, it interns it in attr_values.
+    struct Cell {
+      Kind kind = Kind::kMissing;
+      int32_t id = -1;
     };
 
     LabelId label = 0;
@@ -62,15 +72,23 @@ class DiversityEvaluator {
 
     std::vector<AttrId> attrs;       // Attributes of the label, sorted.
     std::vector<double> attr_range;  // Numeric value range per attr.
+    // Distinct numeric values per attribute, ascending.
+    std::vector<std::vector<double>> attr_numbers;
     std::vector<std::vector<std::string>> attr_values;  // Interned strings.
     // Dense normalized-edit-distance matrix per categorical attribute,
-    // indexed [value_a * k + value_b]; precomputed so the pairwise hot
-    // loop never touches strings.
+    // indexed [value_a * k + value_b]; precomputed so scoring never
+    // touches strings.
     std::vector<std::vector<double>> string_dist;
 
-    std::vector<int32_t> node_slot;  // NodeId -> fingerprint slot or -1.
-    std::vector<Fingerprint> fingerprints;
-    std::vector<double> relevance;   // Per fingerprint slot.
+    std::vector<int32_t> node_slot;  // NodeId -> slot or -1.
+    // Attribute-major: cells[attr * label_size + slot], so scoring one
+    // attribute over a set reads one column.
+    std::vector<Cell> cells;
+    std::vector<double> relevance;   // Per slot.
+
+    const Cell& cell(size_t attr, int32_t slot) const {
+      return cells[attr * label_size + static_cast<size_t>(slot)];
+    }
   };
 
   /// Builds the shared precompute for `output_label`. A null `relevance`
@@ -94,23 +112,20 @@ class DiversityEvaluator {
     double pair_sum = 0;
   };
 
-  /// δ(q, G) for the match set `matches` (exact, O(|matches|^2) pairs).
+  /// δ(q, G) for the match set `matches` (exact; see ComputeParts).
   double Diversity(const NodeSet& matches) const;
 
-  /// Full decomposition, O(|matches|^2).
+  /// Exact decomposition of `matches`, computed per attribute a of the
+  /// label: with p numeric values sorted ascending, Σ_{i<j} |x_j - x_i| =
+  /// Σ_i (2i-p+1)·x_i, divided by a's range; categorical values contribute
+  /// Σ_{u<v} h_u·h_v·dist(u, v) over their histogram h; every pair with the
+  /// value missing on exactly one side, or of different types (e.g. numeric
+  /// on one side and a string on the other), contributes 1. pair_sum is the
+  /// sum of those terms over |A|. Cost O(n log n + m_a²) per attribute for
+  /// n = |matches| and m_a distinct strings of a in the set; the pairwise
+  /// definition over Distance agrees to rounding. The result depends only
+  /// on the set, not on how it was derived.
   Parts ComputeParts(const NodeSet& matches) const;
-
-  /// Incremental decomposition for a refined child (child ⊆ parent):
-  /// subtracts the removed nodes' cross terms from the parent's pair sum —
-  /// O(|removed| * |parent| + |removed|^2), falling back to a full
-  /// recomputation when that would be slower. This is incVerify's
-  /// "incrementally update ... the coordinates (δ(q), f(q))".
-  Parts RefineParts(const Parts& parent, const NodeSet& parent_matches,
-                    const NodeSet& child_matches) const;
-
-  /// Incremental decomposition for a relaxed child (child ⊇ parent).
-  Parts RelaxParts(const Parts& parent, const NodeSet& parent_matches,
-                   const NodeSet& child_matches) const;
 
   /// δ from a decomposition.
   double Combine(const Parts& parts) const;
@@ -136,8 +151,7 @@ class DiversityEvaluator {
   std::shared_ptr<const Index> index_;
   DiversityConfig config_;
 
-  double AttrDistance(size_t attr_idx, const Index::Fingerprint& a,
-                      const Index::Fingerprint& b) const;
+  double AttrDistance(size_t attr, int32_t slot_a, int32_t slot_b) const;
 };
 
 /// Result of evaluating the coverage measure for one instance.

@@ -17,7 +17,7 @@ namespace fairsqg {
 /// An instance's answer is the *union* of the match sets of all designated
 /// output nodes, q(U_o, G) = ∪_{u ∈ U_o} q(u, G); diversity and coverage
 /// are evaluated over that union. All designated outputs must carry the
-/// same label (the measures' fingerprints and groups are per-label) and
+/// same label (the measures' attribute cells and groups are per-label) and
 /// every output must lie in the component of the template's primary output
 /// node under the full edge set.
 ///

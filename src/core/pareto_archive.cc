@@ -17,8 +17,8 @@ UpdateOutcome ParetoArchive::Classify(const EvaluatedInstance& q) const {
     if (BoxDominates(box, e.box)) {
       any_dominated = true;
     } else if (e.box == box) {
-      return Dominates(q.obj, e.instance->obj) ? UpdateOutcome::kReplacedInstance
-                                               : UpdateOutcome::kRejectedSameBox;
+      return RanksAbove(q, *e.instance) ? UpdateOutcome::kReplacedInstance
+                                        : UpdateOutcome::kRejectedSameBox;
     } else if (BoxDominates(e.box, box)) {
       return UpdateOutcome::kRejectedDominated;
     }
@@ -44,10 +44,10 @@ UpdateOutcome ParetoArchive::Update(EvaluatedPtr q) {
     return UpdateOutcome::kReplacedBoxes;
   }
 
-  // Case 2: q falls into an occupied box; keep the dominant instance.
+  // Case 2: q falls into an occupied box; keep the higher-ranked instance.
   for (Entry& e : entries_) {
     if (e.box == box) {
-      if (Dominates(q->obj, e.instance->obj)) {
+      if (RanksAbove(*q, *e.instance)) {
         e.instance = std::move(q);
         return UpdateOutcome::kReplacedInstance;
       }

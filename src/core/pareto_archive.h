@@ -11,15 +11,28 @@ namespace fairsqg {
 enum class UpdateOutcome {
   /// Case 1: the instance's box dominates existing boxes; they were evicted.
   kReplacedBoxes,
-  /// Case 2: same box as an existing member and dominates it; swapped in.
+  /// Case 2: same box as an existing member and ranks above it; swapped in.
   kReplacedInstance,
-  /// Case 2: same box as an existing member that is at least as good; dropped.
+  /// Case 2: same box as an existing member that ranks at least as high;
+  /// dropped.
   kRejectedSameBox,
   /// Case 3: a new non-dominated box; added.
   kAddedNewBox,
   /// An existing member's box dominates the instance's box; dropped.
   kRejectedDominated,
 };
+
+/// \brief The order that picks a box's representative: a ranks above b iff
+/// (δ, f) of a is lexicographically greater, or equal and a's
+/// instantiation is smaller. It extends Pareto dominance (a dominating
+/// instance always ranks above) and is total over distinct instantiations.
+inline bool RanksAbove(const EvaluatedInstance& a, const EvaluatedInstance& b) {
+  if (a.obj.diversity != b.obj.diversity) {
+    return a.obj.diversity > b.obj.diversity;
+  }
+  if (a.obj.coverage != b.obj.coverage) return a.obj.coverage > b.obj.coverage;
+  return a.inst < b.inst;
+}
 
 /// True if the outcome left the instance in the archive.
 inline bool Accepted(UpdateOutcome outcome) {
@@ -33,7 +46,12 @@ inline bool Accepted(UpdateOutcome outcome) {
 ///
 /// The bi-objective space is discretized into boxes of the log-scale boxing
 /// coordinates; the archive keeps exactly one representative instance per
-/// non-dominated box. Invariant (provable, and asserted by the property
+/// non-dominated box. The representative is the box's highest-ranked
+/// instance (RanksAbove): lexicographic (δ, f), then the smaller
+/// Instantiation. That order extends Pareto dominance and is total, so the
+/// archive depends only on the set of instances offered, not on their order
+/// — a parallel run's shards merge to the same archive whatever the
+/// scheduling. Invariant (provable, and asserted by the property
 /// tests): for every instance ever offered to Update there is a current
 /// member whose box dominates-or-equals its box — hence a member that
 /// ε-dominates it — and the member count is bounded by the number of boxes
@@ -64,7 +82,8 @@ class ParetoArchive {
   /// dry runs, nearest-neighbour searches).
   const std::vector<Entry>& entries() const { return entries_; }
 
-  /// Members sorted by descending diversity (ties: ascending coverage).
+  /// Members sorted by descending diversity (ties: ascending coverage; two
+  /// members never share both, since they would share a box).
   std::vector<EvaluatedPtr> SortedEntries() const;
 
   size_t size() const { return entries_.size(); }
@@ -72,8 +91,8 @@ class ParetoArchive {
   double epsilon() const { return epsilon_; }
 
   /// Raises ε (OnlineQGen line 16) and re-boxes all members; members whose
-  /// coarsened boxes now collide or dominate are merged, keeping per-box
-  /// dominant representatives. ε may only grow (Lemma 4).
+  /// coarsened boxes now collide or dominate are merged, keeping each box's
+  /// highest-ranked representative. ε may only grow (Lemma 4).
   void SetEpsilon(double epsilon);
 
   /// Removes a specific member (OnlineQGen replacement); no-op if absent.

@@ -62,10 +62,9 @@ uint64_t InstanceVerifier::sweep_fallbacks() const {
   return sweep_ != nullptr ? sweep_->fallbacks() : 0;
 }
 
-EvaluatedPtr InstanceVerifier::FinishWithParts(const Instantiation& inst,
-                                               NodeSet matches,
-                                               DiversityEvaluator::Parts parts) {
+EvaluatedPtr InstanceVerifier::Finish(const Instantiation& inst, NodeSet matches) {
   FAIRSQG_TRACE_SPAN_FULL("evaluate");
+  DiversityEvaluator::Parts parts = diversity_.ComputeParts(matches);
   auto out = std::make_shared<EvaluatedInstance>();
   out->inst = inst;
   out->relevance_sum = parts.relevance_sum;
@@ -78,11 +77,6 @@ EvaluatedPtr InstanceVerifier::FinishWithParts(const Instantiation& inst,
   out->matches = std::move(matches);
   out->verify_seq = verify_seq_++;
   return out;
-}
-
-EvaluatedPtr InstanceVerifier::Finish(const Instantiation& inst, NodeSet matches) {
-  DiversityEvaluator::Parts parts = diversity_.ComputeParts(matches);
-  return FinishWithParts(inst, std::move(matches), parts);
 }
 
 EvaluatedPtr InstanceVerifier::RecordAbort() {
@@ -219,9 +213,7 @@ EvaluatedPtr InstanceVerifier::VerifyRefined(const Instantiation& inst,
       if (out_candidates != nullptr) *out_candidates = std::move(candidates);
     }
   }
-  DiversityEvaluator::Parts parts = diversity_.RefineParts(
-      {parent.relevance_sum, parent.pair_sum}, parent.matches, matches);
-  EvaluatedPtr out = FinishWithParts(inst, std::move(matches), parts);
+  EvaluatedPtr out = Finish(inst, std::move(matches));
   verify_seconds_ += timer.ElapsedSeconds();
   return out;
 }
@@ -277,9 +269,7 @@ EvaluatedPtr InstanceVerifier::VerifyRelaxed(const Instantiation& inst,
       if (out_candidates != nullptr) *out_candidates = std::move(candidates);
     }
   }
-  DiversityEvaluator::Parts parts = diversity_.RelaxParts(
-      {parent.relevance_sum, parent.pair_sum}, parent.matches, matches);
-  EvaluatedPtr out = FinishWithParts(inst, std::move(matches), parts);
+  EvaluatedPtr out = Finish(inst, std::move(matches));
   verify_seconds_ += timer.ElapsedSeconds();
   return out;
 }

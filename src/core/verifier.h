@@ -44,8 +44,8 @@ class InstanceVerifier {
 
   /// Verification of a child that refines its parent at `changed_var`
   /// (lattice encoding: range variables first). The parent's match set
-  /// bounds the search and its diversity decomposition seeds the child's
-  /// incremental coordinate update. Falls back to Verify when
+  /// bounds the search; the child's (δ, f) are scored from its own match
+  /// set, exactly as Verify scores it. Falls back to Verify when
   /// config.use_incremental_verify is off.
   EvaluatedPtr VerifyRefined(const Instantiation& inst,
                              const CandidateSpace& parent_candidates,
@@ -85,8 +85,6 @@ class InstanceVerifier {
 
  private:
   EvaluatedPtr Finish(const Instantiation& inst, NodeSet matches);
-  EvaluatedPtr FinishWithParts(const Instantiation& inst, NodeSet matches,
-                               DiversityEvaluator::Parts parts);
 
   /// Consults the configured cache for the materialized instance `q`.
   /// On a hit, fills `*matches` and leaves `*key` empty; on a miss (or with

@@ -36,7 +36,7 @@ bool ParseTraceDetail(std::string_view text, TraceDetail* out) {
   return true;
 }
 
-Tracer::Tracer() : ring_(kDefaultCapacity) {}
+Tracer::Tracer() = default;
 
 Tracer& Tracer::Global() {
   static Tracer* tracer = new Tracer();  // Never freed.
@@ -45,7 +45,10 @@ Tracer& Tracer::Global() {
 
 void Tracer::Enable(TraceDetail detail) {
   // Callers enable between runs, when no spans are in flight; the clear is
-  // not synchronized against concurrent writers.
+  // not synchronized against concurrent writers. The ring is allocated by
+  // the first Enable() and kept for the process, so a process that never
+  // traces never pays for it.
+  if (ring_.empty()) ring_.resize(kDefaultCapacity);
   write_index_.store(0, std::memory_order_relaxed);
   next_id_.store(1, std::memory_order_relaxed);
   detail_.store(static_cast<int>(detail), std::memory_order_relaxed);

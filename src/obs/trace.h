@@ -33,9 +33,11 @@ struct SpanRecord {
 
 /// \brief Process-wide span recorder.
 ///
-/// A fixed-capacity ring of SpanRecords: opening a span costs one relaxed
-/// load (the detail gate) plus a clock read; closing claims a slot with one
-/// relaxed fetch_add and writes the record. No locks on the hot path.
+/// A fixed-capacity ring of SpanRecords, allocated on the first Enable():
+/// with tracing off the tracer holds no buffer at all. Opening a span costs
+/// one relaxed load (the detail gate) plus a clock read; closing claims a
+/// slot with one relaxed fetch_add and writes the record. No locks on the
+/// hot path.
 /// Parent linkage is a thread_local "current span" chain maintained by the
 /// RAII TraceSpan, so nesting is attributed per thread with no shared
 /// state. When more than `capacity` spans close, the oldest records are
@@ -50,7 +52,8 @@ class Tracer {
 
   static Tracer& Global();
 
-  /// Clears the buffer and starts recording at `detail`.
+  /// Clears the buffer (allocating it on first use) and starts recording
+  /// at `detail`. Disable() keeps the buffer for the next Enable().
   void Enable(TraceDetail detail);
   void Disable() { detail_.store(static_cast<int>(TraceDetail::kOff),
                                  std::memory_order_relaxed); }
@@ -72,6 +75,9 @@ class Tracer {
 
   /// Records overwritten because the ring wrapped.
   uint64_t dropped() const;
+
+  /// Ring slots allocated: 0 until the first Enable().
+  size_t capacity() const { return ring_.size(); }
 
   /// Total records ever written since the last Enable().
   uint64_t total_recorded() const {

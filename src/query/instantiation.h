@@ -2,6 +2,7 @@
 #define FAIRSQG_QUERY_INSTANTIATION_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -17,13 +18,35 @@ inline constexpr int32_t kWildcardBinding = -1;
 ///
 /// Range variables are bound by an index into their VariableDomains value
 /// list (relaxed -> refined order) or by kWildcardBinding. Edge variables
-/// are bound to 0 (edge absent) or 1 (edge present).
+/// are bound to 0 (edge absent) or 1 (edge present). Both live in one
+/// array — range bindings first, then edge bindings — stored inline for
+/// up to kInlineBindings variables and in one heap block beyond that, so
+/// the common instantiation is 16 bytes and allocates nothing: archives,
+/// visited sets and work queues hold many of them.
 class Instantiation {
  public:
+  static constexpr size_t kInlineBindings = 3;
+
   Instantiation() = default;
-  Instantiation(std::vector<int32_t> range_bindings,
-                std::vector<uint8_t> edge_bindings)
-      : range_(std::move(range_bindings)), edge_(std::move(edge_bindings)) {}
+  Instantiation(const std::vector<int32_t>& range_bindings,
+                const std::vector<uint8_t>& edge_bindings);
+  Instantiation(const Instantiation& other) { CopyFrom(other); }
+  Instantiation(Instantiation&& other) noexcept { StealFrom(&other); }
+  Instantiation& operator=(const Instantiation& other) {
+    if (this != &other) {
+      Release();
+      CopyFrom(other);
+    }
+    return *this;
+  }
+  Instantiation& operator=(Instantiation&& other) noexcept {
+    if (this != &other) {
+      Release();
+      StealFrom(&other);
+    }
+    return *this;
+  }
+  ~Instantiation() { Release(); }
 
   /// The most relaxed instantiation (lattice root q_r): every range
   /// variable wildcarded, every optional edge absent.
@@ -35,15 +58,21 @@ class Instantiation {
   static Instantiation MostRefined(const QueryTemplate& tmpl,
                                    const VariableDomains& domains);
 
-  size_t num_range_vars() const { return range_.size(); }
-  size_t num_edge_vars() const { return edge_.size(); }
+  size_t num_range_vars() const { return num_range_; }
+  size_t num_edge_vars() const { return size_ - num_range_; }
 
-  int32_t range_binding(RangeVarId x) const { return range_[x]; }
-  bool is_wildcard(RangeVarId x) const { return range_[x] == kWildcardBinding; }
-  uint8_t edge_binding(EdgeVarId x) const { return edge_[x]; }
+  int32_t range_binding(RangeVarId x) const { return data()[x]; }
+  bool is_wildcard(RangeVarId x) const {
+    return data()[x] == kWildcardBinding;
+  }
+  uint8_t edge_binding(EdgeVarId x) const {
+    return static_cast<uint8_t>(data()[num_range_ + x]);
+  }
 
-  void set_range_binding(RangeVarId x, int32_t index) { range_[x] = index; }
-  void set_edge_binding(EdgeVarId x, uint8_t value) { edge_[x] = value; }
+  void set_range_binding(RangeVarId x, int32_t index) { data()[x] = index; }
+  void set_edge_binding(EdgeVarId x, uint8_t value) {
+    data()[num_range_ + x] = value;
+  }
 
   /// \brief Refinement preorder `this >= other` (Section IV): every range
   /// variable of `this` is at least as selective as in `other`, and every
@@ -55,10 +84,13 @@ class Instantiation {
     return *this != other && Refines(other);
   }
 
-  bool operator==(const Instantiation& other) const {
-    return range_ == other.range_ && edge_ == other.edge_;
-  }
+  bool operator==(const Instantiation& other) const;
   bool operator!=(const Instantiation& other) const { return !(*this == other); }
+
+  /// Canonical total order: by variable counts, then the bindings
+  /// lexicographically (range bindings first). Breaks exact objective ties
+  /// between archive candidates (ParetoArchive).
+  bool operator<(const Instantiation& other) const;
 
   /// Stable hash for visited-set deduplication.
   uint64_t Hash() const;
@@ -74,8 +106,28 @@ class Instantiation {
   };
 
  private:
-  std::vector<int32_t> range_;
-  std::vector<uint8_t> edge_;
+  bool on_heap() const { return size_ > kInlineBindings; }
+  /// The heap block, whose address words_ holds when on_heap(). It is
+  /// copied out bytewise: words_ is only 4-byte aligned.
+  int32_t* heap() const {
+    int32_t* block;
+    std::memcpy(&block, words_, sizeof(block));
+    return block;
+  }
+  int32_t* data() { return on_heap() ? heap() : words_; }
+  const int32_t* data() const { return on_heap() ? heap() : words_; }
+
+  /// Sets the sizes and, past the inline capacity, allocates the heap
+  /// block; the bindings are left unset. Requires a released instance.
+  void Allocate(size_t size, size_t num_range);
+  void CopyFrom(const Instantiation& other);
+  void StealFrom(Instantiation* other);
+  void Release();
+
+  int32_t words_[kInlineBindings] = {};  // The bindings, or heap().
+  uint16_t size_ = 0;                    // Range bindings, then edge bindings.
+  uint16_t num_range_ = 0;
+  static_assert(sizeof(int32_t*) <= sizeof(words_));
 };
 
 }  // namespace fairsqg

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -120,6 +121,31 @@ TEST(RfQGenTest, OptimizationsPreserveResultQuality) {
         ExpectEpsilonCoverage(result.pareto, truth.feasible, config.epsilon,
                               "RfQGen(ablated)");
       }
+    }
+  }
+}
+
+// incVerify changes how match sets are found, never how they are scored:
+// archives agree member for member, objectives bit for bit.
+TEST(IncrementalVerifyTest, ArchivesIdenticalOnAndOff) {
+  SmallScenario s;
+  using Runner = Result<QGenResult> (*)(const QGenConfig&);
+  const std::pair<const char*, Runner> generators[] = {
+      {"RfQGen", &RfQGen::Run}, {"BiQGen", &BiQGen::Run}};
+  for (const auto& [name, run] : generators) {
+    SCOPED_TRACE(name);
+    QGenConfig on = s.Config(0.05);
+    on.use_incremental_verify = true;
+    QGenConfig off = s.Config(0.05);
+    off.use_incremental_verify = false;
+    QGenResult a = run(on).ValueOrDie();
+    QGenResult b = run(off).ValueOrDie();
+    ASSERT_FALSE(a.pareto.empty());
+    ASSERT_EQ(a.pareto.size(), b.pareto.size());
+    for (size_t i = 0; i < a.pareto.size(); ++i) {
+      EXPECT_EQ(a.pareto[i]->inst, b.pareto[i]->inst);
+      EXPECT_EQ(a.pareto[i]->obj.diversity, b.pareto[i]->obj.diversity);
+      EXPECT_EQ(a.pareto[i]->obj.coverage, b.pareto[i]->obj.coverage);
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "query/refinement.h"
 #include "scenario_fixture.h"
 
 namespace fairsqg {
@@ -80,43 +81,65 @@ TEST(ExactParetoSetTest, EmptyAndSingleton) {
   EXPECT_EQ(ExactParetoSet({e}).size(), 1u);
 }
 
-// Randomized: incremental diversity parts equal full recomputation along
-// random subset chains.
+// Randomized: along random refinement and relaxation walks, the diversity
+// parts incVerify records (VerifyRefined / VerifyRelaxed) are bit-identical
+// to a full verification of the same instance — δ depends only on the
+// match set.
 class IncrementalPartsTest : public testing::TestWithParam<int> {};
 
+void ExpectSameScores(const EvaluatedInstance& inc, const EvaluatedInstance& full,
+                      const DiversityEvaluator& diversity) {
+  ASSERT_EQ(inc.matches, full.matches);
+  DiversityEvaluator::Parts parts = diversity.ComputeParts(full.matches);
+  EXPECT_EQ(inc.relevance_sum, parts.relevance_sum);
+  EXPECT_EQ(inc.pair_sum, parts.pair_sum);
+  EXPECT_EQ(full.relevance_sum, parts.relevance_sum);
+  EXPECT_EQ(full.pair_sum, parts.pair_sum);
+  EXPECT_EQ(inc.obj.diversity, full.obj.diversity);
+  EXPECT_EQ(inc.obj.coverage, full.obj.coverage);
+}
+
 TEST_P(IncrementalPartsTest, RefineAndRelaxPartsMatchFull) {
-  SmallScenario s;
+  SmallScenario s(static_cast<uint64_t>(GetParam()) + 42);
   QGenConfig config = s.Config();
+  config.use_incremental_verify = true;
+  QGenConfig full_config = s.Config();
+  full_config.use_incremental_verify = false;
   InstanceVerifier verifier(config);
+  InstanceVerifier full_verifier(full_config);
   const DiversityEvaluator& diversity = verifier.diversity();
-
   Rng rng(static_cast<uint64_t>(GetParam()) * 53 + 1);
-  const NodeSet& all =
-      s.graph.NodesWithLabel(s.schema->NodeLabelId("director"));
-  // Random parent ⊆ all, child ⊆ parent.
-  NodeSet parent;
-  for (NodeId v : all) {
-    if (rng.NextBernoulli(0.7)) parent.push_back(v);
-  }
-  NodeSet child;
-  for (NodeId v : parent) {
-    if (rng.NextBernoulli(0.6)) child.push_back(v);
+
+  // Down from the root, one random refinement at a time.
+  CandidateSpace cands;
+  EvaluatedPtr parent =
+      verifier.Verify(Instantiation::MostRelaxed(*s.tmpl), &cands);
+  for (;;) {
+    auto children = LatticeNeighbors::RefineChildren(
+        *s.tmpl, *s.domains, parent->inst, RefinementHints::None(*s.tmpl));
+    if (children.empty()) break;
+    const LatticeStep& step = children[rng.NextBounded(children.size())];
+    CandidateSpace child_cands;
+    EvaluatedPtr child = verifier.VerifyRefined(step.inst, cands, *parent,
+                                                step.var_index, &child_cands);
+    ASSERT_NE(child, nullptr);
+    ExpectSameScores(*child, *full_verifier.Verify(step.inst), diversity);
+    parent = child;
+    cands = std::move(child_cands);
   }
 
-  DiversityEvaluator::Parts parent_parts = diversity.ComputeParts(parent);
-  DiversityEvaluator::Parts inc =
-      diversity.RefineParts(parent_parts, parent, child);
-  DiversityEvaluator::Parts full = diversity.ComputeParts(child);
-  EXPECT_NEAR(inc.relevance_sum, full.relevance_sum,
-              1e-7 * (1 + full.relevance_sum));
-  EXPECT_NEAR(inc.pair_sum, full.pair_sum, 1e-6 * (1 + full.pair_sum));
-
-  // And back up: relaxing child to parent recovers the parent's parts.
-  DiversityEvaluator::Parts back = diversity.RelaxParts(full, child, parent);
-  EXPECT_NEAR(back.relevance_sum, parent_parts.relevance_sum,
-              1e-7 * (1 + parent_parts.relevance_sum));
-  EXPECT_NEAR(back.pair_sum, parent_parts.pair_sum,
-              1e-6 * (1 + parent_parts.pair_sum));
+  // Up from the bottom, one random relaxation at a time.
+  parent = verifier.Verify(Instantiation::MostRefined(*s.tmpl, *s.domains));
+  for (;;) {
+    auto children =
+        LatticeNeighbors::RelaxChildren(*s.tmpl, *s.domains, parent->inst);
+    if (children.empty()) break;
+    const LatticeStep& step = children[rng.NextBounded(children.size())];
+    EvaluatedPtr child = verifier.VerifyRelaxed(step.inst, *parent);
+    ASSERT_NE(child, nullptr);
+    ExpectSameScores(*child, *full_verifier.Verify(step.inst), diversity);
+    parent = child;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalPartsTest, testing::Range(0, 10));

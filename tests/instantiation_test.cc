@@ -158,6 +158,79 @@ TEST(InstantiationTest, HashDistinguishesBindings) {
   EXPECT_EQ(hashes.size(), 24u);  // All distinct for this small space.
 }
 
+// Range and edge bindings share one array, inline for small templates.
+static_assert(sizeof(Instantiation) <= 16);
+
+TEST(InstantiationTest, HashIsPinned) {
+  // Visited sets and sharded archives key on Hash(); these values pin it
+  // across changes to the bindings' storage.
+  EXPECT_EQ(Instantiation({kWildcardBinding, kWildcardBinding}, {0}).Hash(),
+            0xbbb7ea0a8a56c602ULL);
+  EXPECT_EQ(Instantiation({3, 2}, {1}).Hash(), 0x00a46cb053115f4bULL);
+  EXPECT_EQ(Instantiation({0, kWildcardBinding}, {1}).Hash(),
+            0x686f9930cb881284ULL);
+  EXPECT_EQ(Instantiation({}, {}).Hash(), 0x5851f42d4c957f2dULL);
+  EXPECT_EQ(Instantiation({1}, {}).Hash(), 0x96011ba7f96a03f8ULL);
+  EXPECT_EQ(Instantiation({}, {1, 0}).Hash(), 0xf5a0f61b73ae8a9bULL);
+}
+
+TEST(InstantiationTest, SettersRoundTrip) {
+  Instantiation i({kWildcardBinding, 0, 4}, {0, 1});
+  ASSERT_EQ(i.num_range_vars(), 3u);
+  ASSERT_EQ(i.num_edge_vars(), 2u);
+  i.set_range_binding(0, 7);
+  i.set_range_binding(2, kWildcardBinding);
+  i.set_edge_binding(0, 1);
+  i.set_edge_binding(1, 0);
+  EXPECT_EQ(i.range_binding(0), 7);
+  EXPECT_EQ(i.range_binding(1), 0);
+  EXPECT_TRUE(i.is_wildcard(2));
+  EXPECT_EQ(i.edge_binding(0), 1);
+  EXPECT_EQ(i.edge_binding(1), 0);
+  // Setters touch only their own binding: equal to a freshly built one.
+  EXPECT_EQ(i, Instantiation({7, 0, kWildcardBinding}, {1, 0}));
+  EXPECT_EQ(i.Hash(), Instantiation({7, 0, kWildcardBinding}, {1, 0}).Hash());
+}
+
+TEST(InstantiationTest, CopyMoveAndAssignAcrossInlineAndHeapStorage) {
+  // Up to kInlineBindings bindings live inline; more take a heap block.
+  const Instantiation small({1, kWildcardBinding}, {1});
+  const Instantiation large({0, 1, 2, kWildcardBinding}, {1, 0, 1});
+  ASSERT_GT(large.num_range_vars() + large.num_edge_vars(),
+            Instantiation::kInlineBindings);
+  for (const Instantiation* src : {&small, &large}) {
+    Instantiation copy(*src);
+    EXPECT_EQ(copy, *src);
+    EXPECT_EQ(copy.Hash(), src->Hash());
+    copy.set_range_binding(0, 9);  // The copy owns its bindings.
+    EXPECT_NE(copy, *src);
+    Instantiation moved(std::move(copy));
+    EXPECT_EQ(moved.range_binding(0), 9);
+    EXPECT_EQ(copy, Instantiation());  // NOLINT: moved-from is empty.
+    for (const Instantiation* other : {&small, &large}) {
+      Instantiation assigned = *other;
+      assigned = *src;
+      EXPECT_EQ(assigned, *src);
+      Instantiation target = *other;
+      Instantiation source = *src;
+      target = std::move(source);
+      EXPECT_EQ(target, *src);
+    }
+  }
+  Instantiation self = large;
+  const Instantiation& alias = self;
+  self = alias;
+  EXPECT_EQ(self, large);
+}
+
+TEST(InstantiationTest, EqualityDistinguishesRangeFromEdgeBindings) {
+  // Same flat binding values, split differently between the two kinds.
+  EXPECT_NE(Instantiation({1}, {}), Instantiation({}, {1}));
+  EXPECT_NE(Instantiation({0, 1}, {}), Instantiation({0}, {1}));
+  EXPECT_EQ(Instantiation({0}, {1}), Instantiation({0}, {1}));
+  EXPECT_EQ(Instantiation(), Instantiation({}, {}));
+}
+
 TEST(InstantiationTest, ToStringShowsValuesAndWildcards) {
   Fixture f;
   Instantiation i({1, kWildcardBinding}, {1});
@@ -165,6 +238,9 @@ TEST(InstantiationTest, ToStringShowsValuesAndWildcards) {
   EXPECT_NE(s.find("x0=10"), std::string::npos);
   EXPECT_NE(s.find("x1=_"), std::string::npos);
   EXPECT_NE(s.find("e0=1"), std::string::npos);
+  EXPECT_EQ(s, "[x0=10 x1=_ | e0=1]");
+  EXPECT_EQ(Instantiation({kWildcardBinding, 2}, {}).ToString(f.tmpl, f.domains),
+            "[x0=_ x1=100]");
 }
 
 }  // namespace

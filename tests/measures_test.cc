@@ -1,10 +1,16 @@
 #include "core/measures.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "common/string_util.h"
 #include "graph/graph_builder.h"
+#include "workload/datasets.h"
 
 namespace fairsqg {
 namespace {
@@ -135,9 +141,9 @@ TEST(DiversityTest, CustomRelevanceFn) {
   EXPECT_NEAR(eval.Diversity({0, 1, 2, 3}), 1.0, 1e-9);
 }
 
-// A randomized movie graph for the incremental-equivalence tests: ~60
+// A randomized movie graph for the differential tests: ~60
 // movies with mixed numeric/categorical/missing attributes and skewed
-// degrees, so fingerprints exercise every AttrDistance branch.
+// degrees, so the attribute cells exercise every AttrDistance branch.
 Graph MakeRandomMovieGraph(uint64_t seed) {
   Rng rng(seed);
   GraphBuilder b;
@@ -164,16 +170,43 @@ Graph MakeRandomMovieGraph(uint64_t seed) {
   return std::move(b).Build().ValueOrDie();
 }
 
-TEST(DiversityTest, IncrementalPartsMatchFullRecomputation) {
-  // incVerify's coordinate updates must agree with the exact O(n²)
-  // recomputation over random nested chains of match sets — including the
-  // empty-set and single-node edges on both sides of the nesting.
+// The definition of δ's decomposition, pair by pair: the O(n²) oracle the
+// per-attribute ComputeParts must reproduce.
+DiversityEvaluator::Parts PairwiseParts(const DiversityEvaluator& eval,
+                                        const NodeSet& set) {
+  DiversityEvaluator::Parts parts;
+  for (size_t i = 0; i < set.size(); ++i) {
+    parts.relevance_sum += eval.Relevance(set[i]);
+    for (size_t j = i + 1; j < set.size(); ++j) {
+      parts.pair_sum += eval.Distance(set[i], set[j]);
+    }
+  }
+  if (eval.lambda() <= 0) parts.pair_sum = 0;  // Not computed at λ = 0.
+  return parts;
+}
+
+void ExpectClose(double actual, double expected, const char* what) {
+  EXPECT_NEAR(actual, expected, 1e-9 * std::abs(expected) + 1e-12) << what;
+}
+
+// ComputeParts and δ agree with the pairwise oracle to 1e-9 relative.
+void ExpectMatchesPairwise(const DiversityEvaluator& eval, const NodeSet& set) {
+  SCOPED_TRACE("|set| = " + std::to_string(set.size()));
+  DiversityEvaluator::Parts fast = eval.ComputeParts(set);
+  DiversityEvaluator::Parts slow = PairwiseParts(eval, set);
+  ExpectClose(fast.relevance_sum, slow.relevance_sum, "relevance_sum");
+  ExpectClose(fast.pair_sum, slow.pair_sum, "pair_sum");
+  ExpectClose(eval.Diversity(set), eval.Combine(slow), "delta");
+}
+
+TEST(DiversityTest, NestedSetsMatchPairwise) {
+  // Random nested chains of match sets — the shapes refinement and
+  // relaxation produce — including empty and single-node sets.
   Graph g = MakeRandomMovieGraph(20260807);
   LabelId movie = g.schema().NodeLabelId("movie");
   DiversityEvaluator eval(g, movie, DiversityConfig{});
   Rng rng(17);
   for (int trial = 0; trial < 200; ++trial) {
-    // Random parent set over the movies; sizes 0, 1 forced periodically.
     NodeSet parent;
     double keep = rng.NextDouble();
     for (NodeId v = 0; v < 60; ++v) {
@@ -181,28 +214,176 @@ TEST(DiversityTest, IncrementalPartsMatchFullRecomputation) {
     }
     if (trial % 10 == 0) parent.clear();
     if (trial % 10 == 1) parent.resize(std::min<size_t>(parent.size(), 1));
-    // Random child ⊆ parent (refinement direction).
     NodeSet child;
     for (NodeId v : parent) {
       if (rng.NextBernoulli(0.6)) child.push_back(v);
     }
     if (trial % 7 == 0) child.clear();
+    ExpectMatchesPairwise(eval, parent);
+    ExpectMatchesPairwise(eval, child);
+  }
+}
 
-    DiversityEvaluator::Parts parent_full = eval.ComputeParts(parent);
-    DiversityEvaluator::Parts child_full = eval.ComputeParts(child);
+// Random subsets of each dataset's output label, plus the full label, at
+// several balances of relevance and dissimilarity.
+class DiversityDifferentialTest
+    : public testing::TestWithParam<const char*> {};
 
-    DiversityEvaluator::Parts refined =
-        eval.RefineParts(parent_full, parent, child);
-    EXPECT_NEAR(refined.relevance_sum, child_full.relevance_sum, 1e-9);
-    EXPECT_NEAR(refined.pair_sum, child_full.pair_sum, 1e-9);
-    EXPECT_NEAR(eval.Combine(refined), eval.Combine(child_full), 1e-9);
+TEST_P(DiversityDifferentialTest, RandomSetsMatchPairwise) {
+  Dataset data = MakeDataset(GetParam(), /*scale=*/0.1, /*seed=*/7).ValueOrDie();
+  const NodeSet& label = data.graph.NodesWithLabel(data.output_label);
+  ASSERT_GT(label.size(), 40u);
+  auto index = DiversityEvaluator::BuildIndex(data.graph, data.output_label,
+                                              nullptr);
+  ASSERT_FALSE(index->attrs.empty());
+  Rng rng(11);
+  for (double lambda : {0.5, 0.2, 1.0}) {
+    SCOPED_TRACE("lambda = " + std::to_string(lambda));
+    DiversityConfig cfg;
+    cfg.lambda = lambda;
+    DiversityEvaluator eval(index, cfg);
+    ExpectMatchesPairwise(eval, label);
+    for (int trial = 0; trial < 20; ++trial) {
+      double keep = trial < 4 ? 0.02 : rng.NextDouble();
+      NodeSet set;
+      for (NodeId v : label) {
+        if (rng.NextBernoulli(keep)) set.push_back(v);
+      }
+      ExpectMatchesPairwise(eval, set);
+    }
+  }
+}
 
-    // Relaxation runs the same pair upward: child is the smaller set.
-    DiversityEvaluator::Parts relaxed =
-        eval.RelaxParts(child_full, child, parent);
-    EXPECT_NEAR(relaxed.relevance_sum, parent_full.relevance_sum, 1e-9);
-    EXPECT_NEAR(relaxed.pair_sum, parent_full.pair_sum, 1e-9);
-    EXPECT_NEAR(eval.Combine(relaxed), eval.Combine(parent_full), 1e-9);
+INSTANTIATE_TEST_SUITE_P(Datasets, DiversityDifferentialTest,
+                         testing::Values("dbp", "lki", "cite"));
+
+// Six "item" nodes with every kind of attribute value: `score` is numeric
+// on some nodes, a string on others and missing on one; `flat` has zero
+// range; `tag` repeats values. Degrees 0..5 give distinct relevances.
+Graph MakeMixedGraph() {
+  GraphBuilder b;
+  std::vector<NodeId> items;
+  for (int i = 0; i < 6; ++i) items.push_back(b.AddNode("item"));
+  b.SetAttr(items[0], "score", AttrValue(2.0));
+  b.SetAttr(items[1], "score", AttrValue(int64_t{8}));
+  b.SetAttr(items[2], "score", AttrValue(std::string("high")));
+  b.SetAttr(items[3], "score", AttrValue(std::string("low")));
+  b.SetAttr(items[4], "score", AttrValue(2.0));  // Duplicate value.
+  for (int i = 0; i < 6; ++i) b.SetAttr(items[i], "flat", AttrValue(7.0));
+  const char* tags[] = {"red", "red", "blue", "red", "green", "blue"};
+  for (int i = 0; i < 6; ++i) {
+    b.SetAttr(items[i], "tag", AttrValue(std::string(tags[i])));
+  }
+  for (int i = 0; i < 6; ++i) {
+    for (int d = 0; d < i; ++d) {
+      NodeId hub = b.AddNode("hub");
+      b.AddEdge(hub, items[i], "links");
+    }
+  }
+  return std::move(b).Build().ValueOrDie();
+}
+
+TEST(DiversityTest, MixedMissingAndConstantAttributesMatchPairwise) {
+  Graph g = MakeMixedGraph();
+  LabelId item = g.schema().NodeLabelId("item");
+  const NodeSet& all = g.NodesWithLabel(item);
+  for (double lambda : {0.0, 0.5, 1.0}) {
+    DiversityConfig cfg;
+    cfg.lambda = lambda;
+    DiversityEvaluator eval(g, item, cfg);
+    // Every subset of the six items.
+    for (uint32_t mask = 0; mask < (1u << all.size()); ++mask) {
+      NodeSet set;
+      for (size_t i = 0; i < all.size(); ++i) {
+        if (mask & (1u << i)) set.push_back(all[i]);
+      }
+      ExpectMatchesPairwise(eval, set);
+    }
+  }
+}
+
+TEST(DiversityTest, MixedAttributePairSumByHand) {
+  Graph g = MakeMixedGraph();
+  LabelId item = g.schema().NodeLabelId("item");
+  DiversityConfig cfg;
+  cfg.lambda = 1.0;
+  DiversityEvaluator eval(g, item, cfg);
+  const NodeSet& all = g.NodesWithLabel(item);
+  // score (range 6): numeric {2, 8, 2} -> gaps 0 + 6·1·2 = 12 -> 2;
+  // strings {high, low} -> d(high, low); 3 numeric × 2 strings = 6
+  // mismatched pairs; 1 missing × 5 present = 5 -> 13 + d(high, low).
+  double score = 13.0 + NormalizedEditDistance("high", "low");
+  // flat: zero range -> 0.
+  // tag {red ×3, blue ×2, green}: 3·2·d(r,b) + 3·d(r,g) + 2·d(b,g).
+  double tag = 6.0 * NormalizedEditDistance("red", "blue") +
+               3.0 * NormalizedEditDistance("red", "green") +
+               2.0 * NormalizedEditDistance("blue", "green");
+  DiversityEvaluator::Parts parts = eval.ComputeParts(all);
+  EXPECT_NEAR(parts.pair_sum, (score + tag) / 3.0, 1e-12);
+  // Relevance is degree / max degree: (0 + 1 + ... + 5) / 5 = 3.
+  EXPECT_NEAR(parts.relevance_sum, 3.0, 1e-12);
+}
+
+TEST(DiversityTest, NanValueDiffersFromNumbersAndStrings) {
+  // A graph file may hold "nan": a present value that is neither a number
+  // nor a string. It matches only another NaN.
+  GraphBuilder b;
+  std::vector<NodeId> items;
+  for (int i = 0; i < 5; ++i) items.push_back(b.AddNode("item"));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  b.SetAttr(items[0], "score", AttrValue(nan));
+  b.SetAttr(items[1], "score", AttrValue(nan));
+  b.SetAttr(items[2], "score", AttrValue(1.0));
+  b.SetAttr(items[3], "score", AttrValue(3.0));
+  b.SetAttr(items[4], "score", AttrValue(std::string("x")));
+  Graph g = std::move(b).Build().ValueOrDie();
+  LabelId item = g.schema().NodeLabelId("item");
+  DiversityConfig cfg;
+  cfg.lambda = 1.0;
+  DiversityEvaluator eval(g, item, cfg);
+  EXPECT_DOUBLE_EQ(eval.Distance(items[0], items[1]), 0.0);
+  EXPECT_DOUBLE_EQ(eval.Distance(items[0], items[2]), 1.0);
+  EXPECT_DOUBLE_EQ(eval.Distance(items[0], items[4]), 1.0);
+  // Pairs: NaN-NaN 0, 2 NaN × 3 others 6, 1-3 one range, numbers × "x" 2.
+  EXPECT_DOUBLE_EQ(eval.ComputeParts(items).pair_sum, 9.0);
+  for (uint32_t mask = 0; mask < (1u << items.size()); ++mask) {
+    NodeSet set;
+    for (size_t i = 0; i < items.size(); ++i) {
+      if (mask & (1u << i)) set.push_back(items[i]);
+    }
+    ExpectMatchesPairwise(eval, set);
+  }
+}
+
+TEST(DiversityTest, SingletonHasNoPairs) {
+  Graph g = MakeMixedGraph();
+  LabelId item = g.schema().NodeLabelId("item");
+  DiversityEvaluator eval(g, item, DiversityConfig{});
+  NodeSet one = {g.NodesWithLabel(item)[5]};
+  DiversityEvaluator::Parts parts = eval.ComputeParts(one);
+  EXPECT_DOUBLE_EQ(parts.pair_sum, 0.0);
+  EXPECT_DOUBLE_EQ(parts.relevance_sum, 1.0);
+  DiversityEvaluator::Parts none = eval.ComputeParts({});
+  EXPECT_DOUBLE_EQ(none.pair_sum, 0.0);
+  EXPECT_DOUBLE_EQ(none.relevance_sum, 0.0);
+}
+
+TEST(DiversityTest, CustomRelevanceFnMatchesPairwise) {
+  Graph g = MakeRandomMovieGraph(5);
+  LabelId movie = g.schema().NodeLabelId("movie");
+  DiversityConfig cfg;
+  cfg.lambda = 0.4;
+  cfg.relevance = [](const Graph&, NodeId v) {
+    return static_cast<double>(v % 7) / 7.0;
+  };
+  DiversityEvaluator eval(g, movie, cfg);
+  Rng rng(23);
+  for (int trial = 0; trial < 30; ++trial) {
+    NodeSet set;
+    for (NodeId v = 0; v < 60; ++v) {
+      if (rng.NextBernoulli(0.4)) set.push_back(v);
+    }
+    ExpectMatchesPairwise(eval, set);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -185,6 +186,38 @@ TEST(ObsTraceTest, RingWrapCountsDropped) {
   EXPECT_EQ(tracer.dropped(), 0u);
   EXPECT_TRUE(tracer.Snapshot().empty());
   tracer.Disable();
+}
+
+TEST(ObsTraceTest, DisabledTracerAllocatesNothing) {
+  // The global tracer is shared by every test in this binary, so the
+  // never-enabled state is checked in a fresh process.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        Tracer& tracer = Tracer::Global();
+        {
+          TraceSpan phase("before_enable");
+          TraceSpan full("before_enable_full", TraceDetail::kFull);
+          tracer.Instant("tick");
+        }
+        if (tracer.capacity() != 0) std::exit(1);
+        if (tracer.total_recorded() != 0 || tracer.dropped() != 0 ||
+            !tracer.Snapshot().empty()) {
+          std::exit(2);
+        }
+        tracer.Enable(TraceDetail::kPhase);
+        if (tracer.capacity() != Tracer::kDefaultCapacity) std::exit(3);
+        { TraceSpan after("after_enable"); }
+        std::vector<SpanRecord> spans = tracer.Snapshot();
+        tracer.Disable();
+        if (spans.size() != 1 || std::string(spans[0].name) != "after_enable") {
+          std::exit(4);
+        }
+        // Disable keeps the ring for the next Enable.
+        if (tracer.capacity() != Tracer::kDefaultCapacity) std::exit(5);
+        std::exit(0);
+      },
+      testing::ExitedWithCode(0), "");
 }
 
 TEST(ObsTraceTest, ConcurrentSpansGetDistinctThreadIds) {

@@ -19,6 +19,16 @@ EvaluatedPtr MakePoint(double diversity, double coverage) {
   return e;
 }
 
+// A point bound to a one-variable instantiation, so equal objectives can
+// still be told apart.
+EvaluatedPtr MakeBoundPoint(double diversity, double coverage, int32_t binding) {
+  auto e = std::make_shared<EvaluatedInstance>();
+  e->inst = Instantiation({binding}, {});
+  e->obj = {diversity, coverage};
+  e->feasible = true;
+  return e;
+}
+
 TEST(ParetoArchiveTest, FirstInstanceAddsNewBox) {
   ParetoArchive archive(0.1);
   EXPECT_EQ(archive.Update(MakePoint(1, 1)), UpdateOutcome::kAddedNewBox);
@@ -62,6 +72,32 @@ TEST(ParetoArchiveTest, SameBoxIncomparableKeepsIncumbent) {
   archive.Update(first);
   EXPECT_EQ(archive.Update(second), UpdateOutcome::kRejectedSameBox);
   EXPECT_DOUBLE_EQ(archive.Entries()[0]->obj.diversity, 1.05);
+}
+
+TEST(ParetoArchiveTest, SameBoxWinnerIndependentOfOrder) {
+  // Incomparable box-mates: the larger diversity wins from either side.
+  for (bool swap : {false, true}) {
+    ParetoArchive archive(0.5);
+    EvaluatedPtr more_d = MakePoint(1.05, 1.00);
+    EvaluatedPtr more_f = MakePoint(1.00, 1.05);
+    archive.Update(swap ? more_f : more_d);
+    archive.Update(swap ? more_d : more_f);
+    ASSERT_EQ(archive.size(), 1u);
+    EXPECT_EQ(archive.Entries()[0], more_d) << "swap=" << swap;
+  }
+  // Equal objectives: the smaller instantiation wins from either side.
+  for (bool swap : {false, true}) {
+    ParetoArchive archive(0.5);
+    EvaluatedPtr low = MakeBoundPoint(1, 1, 0);
+    EvaluatedPtr high = MakeBoundPoint(1, 1, 2);
+    EXPECT_EQ(archive.Update(swap ? high : low), UpdateOutcome::kAddedNewBox);
+    EXPECT_EQ(archive.Update(swap ? low : high),
+              swap ? UpdateOutcome::kReplacedInstance
+                   : UpdateOutcome::kRejectedSameBox);
+    EXPECT_EQ(archive.Classify(*high), UpdateOutcome::kRejectedSameBox);
+    ASSERT_EQ(archive.size(), 1u);
+    EXPECT_EQ(archive.Entries()[0], low) << "swap=" << swap;
+  }
 }
 
 TEST(ParetoArchiveTest, IncomparableBoxesCoexist) {
@@ -170,6 +206,34 @@ TEST_P(ArchivePropertyTest, CoverageAntichainAndSizeBound) {
   double bound = std::log1p(max_d) / std::log1p(eps) + 1;
   EXPECT_LE(static_cast<double>(archive.size()), bound)
       << "eps=" << eps;
+}
+
+// Update is confluent: any order of one stream, sequential or spread over
+// merged shards, yields the same members. Objectives come from a coarse
+// grid, so the stream holds exact ties and incomparable box-mates.
+TEST_P(ArchivePropertyTest, PermutedStreamsGiveIdenticalArchives) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 131 + 11);
+  double eps = 0.05 + 0.3 * rng.NextDouble();
+  std::vector<EvaluatedPtr> stream;
+  for (int32_t i = 0; i < 300; ++i) {
+    stream.push_back(MakeBoundPoint(0.5 * rng.NextInRange(0, 40),
+                                    0.5 * rng.NextInRange(0, 20), i));
+  }
+  ParetoArchive reference(eps);
+  for (const EvaluatedPtr& p : stream) reference.Update(p);
+  std::vector<EvaluatedPtr> expected = reference.SortedEntries();
+
+  for (int round = 0; round < 5; ++round) {
+    rng.Shuffle(&stream);
+    ParetoArchive sequential(eps);
+    ConcurrentParetoArchive sharded(eps, 4);
+    for (const EvaluatedPtr& p : stream) {
+      sequential.Update(p);
+      sharded.shard(rng.NextBounded(4)).Update(p);
+    }
+    EXPECT_EQ(sequential.SortedEntries(), expected) << "round " << round;
+    EXPECT_EQ(sharded.MergedSortedEntries(), expected) << "round " << round;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ArchivePropertyTest, testing::Range(0, 12));
