@@ -31,20 +31,18 @@ void BM_Chain(benchmark::State& state, bool incremental) {
   for (auto _ : state) {
     InstanceVerifier verifier(config);
     Instantiation inst = Instantiation::MostRelaxed(*s.tmpl);
-    CandidateSpace cands;
-    EvaluatedPtr eval = verifier.Verify(inst, &cands);
+    auto cands = std::make_shared<CandidateSpace>();
+    EvaluatedPtr eval = verifier.Verify(inst, nullptr, cands.get());
     size_t steps = 0;
     for (;;) {
       auto children = LatticeNeighbors::RefineChildren(
           *s.tmpl, *s.domains, inst, RefinementHints::None(*s.tmpl));
       if (children.empty()) break;
       const LatticeStep& step = children[steps % children.size()];
-      CandidateSpace next_cands;
-      EvaluatedPtr next =
-          incremental
-              ? verifier.VerifyRefined(step.inst, cands, *eval,
-                                       step.var_index, &next_cands)
-              : verifier.Verify(step.inst, &next_cands);
+      // With use_incremental_verify off the verifier ignores the context.
+      const VerifyContext ctx{eval, cands};
+      auto next_cands = std::make_shared<CandidateSpace>();
+      EvaluatedPtr next = verifier.Verify(step.inst, &ctx, next_cands.get());
       inst = step.inst;
       eval = std::move(next);
       cands = std::move(next_cands);

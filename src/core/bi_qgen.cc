@@ -38,13 +38,12 @@ struct SandwichPair {
   Instantiation high;  // The more refined end (backward side).
 };
 
+/// A frontier instance and the verified instance it was spawned from (its
+/// incVerify context; null at the frontier seeds). Forward contexts carry
+/// their candidate space, backward ones only their evaluation.
 struct WorkItem {
   Instantiation inst;
-  uint32_t changed_var = 0;
-  // Parent context for incremental verification; forward items carry the
-  // parent's candidate space, backward items the parent's match set.
-  EvaluatedPtr parent_eval;
-  std::shared_ptr<const CandidateSpace> parent_cands;
+  std::shared_ptr<const VerifyContext> ctx;
 };
 
 /// Beam width of the backward relaxation descent (DESIGN.md §4).
@@ -157,20 +156,15 @@ struct ExplorerState {
   /// the archive update (Lemma 3 guarantees it is ε-dominated) but still
   /// spawns its children with the *ancestor's* verification context —
   /// otherwise instances beyond the sandwiched band, reachable only
-  /// through it, would never be explored. An ancestor's match set is a
-  /// superset of any descendant's (Lemma 2), so incVerify stays sound with
-  /// the stale context. A sandwiched item's changed_var no longer matches
-  /// the ancestor context, so children re-derive from the ancestor
-  /// conservatively: DeriveRefined only re-filters the changed literal's
-  /// node against a superset, which remains correct for any ancestor.
+  /// through it, would never be explored. Any verified ancestor is a
+  /// sound context (Lemma 2; see VerifyContext).
   void SpawnSandwichedForward(const WorkItem& item) {
     std::vector<LatticeStep> children = LatticeNeighbors::RefineChildren(
         *config.tmpl, *config.domains, item.inst,
         RefinementHints::None(*config.tmpl));
     result->stats.generated += children.size();
     for (LatticeStep& child : children) {
-      forward.push_back({std::move(child.inst), child.var_index,
-                         item.parent_eval, item.parent_cands});
+      forward.push_back({std::move(child.inst), item.ctx});
     }
   }
 
@@ -178,10 +172,10 @@ struct ExplorerState {
     Instantiation root = Instantiation::MostRelaxed(*config.tmpl);
     Instantiation bottom =
         Instantiation::MostRefined(*config.tmpl, *config.domains);
-    forward.push_back({root, 0, nullptr, nullptr});
+    forward.push_back({root, nullptr});
     ++result->stats.generated;
     if (bottom != root) {
-      backward.push_back({bottom, 0, nullptr, nullptr});
+      backward.push_back({bottom, nullptr});
       ++result->stats.generated;
     }
   }
@@ -212,14 +206,7 @@ struct BiExplorer : ExplorerState {
     if (PollStop()) return;
 
     auto cands = std::make_shared<CandidateSpace>();
-    EvaluatedPtr eval;
-    if (item.parent_eval != nullptr && config.use_incremental_verify) {
-      eval = verifier.VerifyRefined(item.inst, *item.parent_cands,
-                                    *item.parent_eval, item.changed_var,
-                                    cands.get());
-    } else {
-      eval = verifier.Verify(item.inst, cands.get());
-    }
+    EvaluatedPtr eval = verifier.Verify(item.inst, item.ctx.get(), cands.get());
     if (eval == nullptr) return;  // Aborted mid-match; subtree abandoned.
     ++result->stats.verified;
     if (!eval->feasible) return;  // Refinements stay infeasible (Lemma 2).
@@ -243,9 +230,10 @@ struct BiExplorer : ExplorerState {
     std::vector<LatticeStep> children = LatticeNeighbors::RefineChildren(
         *config.tmpl, *config.domains, item.inst, hints);
     result->stats.generated += children.size();
+    auto ctx = std::make_shared<const VerifyContext>(
+        VerifyContext{eval, std::move(cands)});
     for (LatticeStep& child : children) {
-      forward.push_back({std::move(child.inst), child.var_index, eval,
-                         std::shared_ptr<const CandidateSpace>(cands)});
+      forward.push_back({std::move(child.inst), ctx});
     }
   }
 
@@ -268,12 +256,7 @@ struct BiExplorer : ExplorerState {
       return;
     }
     if (PollStop()) return;
-    EvaluatedPtr eval;
-    if (item.parent_eval != nullptr && config.use_incremental_verify) {
-      eval = verifier.VerifyRelaxed(item.inst, *item.parent_eval);
-    } else {
-      eval = verifier.Verify(item.inst);
-    }
+    EvaluatedPtr eval = verifier.Verify(item.inst, item.ctx.get());
     if (eval == nullptr) return;  // Aborted mid-match; descent abandoned.
     ++result->stats.verified;
     if (eval->feasible) {
@@ -292,9 +275,10 @@ struct BiExplorer : ExplorerState {
     result->stats.pruned += dropped;
     // Depth-first descent: dive straight down to the feasibility border
     // so the high-coverage instances surface within the first few rounds.
+    auto ctx =
+        std::make_shared<const VerifyContext>(VerifyContext{eval, nullptr});
     for (size_t i = children.size(); i-- > 0;) {
-      backward.push_front(
-          {std::move(children[i].inst), children[i].var_index, eval, nullptr});
+      backward.push_front({std::move(children[i].inst), ctx});
     }
   }
 
@@ -403,13 +387,8 @@ struct ParallelBiExplorer : ExplorerState {
     InstanceVerifier& verifier = *verifiers[pool.WorkerIndex()];
     if (slot->is_forward) {
       slot->cands = std::make_shared<CandidateSpace>();
-      if (slot->item.parent_eval != nullptr && config.use_incremental_verify) {
-        slot->eval = verifier.VerifyRefined(
-            slot->item.inst, *slot->item.parent_cands, *slot->item.parent_eval,
-            slot->item.changed_var, slot->cands.get());
-      } else {
-        slot->eval = verifier.Verify(slot->item.inst, slot->cands.get());
-      }
+      slot->eval = verifier.Verify(slot->item.inst, slot->item.ctx.get(),
+                                   slot->cands.get());
       if (slot->eval == nullptr || !slot->eval->feasible) return;
       // Speculative: wasted only if the fold subtree-prunes this slot.
       RefinementHints hints =
@@ -420,12 +399,7 @@ struct ParallelBiExplorer : ExplorerState {
       slot->children = LatticeNeighbors::RefineChildren(
           *config.tmpl, *config.domains, slot->item.inst, hints);
     } else {
-      if (slot->item.parent_eval != nullptr && config.use_incremental_verify) {
-        slot->eval = verifier.VerifyRelaxed(slot->item.inst,
-                                            *slot->item.parent_eval);
-      } else {
-        slot->eval = verifier.Verify(slot->item.inst);
-      }
+      slot->eval = verifier.Verify(slot->item.inst, slot->item.ctx.get());
       if (slot->eval == nullptr || slot->eval->feasible) return;
       slot->children = LatticeNeighbors::RelaxChildren(
           *config.tmpl, *config.domains, slot->item.inst);
@@ -451,10 +425,10 @@ struct ParallelBiExplorer : ExplorerState {
         return;
       }
       result->stats.generated += slot.children.size();
-      auto ctx_cands = std::shared_ptr<const CandidateSpace>(slot.cands);
+      auto ctx = std::make_shared<const VerifyContext>(
+          VerifyContext{slot.eval, std::move(slot.cands)});
       for (LatticeStep& child : slot.children) {
-        forward.push_back(
-            {std::move(child.inst), child.var_index, slot.eval, ctx_cands});
+        forward.push_back({std::move(child.inst), ctx});
       }
     } else {
       if (slot.eval->feasible) {
@@ -467,9 +441,10 @@ struct ParallelBiExplorer : ExplorerState {
       }
       result->stats.generated += slot.children.size() + slot.beam_dropped;
       result->stats.pruned += slot.beam_dropped;
+      auto ctx = std::make_shared<const VerifyContext>(
+          VerifyContext{slot.eval, nullptr});
       for (size_t i = slot.children.size(); i-- > 0;) {
-        backward.push_front({std::move(slot.children[i].inst),
-                             slot.children[i].var_index, slot.eval, nullptr});
+        backward.push_front({std::move(slot.children[i].inst), ctx});
       }
     }
   }

@@ -54,9 +54,9 @@ struct Explorer {
                         result->stats.verified < config.max_verifications);
   }
 
-  /// Procedure BFExplore (Fig. 3). `parent` is null at the lattice root.
-  void Explore(const Instantiation& inst, const EvaluatedPtr& parent_eval,
-               const CandidateSpace* parent_cands, uint32_t changed_var) {
+  /// Procedure BFExplore (Fig. 3). `ctx` is the parent's verification
+  /// context, null at the lattice root.
+  void Explore(const Instantiation& inst, const VerifyContext* ctx) {
     if (!Budget()) return;
     if (!visited.insert(inst).second) {
       ++result->stats.pruned;  // Reached via another lattice path already.
@@ -70,14 +70,8 @@ struct Explorer {
       return;
     }
 
-    CandidateSpace cands;
-    EvaluatedPtr eval;
-    if (parent_eval != nullptr && config.use_incremental_verify) {
-      eval = verifier.VerifyRefined(inst, *parent_cands, *parent_eval,
-                                    changed_var, &cands);
-    } else {
-      eval = verifier.Verify(inst, &cands);
-    }
+    auto cands = std::make_shared<CandidateSpace>();
+    EvaluatedPtr eval = verifier.Verify(inst, ctx, cands.get());
     if (eval == nullptr) return;  // Aborted mid-match; subtree abandoned.
     ++result->stats.verified;
     if (!eval->feasible) return;  // Backtrack: the whole subtree is infeasible.
@@ -104,8 +98,9 @@ struct Explorer {
     std::vector<LatticeStep> children = LatticeNeighbors::RefineChildren(
         *config.tmpl, *config.domains, inst, hints);
     result->stats.generated += children.size();
+    const VerifyContext child_ctx{eval, std::move(cands)};
     for (LatticeStep& child : children) {
-      Explore(child.inst, eval, &cands, child.var_index);
+      Explore(child.inst, &child_ctx);
     }
   }
 };
@@ -120,7 +115,7 @@ Result<QGenResult> RfQGen::Run(const QGenConfig& config) {
   Explorer explorer(config, &result);
   Instantiation root = Instantiation::MostRelaxed(*config.tmpl);
   ++result.stats.generated;
-  explorer.Explore(root, nullptr, nullptr, 0);
+  explorer.Explore(root, nullptr);
   if (config.run_context != nullptr && config.run_context->Expired()) {
     result.stats.deadline_exceeded = true;
   }

@@ -1,6 +1,6 @@
 #include "core/template_refiner.h"
 
-#include <set>
+#include <algorithm>
 
 #include "graph/neighborhood.h"
 
@@ -12,23 +12,35 @@ RefinementHints ComputeRefinementHints(const Graph& g, const QueryTemplate& tmpl
   RefinementHints hints = RefinementHints::None(tmpl);
   std::vector<bool> mask = DHopMask(g, matches, tmpl.Diameter());
 
-  // Range variables: keep only domain values occurring in G_q^d on nodes
-  // with the literal node's label.
+  // Range variables: keep domain index i only when some value v of the
+  // literal's attribute on a G_q^d node of its label satisfies binding i
+  // but not binding i + 1 (or i is the last index). Otherwise bindings i
+  // and i + 1 admit the same G_q^d nodes, hence the same match sets. The
+  // bindings v satisfies form an index prefix (domains run relaxed →
+  // refined), so its deepest one is found by binary search; on a coarsened
+  // domain v itself need not be a domain value.
+  std::vector<bool> keep;
   for (RangeVarId x = 0; x < tmpl.num_range_vars(); ++x) {
     const LiteralTemplate& l = tmpl.literals()[tmpl.literal_of_var(x)];
     LabelId label = tmpl.node_label(l.node);
-    std::set<AttrValue> occurring;
+    const std::vector<AttrValue>& values = domains.values(x);
+    keep.assign(values.size(), false);
     for (NodeId v : g.NodesWithLabel(label)) {
       if (!mask[v]) continue;
       const AttrValue* value = g.GetAttr(v, l.attr);
-      if (value != nullptr) occurring.insert(*value);
+      if (value == nullptr) continue;
+      const size_t satisfied = static_cast<size_t>(
+          std::partition_point(values.begin(), values.end(),
+                               [&](const AttrValue& bound) {
+                                 return value->Compare(l.op, bound);
+                               }) -
+          values.begin());
+      if (satisfied > 0) keep[satisfied - 1] = true;
     }
     hints.restrict_range[x] = true;
     auto& allowed = hints.allowed_range_indexes[x];
-    for (size_t i = 0; i < domains.size(x); ++i) {
-      if (occurring.count(domains.value(x, i)) > 0) {
-        allowed.push_back(static_cast<int32_t>(i));
-      }
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (keep[i]) allowed.push_back(static_cast<int32_t>(i));
     }
   }
 

@@ -11,9 +11,12 @@ namespace fairsqg {
 /// Given a verified instance's match set q(G), considers the subgraph
 /// `G_q^d` induced by the d-hop neighbours of q(G) (d = template diameter)
 /// and derives hints that shrink the spawn frontier:
-///  1. each range variable on a literal `u.A op x` may only take values of
-///     A that actually occur on nodes of u's label inside G_q^d — other
-///     thresholds cannot change the match set differently;
+///  1. a range variable on a literal `u.A op x` keeps domain index i only
+///     when some value of A on a node of u's label inside G_q^d satisfies
+///     binding i but not binding i + 1 (or i is the last index) — other
+///     bindings admit the same G_q^d nodes as the next one, so they
+///     cannot change the match set differently. Each G_q^d value costs
+///     one binary search over the domain;
 ///  2. an edge variable is pinned to 0 when G_q^d contains no edge with the
 ///     required label between nodes of the endpoint labels.
 RefinementHints ComputeRefinementHints(const Graph& g, const QueryTemplate& tmpl,

@@ -26,6 +26,25 @@ DiversityEvaluator MakeDiversity(const QGenConfig& config) {
   return DiversityEvaluator(*config.graph, label, config.diversity);
 }
 
+/// How a verification context bounds the instance (Lemma 2).
+enum class Direction {
+  kFull,    // No comparable context: verify from scratch.
+  kRefine,  // The instance refines the context: matches ⊆ context's.
+  kRelax,   // The context refines the instance: matches ⊇ context's.
+};
+
+/// The one range variable whose binding differs between `a` and `b`, or -1
+/// when none or several do.
+int32_t SoleRangeDifference(const Instantiation& a, const Instantiation& b) {
+  int32_t var = -1;
+  for (RangeVarId x = 0; x < a.num_range_vars(); ++x) {
+    if (a.range_binding(x) == b.range_binding(x)) continue;
+    if (var >= 0) return -1;
+    var = static_cast<int32_t>(x);
+  }
+  return var;
+}
+
 }  // namespace
 
 InstanceVerifier::InstanceVerifier(const QGenConfig& config)
@@ -99,9 +118,18 @@ bool InstanceVerifier::LookupCached(const QueryInstance& q, NodeSet* matches,
 }
 
 EvaluatedPtr InstanceVerifier::Verify(const Instantiation& inst,
+                                      const VerifyContext* ctx,
                                       CandidateSpace* out_candidates) {
   FAIRSQG_TRACE_SPAN_FULL("verify");
   Timer timer;
+  Direction dir = Direction::kFull;
+  if (ctx != nullptr && config_->use_incremental_verify) {
+    if (inst.Refines(ctx->eval->inst)) {
+      dir = Direction::kRefine;
+    } else if (ctx->eval->inst.Refines(inst)) {
+      dir = Direction::kRelax;
+    }
+  }
   NodeSet matches;
   std::string key;
   bool hit = ServeSwept(inst, &matches);
@@ -112,6 +140,11 @@ EvaluatedPtr InstanceVerifier::Verify(const Instantiation& inst,
     if (!hit || out_candidates != nullptr) {
       CandidateSpace candidates = [&] {
         FAIRSQG_TRACE_SPAN_FULL("candidate_build");
+        if (dir == Direction::kRefine && ctx->cands != nullptr) {
+          return CandidateSpace::DeriveRefined(
+              *config_->graph, q, ctx->eval->inst, *ctx->cands,
+              config_->use_candidate_index, &matcher_.mutable_stats());
+        }
         return CandidateSpace::Build(
             *config_->graph, q,
             /*degree_filter=*/config_->semantics ==
@@ -119,151 +152,78 @@ EvaluatedPtr InstanceVerifier::Verify(const Instantiation& inst,
             config_->use_candidate_index, &matcher_.mutable_stats());
       }();
       if (!hit) {
-        bool swept = false;
-        if (SweepAllowed() && config_->tmpl->num_range_vars() > 0 &&
-            inst.is_wildcard(0) && config_->domains->size(0) > 0) {
-          // Chain head at variable 0 — the odometer's fastest axis, so
-          // Enum (and ParallelQGen chunks) hit this for every run, and
-          // Rf/Bi hit it at the lattice root. No feasibility gate: the
-          // whole chain is enumerated regardless.
-          SweepVerifier::Outcome sw = sweep_->SweepChain(
-              q, /*var=*/0, candidates, /*output_restrict=*/nullptr,
-              &matcher_, /*gate=*/nullptr, &matches);
-          // kAborted falls through: the per-instance path observes the
-          // same hard expiry and records the abort.
-          swept = sw == SweepVerifier::Outcome::kSwept;
-        }
-        if (!swept) {
-          MatchResult res =
-              matcher_.MatchOutputBounded(q, candidates, config_->run_context);
-          if (res.outcome == MatchOutcome::kAborted) {
-            verify_seconds_ += timer.ElapsedSeconds();
-            return RecordAbort();  // Partial matches: never cached.
-          }
-          matches = std::move(res.matches);
-        }
-        if (!key.empty()) config_->match_cache->Insert(key, matches);
-      }
-      if (out_candidates != nullptr) *out_candidates = std::move(candidates);
-    }
-  }
-  EvaluatedPtr out = Finish(inst, std::move(matches));
-  verify_seconds_ += timer.ElapsedSeconds();
-  return out;
-}
-
-EvaluatedPtr InstanceVerifier::VerifyRefined(const Instantiation& inst,
-                                             const CandidateSpace& parent_candidates,
-                                             const EvaluatedInstance& parent,
-                                             uint32_t changed_var,
-                                             CandidateSpace* out_candidates) {
-  if (!config_->use_incremental_verify) return Verify(inst, out_candidates);
-  FAIRSQG_TRACE_SPAN_FULL("verify_refined");
-  Timer timer;
-  NodeSet matches;
-  std::string key;
-  bool hit = ServeSwept(inst, &matches);
-  if (!hit || out_candidates != nullptr) {
-    QueryInstance q =
-        QueryInstance::Materialize(*config_->tmpl, *config_->domains, inst);
-    if (!hit) hit = LookupCached(q, &matches, &key);
-    if (!hit || out_candidates != nullptr) {
-      CandidateSpace candidates = [&] {
-        FAIRSQG_TRACE_SPAN_FULL("candidate_build");
-        return CandidateSpace::DeriveRefined(
-            *config_->graph, q, parent_candidates, changed_var,
-            config_->use_candidate_index, &matcher_.mutable_stats());
-      }();
-      if (!hit) {
-        bool swept = false;
-        if (SweepAllowed() &&
-            changed_var < config_->tmpl->num_range_vars()) {
-          const int32_t k = inst.range_binding(changed_var);
-          const int32_t m =
-              static_cast<int32_t>(config_->domains->size(changed_var));
-          if (k != kWildcardBinding && k + 1 < m) {
-            // Fresh refinement along a range chain with members still
-            // below it: sweep the rest of the chain. Thresholds are only
-            // probed when the head itself is coverage-feasible — the
-            // explorers abandon infeasible heads, so their chains would
-            // never be served.
-            auto gate = [this](const NodeSet& head) {
-              return coverage_.Evaluate(head).feasible;
-            };
-            SweepVerifier::Outcome sw = sweep_->SweepChain(
-                q, changed_var, candidates, &parent.matches, &matcher_, gate,
-                &matches);
-            // kSwept and kHeadOnly both deliver the head's exact set;
-            // kAborted falls through to the per-instance path below.
-            swept = sw != SweepVerifier::Outcome::kAborted;
-          }
-        }
-        if (!swept) {
-          // Lemma 2: q(G) ⊆ parent's match set; test only those.
-          MatchResult res = matcher_.MatchOutputBounded(
-              q, candidates, config_->run_context, &parent.matches);
-          if (res.outcome == MatchOutcome::kAborted) {
-            verify_seconds_ += timer.ElapsedSeconds();
-            return RecordAbort();  // Partial matches: never cached.
-          }
-          matches = std::move(res.matches);
-        }
-        if (!key.empty()) config_->match_cache->Insert(key, matches);
-      }
-      if (out_candidates != nullptr) *out_candidates = std::move(candidates);
-    }
-  }
-  EvaluatedPtr out = Finish(inst, std::move(matches));
-  verify_seconds_ += timer.ElapsedSeconds();
-  return out;
-}
-
-EvaluatedPtr InstanceVerifier::VerifyRelaxed(const Instantiation& inst,
-                                             const EvaluatedInstance& parent,
-                                             CandidateSpace* out_candidates) {
-  if (!config_->use_incremental_verify) return Verify(inst, out_candidates);
-  FAIRSQG_TRACE_SPAN_FULL("verify_relaxed");
-  Timer timer;
-  NodeSet matches;
-  std::string key;
-  bool hit = ServeSwept(inst, &matches);
-  if (!hit || out_candidates != nullptr) {
-    QueryInstance q =
-        QueryInstance::Materialize(*config_->tmpl, *config_->domains, inst);
-    if (!hit) hit = LookupCached(q, &matches, &key);
-    if (!hit || out_candidates != nullptr) {
-      CandidateSpace candidates = [&] {
-        FAIRSQG_TRACE_SPAN_FULL("candidate_build");
-        return CandidateSpace::Build(*config_->graph, q,
-                                     /*degree_filter=*/false,
-                                     config_->use_candidate_index,
-                                     &matcher_.mutable_stats());
-      }();
-      if (!hit) {
-        // Lemma 2 in reverse: every parent match remains a match after
-        // relaxation; only output candidates outside it need testing.
-        const NodeSet& base = candidates.of(q.output_node());
+        // Output candidates to test (Lemma 2): a refinement's matches lie
+        // within the context's; a relaxation keeps every context match,
+        // so only the output candidates outside them need testing.
+        const NodeSet* restrict = nullptr;
         NodeSet untested;
-        // Fault site: allocation throttling — a kFail here skips the
-        // reserve hints; the result must stay byte-identical, only
-        // reallocation behaviour changes.
-        if (!FAIRSQG_FAULT_POINT("verifier.reserve")) {
-          untested.reserve(base.size());
+        if (dir == Direction::kRefine) {
+          restrict = &ctx->eval->matches;
+        } else if (dir == Direction::kRelax) {
+          const NodeSet& base = candidates.of(q.output_node());
+          const NodeSet& known = ctx->eval->matches;
+          // Fault site: allocation throttling — a kFail here skips the
+          // reserve hints; the result must stay byte-identical, only
+          // reallocation behaviour changes.
+          if (!FAIRSQG_FAULT_POINT("verifier.reserve")) {
+            untested.reserve(base.size());
+          }
+          std::set_difference(base.begin(), base.end(), known.begin(),
+                              known.end(), std::back_inserter(untested));
+          restrict = &untested;
         }
-        std::set_difference(base.begin(), base.end(), parent.matches.begin(),
-                            parent.matches.end(), std::back_inserter(untested));
-        MatchResult res = matcher_.MatchOutputBounded(
-            q, candidates, config_->run_context, &untested);
-        if (res.outcome == MatchOutcome::kAborted) {
-          verify_seconds_ += timer.ElapsedSeconds();
-          return RecordAbort();  // Partial matches: never cached.
+        // Chain heads (DESIGN.md §12). Without a context: an instance
+        // wildcarded at variable 0 — the odometer's fastest axis, so Enum
+        // (and ParallelQGen chunks) hit it on every run, and Rf/Bi at the
+        // lattice root; the whole chain is enumerated, so no gate. With a
+        // refined context: an instance whose one differing range variable
+        // still has members below it; thresholds are probed only when the
+        // head is coverage-feasible, since the explorers abandon
+        // infeasible heads and would never be served their chains.
+        int32_t sweep_var = -1;
+        SweepVerifier::FeasibilityGate gate;
+        if (SweepAllowed() && dir == Direction::kFull &&
+            config_->tmpl->num_range_vars() > 0 && inst.is_wildcard(0) &&
+            config_->domains->size(0) > 0) {
+          sweep_var = 0;
+        } else if (SweepAllowed() && dir == Direction::kRefine) {
+          sweep_var = SoleRangeDifference(inst, ctx->eval->inst);
+          if (sweep_var >= 0 &&
+              inst.range_binding(sweep_var) + 1 >=
+                  static_cast<int32_t>(config_->domains->size(sweep_var))) {
+            sweep_var = -1;
+          }
+          gate = [this](const NodeSet& head) {
+            return coverage_.Evaluate(head).feasible;
+          };
         }
-        NodeSet fresh = std::move(res.matches);
-        if (!FAIRSQG_FAULT_POINT("verifier.reserve")) {
-          matches.reserve(fresh.size() + parent.matches.size());
+        // kSwept and kHeadOnly both deliver the head's exact set; kAborted
+        // falls through: the per-instance path observes the same hard
+        // expiry and records the abort.
+        const bool swept =
+            sweep_var >= 0 &&
+            sweep_->SweepChain(q, static_cast<RangeVarId>(sweep_var),
+                               candidates, restrict, &matcher_, gate,
+                               &matches) != SweepVerifier::Outcome::kAborted;
+        if (!swept) {
+          MatchResult res = matcher_.MatchOutputBounded(
+              q, candidates, config_->run_context, restrict);
+          if (res.outcome == MatchOutcome::kAborted) {
+            verify_seconds_ += timer.ElapsedSeconds();
+            return RecordAbort();  // Partial matches: never cached.
+          }
+          matches = std::move(res.matches);
         }
-        std::set_union(fresh.begin(), fresh.end(), parent.matches.begin(),
-                       parent.matches.end(), std::back_inserter(matches));
+        if (dir == Direction::kRelax) {
+          const NodeSet& known = ctx->eval->matches;
+          NodeSet all;
+          if (!FAIRSQG_FAULT_POINT("verifier.reserve")) {
+            all.reserve(matches.size() + known.size());
+          }
+          std::set_union(matches.begin(), matches.end(), known.begin(),
+                         known.end(), std::back_inserter(all));
+          matches = std::move(all);
+        }
         if (!key.empty()) config_->match_cache->Insert(key, matches);
       }
       if (out_candidates != nullptr) *out_candidates = std::move(candidates);

@@ -13,22 +13,41 @@ namespace fairsqg {
 
 class SweepVerifier;
 
+/// \brief An already verified instance that bounds another's verification
+/// (Lemma 2): its evaluation (whose `inst` is the context's instantiation)
+/// and, when the instance may be refined from it, its candidate space.
+///
+/// Any verified ancestor or descendant in the refinement order is a sound
+/// context, however many variables separate the two instances.
+struct VerifyContext {
+  EvaluatedPtr eval;
+  std::shared_ptr<const CandidateSpace> cands;
+};
+
 /// \brief The verification pipeline shared by all algorithms: materialize
 /// an instantiation, compute q(G), evaluate (δ, f), and decide feasibility.
 ///
-/// Implements the paper's incVerify (Section IV-A): a lattice child's match
-/// set is derived from its parent's by exploiting Lemma 2 — a refinement's
-/// matches are a subset of the parent's (only exclusions need testing), and
-/// a relaxation's matches are a superset (only additions need testing).
+/// Implements the paper's incVerify (Section IV-A) through an optional
+/// VerifyContext. The direction comes from the instantiations: when the
+/// instance refines the context's, its candidates are derived from the
+/// context's and only the context's matches are tested (a refinement's
+/// matches are a subset, Lemma 2); when the context refines the instance,
+/// the context's matches are known matches and only the remaining output
+/// candidates are tested (a relaxation's matches are a superset). Without
+/// a comparable context, or with config.use_incremental_verify off, the
+/// instance is verified from scratch. Either way (δ, f) are scored from
+/// the instance's own match set, so the result does not depend on the
+/// context.
 ///
 /// When the configuration carries a RunContext, a match search that trips
 /// the context (hard expiry) or the per-match step budget returns nullptr:
 /// the partial match set is discarded and never cached, and the abort is
 /// recorded in aborted_matches()/timed_out_instances() for GenStats folding.
 ///
-/// With config.use_sweep_verify, chain heads (an instance wildcarded or
-/// freshly refined at a range variable) trigger a literal sweep: the whole
-/// chain's match sets are derived in one matcher pass and parked in a
+/// With config.use_sweep_verify, chain heads (an instance wildcarded at
+/// range variable 0 without a context, or one refining its context at
+/// exactly one range variable) trigger a literal sweep: the whole chain's
+/// match sets are derived in one matcher pass and parked in a
 /// SweepVerifier, then served here exactly like cache hits — archives stay
 /// byte-identical with sweeping on or off (DESIGN.md §12).
 class InstanceVerifier {
@@ -36,27 +55,13 @@ class InstanceVerifier {
   explicit InstanceVerifier(const QGenConfig& config);
   ~InstanceVerifier();
 
-  /// Full verification from scratch. If `out_candidates` is non-null, the
-  /// instance's candidate space is returned for incremental children.
+  /// Verifies `inst`, incrementally from `ctx` when one is given (see the
+  /// class comment). If `out_candidates` is non-null, the instance's
+  /// candidate space is returned for the contexts of its refinements.
   /// Returns nullptr iff the bounded match aborted (see class comment).
   EvaluatedPtr Verify(const Instantiation& inst,
+                      const VerifyContext* ctx = nullptr,
                       CandidateSpace* out_candidates = nullptr);
-
-  /// Verification of a child that refines its parent at `changed_var`
-  /// (lattice encoding: range variables first). The parent's match set
-  /// bounds the search; the child's (δ, f) are scored from its own match
-  /// set, exactly as Verify scores it. Falls back to Verify when
-  /// config.use_incremental_verify is off.
-  EvaluatedPtr VerifyRefined(const Instantiation& inst,
-                             const CandidateSpace& parent_candidates,
-                             const EvaluatedInstance& parent, uint32_t changed_var,
-                             CandidateSpace* out_candidates = nullptr);
-
-  /// Verification of a child that relaxes its parent: the parent's matches
-  /// are known matches; only the remaining output candidates are tested.
-  EvaluatedPtr VerifyRelaxed(const Instantiation& inst,
-                             const EvaluatedInstance& parent,
-                             CandidateSpace* out_candidates = nullptr);
 
   uint64_t num_verified() const { return verify_seq_; }
   double verify_seconds() const { return verify_seconds_; }

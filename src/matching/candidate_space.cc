@@ -116,6 +116,42 @@ void IntersectSlices(const Graph& g, LabelId label,
   }
 }
 
+/// The members of `base` (a superset of the result, sorted) carrying
+/// `label` and satisfying every literal of `lits`. With `use_index` the
+/// literals are applied through index slices — the same result as the
+/// reference path, but against contiguous slices instead of per-node
+/// attribute probes.
+NodeSet Refilter(const Graph& g, LabelId label,
+                 const std::vector<BoundLiteral>& lits, const NodeSet& base,
+                 bool use_index, MatchStats* stats) {
+  NodeSet set;
+  if (!use_index) {
+    for (NodeId v : base) {
+      if (NodeSatisfies(g, v, label, lits)) set.push_back(v);
+    }
+    return set;
+  }
+  set = base;
+  NodeSet scratch, merged;
+  for (const BoundLiteral& bl : lits) {
+    if (set.empty()) break;
+    const AttrRangeIndex* idx = g.RangeIndex(label, bl.attr);
+    if (idx == nullptr) return {};
+    if (stats != nullptr) ++stats->index_slices;
+    std::span<const NodeId> s = idx->SliceFor(bl.op, bl.value);
+    if (s.empty()) return {};
+    if (s.size() <= kSliceSortBudget * set.size() + 64) {
+      scratch.assign(s.begin(), s.end());
+      std::sort(scratch.begin(), scratch.end());
+      IntersectSorted(set, scratch, &merged);
+      set.swap(merged);
+    } else {
+      FilterByLiteral(g, bl, &set);
+    }
+  }
+  return set;
+}
+
 }  // namespace
 
 bool NodeSatisfies(const Graph& g, NodeId v, LabelId label,
@@ -195,59 +231,27 @@ CandidateSpace CandidateSpace::Build(const Graph& g, const QueryInstance& q,
 
 CandidateSpace CandidateSpace::DeriveRefined(const Graph& g,
                                              const QueryInstance& child,
+                                             const Instantiation& parent_inst,
                                              const CandidateSpace& parent,
-                                             uint32_t changed_var,
                                              bool use_index, MatchStats* stats) {
   const QueryTemplate& tmpl = child.tmpl();
+  const Instantiation& inst = child.instantiation();
   FAIRSQG_CHECK(parent.per_node_.size() == tmpl.num_nodes())
       << "candidate space arity mismatch";
+  FAIRSQG_DCHECK(inst.Refines(parent_inst));
   CandidateSpace space;
   space.per_node_ = parent.per_node_;  // Share every entry by pointer.
-  if (changed_var >= tmpl.num_range_vars()) {
-    return space;  // Edge-variable step: no literal changed.
+  std::vector<bool> refiltered(tmpl.num_nodes(), false);
+  for (RangeVarId x = 0; x < tmpl.num_range_vars(); ++x) {
+    if (inst.range_binding(x) == parent_inst.range_binding(x)) continue;
+    const QNodeId u = tmpl.literals()[tmpl.literal_of_var(x)].node;
+    if (refiltered[u]) continue;
+    refiltered[u] = true;
+    space.per_node_[u] = MakeEntry(
+        Refilter(g, tmpl.node_label(u), child.literals_of(u), parent.of(u),
+                 use_index, stats),
+        g.num_nodes());
   }
-  const LiteralTemplate& l = tmpl.literals()[tmpl.literal_of_var(changed_var)];
-  QNodeId u = l.node;
-  LabelId label = tmpl.node_label(u);
-  const std::vector<BoundLiteral>& lits = child.literals_of(u);
-
-  NodeSet set;
-  if (use_index) {
-    // Start from the parent's (superset) candidates and re-apply the full
-    // conjunction through index slices: sandwich-pruned contexts may be
-    // stale in more than the changed literal, so every literal of `u` is
-    // re-checked — exactly like the reference path, but against contiguous
-    // slices instead of per-node attribute probes.
-    set = parent.of(u);
-    NodeSet scratch, merged;
-    for (const BoundLiteral& bl : lits) {
-      if (set.empty()) break;
-      const AttrRangeIndex* idx = g.RangeIndex(label, bl.attr);
-      if (idx == nullptr) {
-        set.clear();
-        break;
-      }
-      if (stats != nullptr) ++stats->index_slices;
-      std::span<const NodeId> s = idx->SliceFor(bl.op, bl.value);
-      if (s.empty()) {
-        set.clear();
-        break;
-      }
-      if (s.size() <= kSliceSortBudget * set.size() + 64) {
-        scratch.assign(s.begin(), s.end());
-        std::sort(scratch.begin(), scratch.end());
-        IntersectSorted(set, scratch, &merged);
-        set.swap(merged);
-      } else {
-        FilterByLiteral(g, bl, &set);
-      }
-    }
-  } else {
-    for (NodeId v : parent.of(u)) {  // Refinement shrinks: parent is a superset.
-      if (NodeSatisfies(g, v, label, lits)) set.push_back(v);
-    }
-  }
-  space.per_node_[u] = MakeEntry(std::move(set), g.num_nodes());
   return space;
 }
 

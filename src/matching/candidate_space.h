@@ -16,10 +16,10 @@ namespace fairsqg {
 /// Each node stores the candidates twice: as a sorted id vector (for
 /// ordered iteration and merge-joins) and as a dense NodeBitset (for the
 /// matcher's O(1) membership probes). Both views are shared copy-on-write
-/// between a parent instance and its lattice children, because a
-/// one-variable refinement only shrinks the candidates of the literal's
-/// node (Lemma 2): DeriveRefined reuses every other node's entry by
-/// pointer, and an edge-variable step copies nothing at all.
+/// between an instance and its refinements, because a refinement only
+/// shrinks the candidates of the nodes whose literals it tightens
+/// (Lemma 2): DeriveRefined reuses every other node's entry by pointer,
+/// and an edge-variable step copies nothing at all.
 ///
 /// Construction is selectivity-adaptive when `use_index` is set:
 ///  - a node with no bound literals (and no effective degree filter)
@@ -46,15 +46,16 @@ class CandidateSpace {
                               bool use_index = true,
                               MatchStats* stats = nullptr);
 
-  /// Derives the space of a child instance that refines `parent_instance`'s
-  /// space at one range variable: only that literal's node is re-filtered,
-  /// starting from the parent's (superset) candidates. Edge-variable steps
-  /// leave all candidate sets untouched.
-  ///
-  /// `changed_var` uses the lattice encoding (range vars first).
+  /// Derives the space of `child`, which refines `parent_inst`, from
+  /// that instance's space `parent`: every query node carrying a range
+  /// literal whose binding differs between the two is re-filtered from the
+  /// parent's (superset) candidates, at most one node per range variable.
+  /// Every other node shares the parent's entry by pointer; a child that
+  /// differs only in edge variables copies nothing at all. The parent may
+  /// be any verified ancestor, not just a one-step one.
   static CandidateSpace DeriveRefined(const Graph& g, const QueryInstance& child,
+                                      const Instantiation& parent_inst,
                                       const CandidateSpace& parent,
-                                      uint32_t changed_var,
                                       bool use_index = true,
                                       MatchStats* stats = nullptr);
 

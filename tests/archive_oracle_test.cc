@@ -1,0 +1,111 @@
+// Archive oracle: on many small seeded scenarios, the archives of RfQGen,
+// BiQGen and BiQGen::RunParallel — every pruning and verification toggle
+// on, incVerify on and off — are checked from scratch against a serial
+// EnumQGen reference (archive_oracle.h). A generator that misses a
+// feasible instance's box, or reports a match set or objective its
+// instantiation does not have, fails here.
+
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "archive_oracle.h"
+#include "core/bi_qgen.h"
+#include "core/rf_qgen.h"
+#include "workload/scenario.h"
+
+namespace fairsqg {
+namespace {
+
+/// dbp seeds per shard; the Dbp shards together cover 240 seeds, each at
+/// two domain sizes.
+constexpr int kDbpShards = 24;
+constexpr uint64_t kDbpSeedsPerShard = 10;
+
+/// Runs every generator under test on one seeded scenario and checks each
+/// archive against the reference. Scenario sizes follow the request-stream
+/// benchmark's: three edges, two range variables (domains coarsened to
+/// `max_domain` values), one edge variable, two groups at 55% calibrated
+/// coverage, λ = 0.5 and ε = 0.05. Returns false when the seed yields no
+/// scenario (no template with a feasible root was drawn).
+bool CheckScenario(const std::string& dataset, double scale, uint64_t seed,
+                   size_t max_domain) {
+  ScenarioOptions options;
+  options.dataset = dataset;
+  options.scale = scale;
+  options.seed = seed;
+  options.template_seed = seed * 97 + 1;
+  options.num_edges = 3;
+  options.num_range_vars = 2;
+  options.num_edge_vars = 1;
+  options.num_groups = 2;
+  options.coverage_fraction = 0.55;
+  options.max_domain_values = max_domain;
+  Result<Scenario> scenario = MakeScenario(options);
+  if (!scenario.ok()) return false;
+  QGenConfig config = scenario->MakeConfig(0.05);
+  config.diversity.lambda = 0.5;
+  config.use_template_refinement = true;
+  config.use_sandwich_pruning = true;
+  config.use_subtree_pruning = true;
+  config.use_candidate_index = true;
+  config.use_sweep_verify = true;
+  const std::vector<EvaluatedPtr> reference = ReferenceArchive(config);
+
+  using Generator = std::function<Result<QGenResult>(const QGenConfig&)>;
+  const std::pair<const char*, Generator> generators[] = {
+      {"RfQGen", RfQGen::Run},
+      {"BiQGen", BiQGen::Run},
+      {"BiQGen::RunParallel(2)",
+       [](const QGenConfig& c) { return BiQGen::RunParallel(c, 2); }},
+  };
+  for (bool incremental : {true, false}) {
+    config.use_incremental_verify = incremental;
+    for (const auto& [name, run] : generators) {
+      Result<QGenResult> result = run(config);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      if (!result.ok()) continue;
+      EXPECT_EQ(CheckArchive(config, result->pareto, reference), "")
+          << name << " incVerify=" << incremental << " on " << dataset
+          << " scale " << scale << " seed " << seed << " domains "
+          << max_domain;
+    }
+  }
+  return true;
+}
+
+class ArchiveOracleTest : public testing::TestWithParam<int> {};
+
+TEST_P(ArchiveOracleTest, DbpScenariosPassOracle) {
+  const uint64_t first = static_cast<uint64_t>(GetParam()) * kDbpSeedsPerShard;
+  uint64_t checked = 0;
+  for (uint64_t seed = first; seed < first + kDbpSeedsPerShard; ++seed) {
+    // Coarser domains leave more graph values strictly between two domain
+    // values.
+    for (size_t max_domain : {8, 4}) {
+      checked += CheckScenario("dbp", 0.05, seed, max_domain);
+    }
+  }
+  EXPECT_EQ(checked, 2 * kDbpSeedsPerShard);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dbp, ArchiveOracleTest, testing::Range(0, kDbpShards));
+
+class ArchiveOracleDatasetTest : public testing::TestWithParam<const char*> {};
+
+TEST_P(ArchiveOracleDatasetTest, ScenariosPassOracle) {
+  uint64_t checked = 0;
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    checked += CheckScenario(GetParam(), 0.1, seed, 8);
+  }
+  EXPECT_EQ(checked, 6u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Datasets, ArchiveOracleDatasetTest,
+                         testing::Values("lki", "cite"));
+
+}  // namespace
+}  // namespace fairsqg

@@ -82,9 +82,9 @@ TEST(ExactParetoSetTest, EmptyAndSingleton) {
 }
 
 // Randomized: along random refinement and relaxation walks, the diversity
-// parts incVerify records (VerifyRefined / VerifyRelaxed) are bit-identical
-// to a full verification of the same instance — δ depends only on the
-// match set.
+// parts incVerify records (Verify from the parent's context) are
+// bit-identical to a full verification of the same instance — δ depends
+// only on the match set.
 class IncrementalPartsTest : public testing::TestWithParam<int> {};
 
 void ExpectSameScores(const EvaluatedInstance& inc, const EvaluatedInstance& full,
@@ -111,17 +111,17 @@ TEST_P(IncrementalPartsTest, RefineAndRelaxPartsMatchFull) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 53 + 1);
 
   // Down from the root, one random refinement at a time.
-  CandidateSpace cands;
-  EvaluatedPtr parent =
-      verifier.Verify(Instantiation::MostRelaxed(*s.tmpl), &cands);
+  auto cands = std::make_shared<CandidateSpace>();
+  EvaluatedPtr parent = verifier.Verify(Instantiation::MostRelaxed(*s.tmpl),
+                                        nullptr, cands.get());
   for (;;) {
     auto children = LatticeNeighbors::RefineChildren(
         *s.tmpl, *s.domains, parent->inst, RefinementHints::None(*s.tmpl));
     if (children.empty()) break;
     const LatticeStep& step = children[rng.NextBounded(children.size())];
-    CandidateSpace child_cands;
-    EvaluatedPtr child = verifier.VerifyRefined(step.inst, cands, *parent,
-                                                step.var_index, &child_cands);
+    auto child_cands = std::make_shared<CandidateSpace>();
+    const VerifyContext ctx{parent, cands};
+    EvaluatedPtr child = verifier.Verify(step.inst, &ctx, child_cands.get());
     ASSERT_NE(child, nullptr);
     ExpectSameScores(*child, *full_verifier.Verify(step.inst), diversity);
     parent = child;
@@ -135,7 +135,8 @@ TEST_P(IncrementalPartsTest, RefineAndRelaxPartsMatchFull) {
         LatticeNeighbors::RelaxChildren(*s.tmpl, *s.domains, parent->inst);
     if (children.empty()) break;
     const LatticeStep& step = children[rng.NextBounded(children.size())];
-    EvaluatedPtr child = verifier.VerifyRelaxed(step.inst, *parent);
+    const VerifyContext ctx{parent, nullptr};
+    EvaluatedPtr child = verifier.Verify(step.inst, &ctx);
     ASSERT_NE(child, nullptr);
     ExpectSameScores(*child, *full_verifier.Verify(step.inst), diversity);
     parent = child;

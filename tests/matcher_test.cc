@@ -142,7 +142,8 @@ TEST(SubgraphMatcherTest, DerivedCandidatesMatchFreshBuild) {
   QueryInstance child = f.Materialize(2);
   CandidateSpace parent_cands = CandidateSpace::Build(f.graph, parent);
   CandidateSpace derived =
-      CandidateSpace::DeriveRefined(f.graph, child, parent_cands, 0);
+      CandidateSpace::DeriveRefined(f.graph, child, parent.instantiation(),
+                                    parent_cands);
   CandidateSpace fresh = CandidateSpace::Build(f.graph, child);
   for (QNodeId u = 0; u < f.tmpl.num_nodes(); ++u) {
     EXPECT_EQ(derived.of(u), fresh.of(u)) << "node " << u;

@@ -135,5 +135,62 @@ TEST(TemplateRefinerTest, SkippedValuesCannotChangeMatchSets) {
   }
 }
 
+TEST(TemplateRefinerTest, NeighborhoodValueBetweenDomainValuesKeepsLowerIndex) {
+  // On a coarsened domain a G_q^d value may fall strictly between two
+  // domain values. Users with yearsOfExp 10 and 12 recommend IT directors
+  // 5 and 6; far-away users (5, 20, 50) recommend director 7, who lacks
+  // the 'domain' attribute. The full domain {5, 10, 12, 20, 50} coarsens
+  // to {5, 12, 50}, and G_q^d holds only 10 and 12: 5 itself does not
+  // occur there, yet binding ">= 5" admits director 5 and ">= 12" does
+  // not, so index 0 must stay.
+  auto schema = std::make_shared<Schema>();
+  GraphBuilder b(schema);
+  for (int exp : {10, 12, 5, 20, 50}) {
+    NodeId u = b.AddNode("user");
+    b.SetAttr(u, "yearsOfExp", AttrValue(int64_t{exp}));
+  }
+  for (int i = 0; i < 3; ++i) b.AddNode("director");
+  b.AddEdge(0, 5, "recommend");
+  b.AddEdge(1, 6, "recommend");
+  for (NodeId u : {2, 3, 4}) b.AddEdge(u, 7, "recommend");
+  b.SetAttr(5, "domain", AttrValue(std::string("IT")));
+  b.SetAttr(6, "domain", AttrValue(std::string("IT")));
+  Graph graph = std::move(b).Build().ValueOrDie();
+
+  QueryTemplate tmpl(schema);
+  QNodeId d = tmpl.AddNode("director");
+  QNodeId u = tmpl.AddNode("user");
+  tmpl.SetOutputNode(d);
+  tmpl.AddLiteral(d, "domain", CompareOp::kEq, AttrValue(std::string("IT")));
+  tmpl.AddRangeLiteral(u, "yearsOfExp", CompareOp::kGe);  // x0
+  tmpl.AddEdge(u, d, "recommend");
+  VariableDomains domains =
+      VariableDomains::Build(graph, tmpl).ValueOrDie().Coarsened(3);
+  ASSERT_EQ(domains.size(0), 3u);
+  ASSERT_EQ(domains.value(0, 0), AttrValue(int64_t{5}));
+  ASSERT_EQ(domains.value(0, 1), AttrValue(int64_t{12}));
+
+  SubgraphMatcher matcher(graph);
+  auto match = [&](int32_t idx) {
+    return matcher.MatchOutput(
+        QueryInstance::Materialize(tmpl, domains, Instantiation({idx}, {})));
+  };
+  NodeSet root = match(kWildcardBinding);
+  ASSERT_EQ(root, NodeSet({5, 6}));
+  RefinementHints hints = ComputeRefinementHints(graph, tmpl, domains, root);
+  EXPECT_EQ(hints.allowed_range_indexes[0], (std::vector<int32_t>{0, 1}));
+
+  // Every skipped index has the match set of the next kept one.
+  const auto& allowed = hints.allowed_range_indexes[0];
+  for (int32_t idx = 0; idx < static_cast<int32_t>(domains.size(0)); ++idx) {
+    if (std::find(allowed.begin(), allowed.end(), idx) != allowed.end()) {
+      continue;
+    }
+    auto it = std::upper_bound(allowed.begin(), allowed.end(), idx);
+    EXPECT_EQ(match(idx), it == allowed.end() ? NodeSet{} : match(*it))
+        << "index " << idx;
+  }
+}
+
 }  // namespace
 }  // namespace fairsqg

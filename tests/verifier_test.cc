@@ -35,16 +35,16 @@ TEST(VerifierTest, RefinedVerificationMatchesFull) {
   InstanceVerifier verifier(config);
 
   Instantiation root = Instantiation::MostRelaxed(*s.tmpl);
-  CandidateSpace root_cands;
-  EvaluatedPtr root_eval = verifier.Verify(root, &root_cands);
+  auto root_cands = std::make_shared<CandidateSpace>();
+  EvaluatedPtr root_eval = verifier.Verify(root, nullptr, root_cands.get());
+  const VerifyContext root_ctx{root_eval, root_cands};
 
   // Walk every one-step refinement and compare incremental vs full.
   auto children = LatticeNeighbors::RefineChildren(
       *s.tmpl, *s.domains, root, RefinementHints::None(*s.tmpl));
   ASSERT_FALSE(children.empty());
   for (const LatticeStep& step : children) {
-    EvaluatedPtr inc = verifier.VerifyRefined(step.inst, root_cands,
-                                              *root_eval, step.var_index);
+    EvaluatedPtr inc = verifier.Verify(step.inst, &root_ctx);
     EvaluatedPtr full = verifier.Verify(step.inst);
     EXPECT_EQ(inc->matches, full->matches);
     EXPECT_EQ(inc->obj.diversity, full->obj.diversity);  // Same set, same δ.
@@ -59,18 +59,19 @@ TEST(VerifierTest, RefinedChainTwoLevels) {
   InstanceVerifier verifier(config);
 
   Instantiation root = Instantiation::MostRelaxed(*s.tmpl);
-  CandidateSpace c0;
-  EvaluatedPtr e0 = verifier.Verify(root, &c0);
+  auto c0 = std::make_shared<CandidateSpace>();
+  EvaluatedPtr e0 = verifier.Verify(root, nullptr, c0.get());
 
   Instantiation mid = root;
   mid.set_range_binding(0, 1);
-  CandidateSpace c1;
-  EvaluatedPtr e1 = verifier.VerifyRefined(mid, c0, *e0, 0, &c1);
+  auto c1 = std::make_shared<CandidateSpace>();
+  const VerifyContext ctx0{e0, c0};
+  EvaluatedPtr e1 = verifier.Verify(mid, &ctx0, c1.get());
 
   Instantiation leaf = mid;
   leaf.set_edge_binding(0, 1);
-  EvaluatedPtr e2 = verifier.VerifyRefined(
-      leaf, c1, *e1, static_cast<uint32_t>(s.tmpl->num_range_vars()));
+  const VerifyContext ctx1{e1, c1};
+  EvaluatedPtr e2 = verifier.Verify(leaf, &ctx1);
   EvaluatedPtr full = verifier.Verify(leaf);
   EXPECT_EQ(e2->matches, full->matches);
 }
@@ -82,11 +83,12 @@ TEST(VerifierTest, RelaxedVerificationMatchesFull) {
 
   Instantiation bottom = Instantiation::MostRefined(*s.tmpl, *s.domains);
   EvaluatedPtr bottom_eval = verifier.Verify(bottom);
+  const VerifyContext bottom_ctx{bottom_eval, nullptr};
 
   auto children = LatticeNeighbors::RelaxChildren(*s.tmpl, *s.domains, bottom);
   ASSERT_FALSE(children.empty());
   for (const LatticeStep& step : children) {
-    EvaluatedPtr inc = verifier.VerifyRelaxed(step.inst, *bottom_eval);
+    EvaluatedPtr inc = verifier.Verify(step.inst, &bottom_ctx);
     EvaluatedPtr full = verifier.Verify(step.inst);
     EXPECT_EQ(inc->matches, full->matches);
     EXPECT_EQ(inc->obj.diversity, full->obj.diversity);  // Same set, same δ.
@@ -164,11 +166,12 @@ TEST(VerifierTest, IncrementalDisabledFallsBackToFull) {
   config.use_incremental_verify = false;
   InstanceVerifier verifier(config);
   Instantiation root = Instantiation::MostRelaxed(*s.tmpl);
-  CandidateSpace cands;
-  EvaluatedPtr root_eval = verifier.Verify(root, &cands);
+  auto cands = std::make_shared<CandidateSpace>();
+  EvaluatedPtr root_eval = verifier.Verify(root, nullptr, cands.get());
   Instantiation child = root;
   child.set_range_binding(0, 0);
-  EvaluatedPtr inc = verifier.VerifyRefined(child, cands, *root_eval, 0);
+  const VerifyContext ctx{root_eval, cands};
+  EvaluatedPtr inc = verifier.Verify(child, &ctx);
   EvaluatedPtr full = verifier.Verify(child);
   EXPECT_EQ(inc->matches, full->matches);
 }
