@@ -215,20 +215,27 @@ struct BiExplorer : ExplorerState {
     Trace();
     last_forward = eval;
     UpdateSBounds(last_forward, last_backward);
+    SpawnRefinements(eval, std::move(cands));
+  }
+
+  /// Pushes the refinement children of a feasible verified instance onto
+  /// the forward frontier, with `eval` (and its candidate space, when
+  /// known) as their context — unless every refinement is already
+  /// ε-dominated.
+  void SpawnRefinements(const EvaluatedPtr& eval,
+                        std::shared_ptr<const CandidateSpace> cands) {
     if (config.use_subtree_pruning &&
         SubtreeCovered(archive, eval->obj.diversity, max_coverage)) {
-      // Every refinement of this instance is already ε-dominated.
       ++result->stats.pruned_subtree;
       return;
     }
-
     RefinementHints hints =
         config.use_template_refinement
             ? ComputeRefinementHints(*config.graph, *config.tmpl,
                                      *config.domains, eval->matches)
             : RefinementHints::None(*config.tmpl);
     std::vector<LatticeStep> children = LatticeNeighbors::RefineChildren(
-        *config.tmpl, *config.domains, item.inst, hints);
+        *config.tmpl, *config.domains, eval->inst, hints);
     result->stats.generated += children.size();
     auto ctx = std::make_shared<const VerifyContext>(
         VerifyContext{eval, std::move(cands)});
@@ -238,8 +245,10 @@ struct BiExplorer : ExplorerState {
   }
 
   /// One backward step (lines 10-15): verify; if feasible the feasibility
-  /// border has been reached — record the instance and stop relaxing (the
-  /// forward exploration owns the downward-closed feasible region); if
+  /// border has been reached — record the instance, stop relaxing (the
+  /// forward exploration owns the downward-closed feasible region) and hand
+  /// its refinements to the forward frontier, since the instance is now
+  /// `visited` and the forward pass would drop it before spawning them; if
   /// infeasible, descend further with a bounded-width beam of relaxations
   /// so the backward pass homes in on the high-coverage border instead of
   /// sweeping the whole infeasible upper set (DESIGN.md §4).
@@ -265,6 +274,7 @@ struct BiExplorer : ExplorerState {
       Trace();
       last_backward = eval;
       UpdateSBounds(last_forward, last_backward);
+      SpawnRefinements(eval, nullptr);
       return;  // Border reached; relaxations belong to the forward region.
     }
 

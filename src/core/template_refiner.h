@@ -19,6 +19,13 @@ namespace fairsqg {
 ///     one binary search over the domain;
 ///  2. an edge variable is pinned to 0 when G_q^d contains no edge with the
 ///     required label between nodes of the endpoint labels.
+///
+/// Cost is bounded by the part of G_q^d it reaches, not by |V|. It first
+/// computes the hint's ceiling, the hint as if G_q^d were all of G (from
+/// the per-label active domains and the graph's edge label triples), then
+/// walks G_q^d breadth-first from q(G) over per-thread visited stamps,
+/// folding each reached node into the hint, and stops as soon as the hint
+/// reaches the ceiling. Safe to call from several threads at once.
 RefinementHints ComputeRefinementHints(const Graph& g, const QueryTemplate& tmpl,
                                        const VariableDomains& domains,
                                        const NodeSet& matches);

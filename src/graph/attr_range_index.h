@@ -1,6 +1,7 @@
 #ifndef FAIRSQG_GRAPH_ATTR_RANGE_INDEX_H_
 #define FAIRSQG_GRAPH_ATTR_RANGE_INDEX_H_
 
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -11,9 +12,8 @@
 namespace fairsqg {
 
 /// \brief Order index of one (node label, attribute) pair: every node of
-/// the label carrying the attribute, as a `(value, node)` array sorted by
-/// value (AttrValue's total order: numerics first, then strings; ties by
-/// node id).
+/// the label carrying the attribute, sorted by value (AttrValue's total
+/// order: numerics first, then strings; ties by node id).
 ///
 /// Because every search predicate `u.A op x` is a half-open range in that
 /// order (Compare's mixed-type rule confines a numeric constant to the
@@ -23,6 +23,10 @@ namespace fairsqg {
 /// over `NodesWithLabel`. Built once at Graph build time; nodes missing the
 /// attribute are simply absent (a missing attribute never satisfies a
 /// predicate).
+///
+/// Layout: the sorted node ids, plus each distinct value once (ascending)
+/// with the offset of its first node. Values are stored per distinct value,
+/// not per node, and the distinct values double as the pair's active domain.
 class AttrRangeIndex {
  public:
   AttrRangeIndex() = default;
@@ -42,13 +46,24 @@ class AttrRangeIndex {
   /// [lo, hi) entry range of `SliceFor` — O(log n), no materialization.
   std::pair<size_t, size_t> SliceBounds(CompareOp op, const AttrValue& x) const;
 
-  const AttrValue& value_at(size_t i) const { return values_[i]; }
+  /// Value of entry i: the first-inserted (lowest node id) representative
+  /// of its run of equal values. O(log distinct values).
+  const AttrValue& value_at(size_t i) const;
   NodeId node_at(size_t i) const { return nodes_[i]; }
 
+  /// The distinct values, ascending (the pair's active domain).
+  const std::vector<AttrValue>& distinct_values() const { return values_; }
+
  private:
-  std::vector<AttrValue> values_;  ///< Ascending by AttrValue::operator<.
-  std::vector<NodeId> nodes_;     ///< Parallel to values_; ties id-ascending.
-  size_t num_numeric_ = 0;        ///< Length of the numeric prefix.
+  /// First entry of distinct value k; size() for k == values_.size().
+  size_t StartOf(size_t k) const {
+    return k < starts_.size() ? starts_[k] : nodes_.size();
+  }
+
+  std::vector<NodeId> nodes_;     ///< Sorted by (value, id).
+  std::vector<AttrValue> values_;  ///< Distinct values, ascending.
+  std::vector<uint32_t> starts_;  ///< Parallel to values_: first entry.
+  size_t num_numeric_ = 0;        ///< Numeric prefix of values_.
 };
 
 }  // namespace fairsqg

@@ -24,6 +24,14 @@ bool Graph::HasEdge(NodeId from, NodeId to, LabelId edge_label) const {
   return it != adj.end() && it->neighbor == to && it->edge_label == edge_label;
 }
 
+bool Graph::HasLabeledEdge(LabelId from_label, LabelId edge_label,
+                           LabelId to_label) const {
+  return std::binary_search(edge_label_triples_.begin(),
+                            edge_label_triples_.end(),
+                            std::array<LabelId, 3>{from_label, edge_label,
+                                                   to_label});
+}
+
 const NodeSet& Graph::NodesWithLabel(LabelId label) const {
   if (label >= label_index_.size()) return empty_node_set_;
   return label_index_[label];
@@ -46,9 +54,8 @@ const std::vector<AttrValue>& Graph::ActiveDomain(AttrId a) const {
 }
 
 const std::vector<AttrValue>& Graph::ActiveDomain(LabelId label, AttrId a) const {
-  auto it = label_adom_.find({label, a});
-  if (it == label_adom_.end()) return empty_domain_;
-  return it->second;
+  const AttrRangeIndex* index = RangeIndex(label, a);
+  return index != nullptr ? index->distinct_values() : empty_domain_;
 }
 
 }  // namespace fairsqg

@@ -1,6 +1,7 @@
 #ifndef FAIRSQG_GRAPH_GRAPH_H_
 #define FAIRSQG_GRAPH_GRAPH_H_
 
+#include <array>
 #include <map>
 #include <memory>
 #include <span>
@@ -73,6 +74,12 @@ class Graph {
   /// True iff edge (from, to) with `edge_label` exists (binary search).
   bool HasEdge(NodeId from, NodeId to, LabelId edge_label) const;
 
+  /// True iff some edge labelled `edge_label` runs from a node labelled
+  /// `from_label` to one labelled `to_label` (binary search over the
+  /// distinct label triples, collected at Graph build time).
+  bool HasLabeledEdge(LabelId from_label, LabelId edge_label,
+                      LabelId to_label) const;
+
   /// `V(u)`: all nodes carrying `label`, ascending. Empty for unknown labels.
   const NodeSet& NodesWithLabel(LabelId label) const;
 
@@ -90,6 +97,7 @@ class Graph {
 
   /// Active domain of `a` restricted to nodes labelled `label`; this is the
   /// value set a range variable on a query node with that label can take.
+  /// Served from the pair's AttrRangeIndex (its distinct values).
   const std::vector<AttrValue>& ActiveDomain(LabelId label, AttrId a) const;
 
   /// Size of the largest per-label active domain (the paper's |adom_m|).
@@ -112,6 +120,9 @@ class Graph {
   std::vector<AdjEntry> in_adj_;
   std::vector<size_t> in_offsets_;
 
+  // Distinct (from label, edge label, to label) triples, ascending.
+  std::vector<std::array<LabelId, 3>> edge_label_triples_;
+
   std::vector<NodeSet> label_index_;  // indexed by LabelId
   std::vector<NodeBitset> label_bitsets_;  // parallel to label_index_
   NodeSet empty_node_set_;
@@ -121,7 +132,6 @@ class Graph {
   std::map<std::pair<LabelId, AttrId>, AttrRangeIndex> attr_index_;
 
   std::vector<std::vector<AttrValue>> global_adom_;  // indexed by AttrId
-  std::map<std::pair<LabelId, AttrId>, std::vector<AttrValue>> label_adom_;
   std::vector<AttrValue> empty_domain_;
   size_t max_adom_size_ = 0;
   size_t max_degree_ = 0;

@@ -101,6 +101,17 @@ Result<Graph> GraphBuilder::Build() && {
       g.in_adj_[in_pos[e.to]++] = {e.from, e.label};
     }
   }
+  // Distinct (from label, edge label, to label) triples.
+  for (const EdgeRec& e : edges_) {
+    g.edge_label_triples_.push_back(
+        {g.node_labels_[e.from], e.label, g.node_labels_[e.to]});
+  }
+  std::sort(g.edge_label_triples_.begin(), g.edge_label_triples_.end());
+  g.edge_label_triples_.erase(
+      std::unique(g.edge_label_triples_.begin(), g.edge_label_triples_.end()),
+      g.edge_label_triples_.end());
+  g.edge_label_triples_.shrink_to_fit();
+
   // Out lists are already (to, label)-sorted by the global sort; in lists
   // need their own ordering for binary search and merge-joins.
   for (size_t v = 0; v < n; ++v) {
@@ -125,31 +136,27 @@ Result<Graph> GraphBuilder::Build() && {
     g.label_bitsets_.push_back(NodeBitset::FromNodes(nodes, n));
   }
 
-  // Active domains: global per attribute and per (node label, attribute),
-  // plus the attribute range indexes ((value, node) sorted per pair).
+  // Active domains: global per attribute, plus the attribute range indexes
+  // ((value, node) sorted per (node label, attribute) pair), whose distinct
+  // values are the per-label active domains.
   size_t num_attrs = g.schema_->num_attrs();
   std::vector<std::set<AttrValue>> global(num_attrs);
-  std::map<std::pair<LabelId, AttrId>, std::set<AttrValue>> per_label;
   std::map<std::pair<LabelId, AttrId>, std::vector<std::pair<AttrValue, NodeId>>>
       index_entries;
   for (NodeId v = 0; v < n; ++v) {
     for (const AttrEntry& e : g.attrs(v)) {
       global[e.attr].insert(e.value);
-      per_label[{g.node_labels_[v], e.attr}].insert(e.value);
       index_entries[{g.node_labels_[v], e.attr}].push_back({e.value, v});
     }
   }
   for (auto& [key, entries] : index_entries) {
-    g.attr_index_.emplace(key, AttrRangeIndex::Build(std::move(entries)));
+    AttrRangeIndex index = AttrRangeIndex::Build(std::move(entries));
+    g.max_adom_size_ = std::max(g.max_adom_size_, index.distinct_values().size());
+    g.attr_index_.emplace(key, std::move(index));
   }
   g.global_adom_.resize(num_attrs);
   for (size_t a = 0; a < num_attrs; ++a) {
     g.global_adom_[a].assign(global[a].begin(), global[a].end());
-  }
-  for (auto& [key, values] : per_label) {
-    auto& dom = g.label_adom_[key];
-    dom.assign(values.begin(), values.end());
-    g.max_adom_size_ = std::max(g.max_adom_size_, dom.size());
   }
 
   for (NodeId v = 0; v < n; ++v) {

@@ -25,14 +25,23 @@ namespace {
 constexpr int kDbpShards = 24;
 constexpr uint64_t kDbpSeedsPerShard = 10;
 
+/// Fine-ε dbp shards: seeds [kFineFirstSeed, kFineFirstSeed + 24), 12 per
+/// shard, at four domain values and ε = 0.01. A small ε makes the archive
+/// keep near-ties that a coarser box would merge, so a lost lattice branch
+/// shows (seed 115: serial BiQGen once dropped the refinements of a border
+/// instance its backward pass reached first).
+constexpr int kFineShards = 2;
+constexpr uint64_t kFineSeedsPerShard = 12;
+constexpr uint64_t kFineFirstSeed = 104;
+
 /// Runs every generator under test on one seeded scenario and checks each
 /// archive against the reference. Scenario sizes follow the request-stream
 /// benchmark's: three edges, two range variables (domains coarsened to
 /// `max_domain` values), one edge variable, two groups at 55% calibrated
-/// coverage, λ = 0.5 and ε = 0.05. Returns false when the seed yields no
-/// scenario (no template with a feasible root was drawn).
+/// coverage and λ = 0.5. Returns false when the seed yields no scenario (no
+/// template with a feasible root was drawn).
 bool CheckScenario(const std::string& dataset, double scale, uint64_t seed,
-                   size_t max_domain) {
+                   size_t max_domain, double epsilon = 0.05) {
   ScenarioOptions options;
   options.dataset = dataset;
   options.scale = scale;
@@ -46,7 +55,7 @@ bool CheckScenario(const std::string& dataset, double scale, uint64_t seed,
   options.max_domain_values = max_domain;
   Result<Scenario> scenario = MakeScenario(options);
   if (!scenario.ok()) return false;
-  QGenConfig config = scenario->MakeConfig(0.05);
+  QGenConfig config = scenario->MakeConfig(epsilon);
   config.diversity.lambda = 0.5;
   config.use_template_refinement = true;
   config.use_sandwich_pruning = true;
@@ -71,7 +80,7 @@ bool CheckScenario(const std::string& dataset, double scale, uint64_t seed,
       EXPECT_EQ(CheckArchive(config, result->pareto, reference), "")
           << name << " incVerify=" << incremental << " on " << dataset
           << " scale " << scale << " seed " << seed << " domains "
-          << max_domain;
+          << max_domain << " epsilon " << epsilon;
     }
   }
   return true;
@@ -93,6 +102,21 @@ TEST_P(ArchiveOracleTest, DbpScenariosPassOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Dbp, ArchiveOracleTest, testing::Range(0, kDbpShards));
+
+class ArchiveOracleFineEpsilonTest : public testing::TestWithParam<int> {};
+
+TEST_P(ArchiveOracleFineEpsilonTest, DbpScenariosPassOracle) {
+  const uint64_t first =
+      kFineFirstSeed + static_cast<uint64_t>(GetParam()) * kFineSeedsPerShard;
+  uint64_t checked = 0;
+  for (uint64_t seed = first; seed < first + kFineSeedsPerShard; ++seed) {
+    checked += CheckScenario("dbp", 0.05, seed, 4, 0.01);
+  }
+  EXPECT_EQ(checked, kFineSeedsPerShard);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dbp, ArchiveOracleFineEpsilonTest,
+                         testing::Range(0, kFineShards));
 
 class ArchiveOracleDatasetTest : public testing::TestWithParam<const char*> {};
 

@@ -36,12 +36,31 @@ NodeSet SortedSlice(const AttrRangeIndex& idx, CompareOp op, const AttrValue& x)
 }
 
 TEST(AttrRangeIndexTest, SlicesMatchBruteForceOnIntegers) {
+  // A duplicate-heavy column: 200 nodes over 7 distinct values with runs
+  // of very different lengths, inserted in shuffled order.
+  std::vector<int64_t> values;
+  for (int64_t v : {5, 1, 9, 5, 3, 7, 5, 1}) values.push_back(v);
+  const int64_t kPool[] = {-4, 1, 3, 5, 7, 9, 100};
+  Rng rng(17);
+  while (values.size() < 200) {
+    values.push_back(kPool[std::min<uint64_t>(rng.NextBounded(12), 6)]);
+  }
   std::vector<std::pair<AttrValue, NodeId>> entries;
-  int64_t values[] = {5, 1, 9, 5, 3, 7, 5, 1};
-  for (NodeId v = 0; v < 8; ++v) entries.emplace_back(AttrValue(values[v]), v);
+  for (NodeId v = 0; v < values.size(); ++v) {
+    entries.emplace_back(AttrValue(values[v]), v);
+  }
   AttrRangeIndex idx = AttrRangeIndex::Build(std::move(entries));
-  ASSERT_EQ(idx.size(), 8u);
-  for (int64_t x : {0, 1, 4, 5, 9, 12}) {
+  ASSERT_EQ(idx.size(), values.size());
+  // Every entry reports its own node's value, in ascending order.
+  for (size_t i = 0; i < idx.size(); ++i) {
+    EXPECT_EQ(idx.value_at(i), AttrValue(values[idx.node_at(i)])) << "i=" << i;
+    if (i > 0) {
+      EXPECT_FALSE(idx.value_at(i) < idx.value_at(i - 1)) << "i=" << i;
+    }
+  }
+  // Each distinct value, each gap between two, below the minimum and above
+  // the maximum.
+  for (int64_t x : {-10, -4, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 50, 100, 101}) {
     for (CompareOp op : kAllOps) {
       EXPECT_EQ(SortedSlice(idx, op, AttrValue(x)), BruteSlice(idx, op, AttrValue(x)))
           << "op=" << CompareOpToString(op) << " x=" << x;
@@ -65,17 +84,33 @@ TEST(AttrRangeIndexTest, IntAndDoubleEntriesShareNumericOrder) {
 }
 
 TEST(AttrRangeIndexTest, MixedNumericAndStringEntries) {
+  // Duplicate-heavy on both sides of the numeric/string boundary, ints and
+  // doubles mixed (4 and 4.0 are one value).
+  std::vector<AttrValue> values = {
+      AttrValue(int64_t{4}),          AttrValue(std::string("alpha")),
+      AttrValue(2.5),                 AttrValue(std::string("zeta")),
+      AttrValue(std::string("alpha")), AttrValue(4.0),
+      AttrValue(2.5),                 AttrValue(std::string("zeta")),
+      AttrValue(int64_t{4}),          AttrValue(std::string("alpha")),
+      AttrValue(std::string("m")),    AttrValue(int64_t{-1}),
+      AttrValue(std::string("alpha")), AttrValue(int64_t{4})};
   std::vector<std::pair<AttrValue, NodeId>> entries;
-  entries.push_back({AttrValue(int64_t{4}), 0});
-  entries.push_back({AttrValue(std::string("alpha")), 1});
-  entries.push_back({AttrValue(2.5), 2});
-  entries.push_back({AttrValue(std::string("zeta")), 3});
-  entries.push_back({AttrValue(std::string("alpha")), 4});
+  for (NodeId v = 0; v < values.size(); ++v) entries.push_back({values[v], v});
   AttrRangeIndex idx = AttrRangeIndex::Build(std::move(entries));
+  ASSERT_EQ(idx.size(), values.size());
+  for (size_t i = 0; i < idx.size(); ++i) {
+    EXPECT_EQ(idx.value_at(i), values[idx.node_at(i)]) << "i=" << i;
+  }
   // A numeric probe must never surface a string entry and vice versa
-  // (Compare's mixed-type rule), for every operator.
-  for (const AttrValue& x : {AttrValue(int64_t{3}), AttrValue(std::string("alpha")),
-                             AttrValue(std::string("m")), AttrValue(0.0)}) {
+  // (Compare's mixed-type rule), for every operator: probes at each
+  // distinct value, between values and beyond both ends of each region.
+  for (const AttrValue& x :
+       {AttrValue(int64_t{-5}), AttrValue(int64_t{-1}), AttrValue(0.0),
+        AttrValue(2.5), AttrValue(int64_t{3}), AttrValue(4.0),
+        AttrValue(int64_t{4}), AttrValue(int64_t{9}), AttrValue(std::string("")),
+        AttrValue(std::string("alpha")), AttrValue(std::string("b")),
+        AttrValue(std::string("m")), AttrValue(std::string("n")),
+        AttrValue(std::string("zeta")), AttrValue(std::string("zz"))}) {
     for (CompareOp op : kAllOps) {
       EXPECT_EQ(SortedSlice(idx, op, x), BruteSlice(idx, op, x))
           << "op=" << CompareOpToString(op) << " x=" << x.ToString();

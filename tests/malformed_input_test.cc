@@ -4,6 +4,7 @@
 // defect (line numbers where applicable) — never a CHECK-abort.
 
 #include <cctype>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -108,6 +109,11 @@ struct TemplateCase {
   StatusCode code;
   const char* substring;
 };
+
+// Without a printer gtest renders a case as its raw bytes, string-literal
+// addresses that move with the binary's layout and with ASLR, and those
+// bytes end up in the discovered ctest names. Print the file instead.
+void PrintTo(const TemplateCase& c, std::ostream* os) { *os << c.file; }
 
 class MalformedTemplateTest : public ::testing::TestWithParam<TemplateCase> {};
 

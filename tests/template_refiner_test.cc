@@ -1,12 +1,97 @@
 #include "core/template_refiner.h"
 
+#include <algorithm>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "core/enumerate.h"
 #include "graph/graph_builder.h"
+#include "graph/neighborhood.h"
 #include "matching/subgraph_matcher.h"
+#include "workload/scenario.h"
 
 namespace fairsqg {
 namespace {
+
+/// The reference body: materializes the whole G_q^d membership mask, then
+/// scans every node of each literal's label (range variables) and every
+/// out-edge of each edge variable's source label (edge variables).
+RefinementHints ReferenceHints(const Graph& g, const QueryTemplate& tmpl,
+                               const VariableDomains& domains,
+                               const NodeSet& matches) {
+  RefinementHints hints = RefinementHints::None(tmpl);
+  std::vector<bool> mask = DHopMask(g, matches, tmpl.Diameter());
+  for (RangeVarId x = 0; x < tmpl.num_range_vars(); ++x) {
+    const LiteralTemplate& l = tmpl.literals()[tmpl.literal_of_var(x)];
+    const std::vector<AttrValue>& values = domains.values(x);
+    std::vector<bool> keep(values.size(), false);
+    for (NodeId v : g.NodesWithLabel(tmpl.node_label(l.node))) {
+      if (!mask[v]) continue;
+      const AttrValue* value = g.GetAttr(v, l.attr);
+      if (value == nullptr) continue;
+      const size_t satisfied = static_cast<size_t>(
+          std::partition_point(values.begin(), values.end(),
+                               [&](const AttrValue& bound) {
+                                 return value->Compare(l.op, bound);
+                               }) -
+          values.begin());
+      if (satisfied > 0) keep[satisfied - 1] = true;
+    }
+    hints.restrict_range[x] = true;
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (keep[i]) {
+        hints.allowed_range_indexes[x].push_back(static_cast<int32_t>(i));
+      }
+    }
+  }
+  for (EdgeVarId x = 0; x < tmpl.num_edge_vars(); ++x) {
+    const QueryEdge& e = tmpl.edge(tmpl.edge_of_var(x));
+    bool exists = false;
+    for (NodeId v : g.NodesWithLabel(tmpl.node_label(e.from))) {
+      if (!mask[v]) continue;
+      for (const AdjEntry& adj : g.OutEdges(v)) {
+        if (adj.edge_label == e.label && mask[adj.neighbor] &&
+            g.node_label(adj.neighbor) == tmpl.node_label(e.to)) {
+          exists = true;
+        }
+      }
+    }
+    hints.edge_fixed_zero[x] = !exists;
+  }
+  return hints;
+}
+
+/// "" when `got` equals the reference hints for `matches`, else a
+/// description of the first difference.
+std::string DiffFromReference(const Graph& g, const QueryTemplate& tmpl,
+                              const VariableDomains& domains,
+                              const NodeSet& matches,
+                              const RefinementHints& got) {
+  const RefinementHints want = ReferenceHints(g, tmpl, domains, matches);
+  for (RangeVarId x = 0; x < tmpl.num_range_vars(); ++x) {
+    if (got.restrict_range[x] != want.restrict_range[x] ||
+        got.allowed_range_indexes[x] != want.allowed_range_indexes[x]) {
+      return "range variable " + std::to_string(x);
+    }
+  }
+  for (EdgeVarId x = 0; x < tmpl.num_edge_vars(); ++x) {
+    if (got.edge_fixed_zero[x] != want.edge_fixed_zero[x]) {
+      return "edge variable " + std::to_string(x);
+    }
+  }
+  return "";
+}
+
+std::string DiffFromReference(const Graph& g, const QueryTemplate& tmpl,
+                              const VariableDomains& domains,
+                              const NodeSet& matches) {
+  return DiffFromReference(
+      g, tmpl, domains, matches,
+      ComputeRefinementHints(g, tmpl, domains, matches));
+}
 
 // Two "clusters": matches live in cluster A; cluster B holds users with
 // exotic attribute values that template refinement must rule out.
@@ -191,6 +276,150 @@ TEST(TemplateRefinerTest, NeighborhoodValueBetweenDomainValuesKeepsLowerIndex) {
         << "index " << idx;
   }
 }
+
+TEST(TemplateRefinerTest, EdgeCasesMatchReference) {
+  Fixture f;
+  // Empty q(G), a seed id >= |V| (ignored), duplicate seeds, every single
+  // node, and the whole graph as seeds.
+  std::vector<NodeSet> seed_sets = {{}, {3, 1000}, {1000}, {3, 3}, {}};
+  for (NodeId v = 0; v < f.graph.num_nodes(); ++v) seed_sets.push_back({v});
+  for (NodeId v = 0; v < f.graph.num_nodes(); ++v) seed_sets.back().push_back(v);
+  for (const NodeSet& seeds : seed_sets) {
+    EXPECT_EQ(DiffFromReference(f.graph, f.tmpl, f.domains, seeds), "")
+        << "seeds of size " << seeds.size();
+  }
+}
+
+TEST(TemplateRefinerTest, OneNodeTemplateSeesOnlyTheSeeds) {
+  // Diameter 0: G_q^d is q(G) itself.
+  Fixture f;
+  QueryTemplate tmpl(f.schema);
+  QNodeId u = tmpl.AddNode("user");
+  tmpl.SetOutputNode(u);
+  tmpl.AddRangeLiteral(u, "yearsOfExp", CompareOp::kGe);  // x0
+  ASSERT_EQ(tmpl.Diameter(), 0);
+  VariableDomains domains = VariableDomains::Build(f.graph, tmpl).ValueOrDie();
+  ASSERT_EQ(domains.size(0), 5u);  // {5, 10, 12, 40, 50}
+  RefinementHints hints =
+      ComputeRefinementHints(f.graph, tmpl, domains, {1, 4});
+  EXPECT_EQ(hints.allowed_range_indexes[0], (std::vector<int32_t>{1, 3}));
+  for (NodeId v = 0; v < f.graph.num_nodes(); ++v) {
+    EXPECT_EQ(DiffFromReference(f.graph, tmpl, domains, {v}), "") << v;
+  }
+}
+
+TEST(TemplateRefinerTest, EdgeVariableOnAbsentLabelTripleStaysPinned) {
+  // No "recommend" edge runs from a director to a user (only the reverse
+  // direction occurs), so the edge variable's ceiling is 0: it is pinned
+  // whatever the seeds, even when every node is reached.
+  Fixture f;
+  QueryTemplate tmpl(f.schema);
+  QNodeId d = tmpl.AddNode("director");
+  QNodeId u = tmpl.AddNode("user");
+  tmpl.SetOutputNode(d);
+  tmpl.AddRangeLiteral(u, "yearsOfExp", CompareOp::kLe);  // x0
+  tmpl.AddEdge(u, d, "recommend");
+  tmpl.AddVariableEdge(d, u, "recommend");                // e0
+  VariableDomains domains = VariableDomains::Build(f.graph, tmpl).ValueOrDie();
+  NodeSet all(f.graph.num_nodes());
+  for (NodeId v = 0; v < all.size(); ++v) all[v] = v;
+  for (const NodeSet& seeds : {NodeSet{3}, NodeSet{6}, all}) {
+    RefinementHints hints = ComputeRefinementHints(f.graph, tmpl, domains, seeds);
+    EXPECT_TRUE(hints.edge_fixed_zero[0]);
+    EXPECT_EQ(DiffFromReference(f.graph, tmpl, domains, seeds, hints), "");
+  }
+}
+
+TEST(TemplateRefinerTest, ManyCallsOnOneThreadReuseScratch) {
+  // Alternates between two graphs of different sizes and seed sets of
+  // different reach, so each call runs over visited stamps left behind by
+  // the previous ones (and the scratch grows mid-sequence).
+  Fixture small;
+  Result<Scenario> large = [] {
+    ScenarioOptions options;
+    options.dataset = "dbp";
+    options.scale = 0.05;
+    options.seed = 3;
+    options.coverage_fraction = 0.55;
+    return MakeScenario(options);
+  }();
+  ASSERT_TRUE(large.ok()) << large.status().ToString();
+  const Graph& g = large->dataset.graph;
+  for (int call = 0; call < 600; ++call) {
+    const NodeId v = static_cast<NodeId>(call * 7919 % g.num_nodes());
+    ASSERT_EQ(DiffFromReference(g, *large->tmpl, *large->domains, {v}), "")
+        << "call " << call;
+    const NodeSet seeds =
+        call % 3 == 0 ? NodeSet{} : NodeSet{static_cast<NodeId>(call % 7)};
+    ASSERT_EQ(
+        DiffFromReference(small.graph, small.tmpl, small.domains, seeds), "")
+        << "call " << call;
+  }
+}
+
+/// Every feasible instance of a scenario's full lattice: its match set.
+std::vector<NodeSet> FeasibleMatchSets(const Scenario& scenario) {
+  QGenConfig config = scenario.MakeConfig(0.05);
+  InstanceVerifier verifier(config);
+  GenStats stats;
+  std::vector<NodeSet> out;
+  for (const EvaluatedPtr& e : FeasibleOnly(
+           VerifyAllInstances(config, &verifier, &stats).ValueOrDie())) {
+    out.push_back(e->matches);
+  }
+  return out;
+}
+
+class TemplateRefinerDifferentialTest
+    : public testing::TestWithParam<const char*> {};
+
+TEST_P(TemplateRefinerDifferentialTest, LatticeHintsMatchReference) {
+  // Hints of every feasible instance equal the reference body's, computed
+  // from one thread and, interleaved, from several (each with its own
+  // scratch).
+  constexpr size_t kThreads = 3;
+  size_t compared = 0;
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    ScenarioOptions options;
+    options.dataset = GetParam();
+    options.scale = std::string(GetParam()) == "dbp" ? 0.05 : 0.1;
+    options.seed = seed;
+    options.template_seed = seed * 97 + 1;
+    options.num_edges = 3;
+    options.num_range_vars = 2;
+    options.num_edge_vars = 1;
+    options.coverage_fraction = 0.55;
+    Result<Scenario> scenario = MakeScenario(options);
+    if (!scenario.ok()) continue;
+    const Graph& g = scenario->dataset.graph;
+    const QueryTemplate& tmpl = *scenario->tmpl;
+    const VariableDomains& domains = *scenario->domains;
+    const std::vector<NodeSet> match_sets = FeasibleMatchSets(*scenario);
+    for (const NodeSet& matches : match_sets) {
+      EXPECT_EQ(DiffFromReference(g, tmpl, domains, matches), "")
+          << GetParam() << " seed " << seed << " |q(G)| " << matches.size();
+    }
+    std::vector<std::string> diffs(match_sets.size());
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t i = t; i < match_sets.size(); i += kThreads) {
+          diffs[i] = DiffFromReference(g, tmpl, domains, match_sets[i]);
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (size_t i = 0; i < diffs.size(); ++i) {
+      EXPECT_EQ(diffs[i], "") << GetParam() << " seed " << seed
+                              << " instance " << i << " (threaded)";
+    }
+    compared += match_sets.size();
+  }
+  EXPECT_GT(compared, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Datasets, TemplateRefinerDifferentialTest,
+                         testing::Values("dbp", "lki", "cite"));
 
 }  // namespace
 }  // namespace fairsqg
