@@ -18,19 +18,6 @@ namespace fairsqg {
 
 namespace {
 
-
-/// True when the archive already ε-dominates every refinement of a parent
-/// with diversity `max_diversity` (box-level check; see rf_qgen.cc). Scans
-/// the archive's cached boxes — no allocation, no BoxOf recomputation.
-bool SubtreeCovered(const ParetoArchive& archive, double max_diversity,
-                    double max_coverage) {
-  BoxCoord bound = BoxOf({max_diversity, max_coverage}, archive.epsilon());
-  for (const ParetoArchive::Entry& e : archive.entries()) {
-    if (BoxDominatesOrEqual(e.box, bound)) return true;
-  }
-  return false;
-}
-
 /// A feasible sandwich pair (low ≺_I high) with equal boxing coordinates in
 /// one objective: everything strictly between is ε-dominated (Lemma 3).
 struct SandwichPair {
@@ -49,41 +36,67 @@ struct WorkItem {
 /// Beam width of the backward relaxation descent (DESIGN.md §4).
 constexpr size_t kBackwardBeam = 2;
 
-/// Lattice bookkeeping shared by the sequential and the parallel explorer.
-/// Everything here is written by exactly one thread (the coordinator); the
-/// parallel explorer hands out only verification work.
-struct ExplorerState {
+/// Verification slots dispatched per batch, per pool worker. Larger
+/// batches amortize the fork/join barrier but see staler pruning state.
+constexpr size_t kBatchPerWorker = 4;
+
+/// The Fig. 6 exploration, in rounds of collect → verify → fold (see
+/// BiQGen's class comment). All lattice bookkeeping is written by the
+/// calling thread only; pool workers, when there are any, only verify.
+struct BiExplorer {
+  /// One admitted frontier item and its verification result.
+  struct Slot {
+    WorkItem item;
+    bool is_forward = true;
+    std::shared_ptr<CandidateSpace> cands;  // Forward slots only.
+    EvaluatedPtr eval;
+  };
+
   const QGenConfig& config;
+  QGenResult* result;
+  ThreadPool* pool;  // Null: serial, one slot per batch.
+  /// One verifier per pool worker, or one for the calling thread.
+  std::vector<std::unique_ptr<InstanceVerifier>> verifiers;
   ParetoArchive archive;
   std::unordered_set<Instantiation, Instantiation::Hasher> visited;
   std::vector<SandwichPair> sbounds;
   std::deque<WorkItem> forward;
   std::deque<WorkItem> backward;
-  QGenResult* result;
+  std::vector<Slot> batch;
   double max_coverage;
 
   // Most recent feasible instances of each direction, paired for SBounds.
   EvaluatedPtr last_forward;
   EvaluatedPtr last_backward;
 
+  /// Whose turn is next. It flips on every turn, an empty frontier's
+  /// included, and persists across batches (Fig. 6's interleaving).
+  bool forward_turn = true;
+
   /// RunContext expired: stop dispatching further verifications.
   bool stopped = false;
 
-  ExplorerState(const QGenConfig& cfg, QGenResult* res)
+  BiExplorer(const QGenConfig& cfg, QGenResult* res, ThreadPool* p)
       : config(cfg),
-        archive(cfg.epsilon),
         result(res),
-        max_coverage(static_cast<double>(cfg.groups->total_constraint())) {}
+        pool(p),
+        archive(cfg.epsilon),
+        max_coverage(static_cast<double>(cfg.groups->total_constraint())) {
+    const size_t n = pool != nullptr ? pool->num_workers() : 1;
+    for (size_t w = 0; w < n; ++w) {
+      verifiers.push_back(std::make_unique<InstanceVerifier>(cfg));
+    }
+  }
 
   bool Budget() const {
     return !stopped && (config.max_verifications == 0 ||
                         result->stats.verified < config.max_verifications);
   }
 
-  /// Polls the RunContext at a coordinator-side scheduling point (once per
-  /// verification about to be dispatched); true once expired. Only the
-  /// thread owning the exploration state may call this, so parallel runs
-  /// stay deterministic under poll-budget cancellation.
+  /// Polls the RunContext at a scheduling point (once per verification
+  /// about to be dispatched); true once expired. Only the calling thread
+  /// polls, so parallel runs stay deterministic under poll-budget
+  /// cancellation.
   bool PollStop() {
     if (stopped) return true;
     if (config.run_context != nullptr &&
@@ -138,20 +151,6 @@ struct ExplorerState {
         static_cast<EdgeVarId>(step.var_index - config.tmpl->num_range_vars()));
   }
 
-  /// Sort + beam of backward relaxation children: prefer relaxing the most
-  /// refined bindings (largest step back toward the feasibility border);
-  /// keep at most kBackwardBeam. Returns how many were dropped.
-  size_t ApplyBackwardBeam(std::vector<LatticeStep>* children) const {
-    std::sort(children->begin(), children->end(),
-              [&](const LatticeStep& a, const LatticeStep& b) {
-                return StepDepth(a) > StepDepth(b);
-              });
-    if (children->size() <= kBackwardBeam) return 0;
-    size_t dropped = children->size() - kBackwardBeam;
-    children->resize(kBackwardBeam);
-    return dropped;
-  }
-
   /// A sandwich-pruned forward item skips the expensive verification and
   /// the archive update (Lemma 3 guarantees it is ε-dominated) but still
   /// spawns its children with the *ancestor's* verification context —
@@ -168,56 +167,6 @@ struct ExplorerState {
     }
   }
 
-  void SeedFrontiers() {
-    Instantiation root = Instantiation::MostRelaxed(*config.tmpl);
-    Instantiation bottom =
-        Instantiation::MostRefined(*config.tmpl, *config.domains);
-    forward.push_back({root, nullptr});
-    ++result->stats.generated;
-    if (bottom != root) {
-      backward.push_back({bottom, nullptr});
-      ++result->stats.generated;
-    }
-  }
-};
-
-/// Sequential explorer — the paper's Fig. 6 interleaving, one lattice step
-/// at a time.
-struct BiExplorer : ExplorerState {
-  InstanceVerifier verifier;
-
-  BiExplorer(const QGenConfig& cfg, QGenResult* res)
-      : ExplorerState(cfg, res), verifier(cfg) {}
-
-  /// One forward step (lines 4-9): verify, update, spawn refinements.
-  void StepForward() {
-    WorkItem item = std::move(forward.front());
-    forward.pop_front();
-    if (!visited.insert(item.inst).second) {
-      ++result->stats.pruned;
-      return;
-    }
-    if (SPrune(item.inst)) {
-      ++result->stats.pruned;
-      ++result->stats.pruned_sandwich;
-      SpawnSandwichedForward(item);
-      return;
-    }
-    if (PollStop()) return;
-
-    auto cands = std::make_shared<CandidateSpace>();
-    EvaluatedPtr eval = verifier.Verify(item.inst, item.ctx.get(), cands.get());
-    if (eval == nullptr) return;  // Aborted mid-match; subtree abandoned.
-    ++result->stats.verified;
-    if (!eval->feasible) return;  // Refinements stay infeasible (Lemma 2).
-    ++result->stats.feasible;
-    archive.Update(eval);
-    Trace();
-    last_forward = eval;
-    UpdateSBounds(last_forward, last_backward);
-    SpawnRefinements(eval, std::move(cands));
-  }
-
   /// Pushes the refinement children of a feasible verified instance onto
   /// the forward frontier, with `eval` (and its candidate space, when
   /// known) as their context — unless every refinement is already
@@ -225,7 +174,7 @@ struct BiExplorer : ExplorerState {
   void SpawnRefinements(const EvaluatedPtr& eval,
                         std::shared_ptr<const CandidateSpace> cands) {
     if (config.use_subtree_pruning &&
-        SubtreeCovered(archive, eval->obj.diversity, max_coverage)) {
+        archive.SubtreeCovered(eval->obj.diversity, max_coverage)) {
       ++result->stats.pruned_subtree;
       return;
     }
@@ -244,47 +193,24 @@ struct BiExplorer : ExplorerState {
     }
   }
 
-  /// One backward step (lines 10-15): verify; if feasible the feasibility
-  /// border has been reached — record the instance, stop relaxing (the
-  /// forward exploration owns the downward-closed feasible region) and hand
-  /// its refinements to the forward frontier, since the instance is now
-  /// `visited` and the forward pass would drop it before spawning them; if
-  /// infeasible, descend further with a bounded-width beam of relaxations
-  /// so the backward pass homes in on the high-coverage border instead of
-  /// sweeping the whole infeasible upper set (DESIGN.md §4).
-  void StepBackward() {
-    WorkItem item = std::move(backward.front());
-    backward.pop_front();
-    if (!visited.insert(item.inst).second) {
-      ++result->stats.pruned;
-      return;
-    }
-    if (SPrune(item.inst)) {
-      ++result->stats.pruned;
-      ++result->stats.pruned_sandwich;
-      return;
-    }
-    if (PollStop()) return;
-    EvaluatedPtr eval = verifier.Verify(item.inst, item.ctx.get());
-    if (eval == nullptr) return;  // Aborted mid-match; descent abandoned.
-    ++result->stats.verified;
-    if (eval->feasible) {
-      ++result->stats.feasible;
-      archive.Update(eval);
-      Trace();
-      last_backward = eval;
-      UpdateSBounds(last_forward, last_backward);
-      SpawnRefinements(eval, nullptr);
-      return;  // Border reached; relaxations belong to the forward region.
-    }
-
-    std::vector<LatticeStep> children =
-        LatticeNeighbors::RelaxChildren(*config.tmpl, *config.domains, item.inst);
+  /// Pushes at most kBackwardBeam relaxations of an infeasible backward
+  /// instance to the front of the backward frontier, preferring to relax
+  /// the most refined bindings (the largest step back toward the
+  /// feasibility border). The depth-first descent homes in on the
+  /// high-coverage border instead of sweeping the whole infeasible upper
+  /// set (DESIGN.md §4).
+  void SpawnRelaxations(const EvaluatedPtr& eval) {
+    std::vector<LatticeStep> children = LatticeNeighbors::RelaxChildren(
+        *config.tmpl, *config.domains, eval->inst);
     result->stats.generated += children.size();
-    size_t dropped = ApplyBackwardBeam(&children);
-    result->stats.pruned += dropped;
-    // Depth-first descent: dive straight down to the feasibility border
-    // so the high-coverage instances surface within the first few rounds.
+    std::sort(children.begin(), children.end(),
+              [&](const LatticeStep& a, const LatticeStep& b) {
+                return StepDepth(a) > StepDepth(b);
+              });
+    if (children.size() > kBackwardBeam) {
+      result->stats.pruned += children.size() - kBackwardBeam;
+      children.resize(kBackwardBeam);
+    }
     auto ctx =
         std::make_shared<const VerifyContext>(VerifyContext{eval, nullptr});
     for (size_t i = children.size(); i-- > 0;) {
@@ -292,59 +218,21 @@ struct BiExplorer : ExplorerState {
     }
   }
 
-  void Run() {
-    FAIRSQG_TRACE_SPAN("bi_qgen.explore");
-    SeedFrontiers();
-    while ((!forward.empty() || !backward.empty()) && Budget()) {
-      if (!forward.empty()) StepForward();
-      if (!backward.empty() && Budget()) StepBackward();
-    }
-    FoldVerifierStats(verifier, &result->stats);
-  }
-};
-
-/// Parallel explorer — coordinator/worker exploration over a work-stealing
-/// pool (see BiQGen's class comment for the batching semantics).
-///
-/// Division of labour per batch:
-///  - the coordinator pops frontier items, applies `visited` dedup and
-///    SPrune (both depend on coordinator-only state), and builds a batch
-///    of verification slots;
-///  - pool workers verify slots with their private InstanceVerifier and
-///    *speculatively* compute the refinement hints and lattice children of
-///    feasible results (the expensive, state-free part of a step);
-///  - the coordinator folds results back in slot order: archive update,
-///    sandwich-pair recording, subtree pruning, frontier pushes. Folding
-///    in slot order makes the run deterministic for a fixed thread count.
-struct ParallelBiExplorer : ExplorerState {
-  /// Verification slots dispatched per batch, per pool worker. Larger
-  /// batches amortize the fork/join barrier but see staler pruning state.
-  static constexpr size_t kBatchPerWorker = 4;
-
-  ThreadPool pool;
-  std::vector<std::unique_ptr<InstanceVerifier>> verifiers;
-
-  struct Slot {
-    WorkItem item;
-    bool is_forward = true;
-    // Worker outputs.
-    EvaluatedPtr eval;
-    std::shared_ptr<CandidateSpace> cands;     // Forward slots only.
-    std::vector<LatticeStep> children;
-    size_t beam_dropped = 0;                   // Backward slots only.
-  };
-
-  ParallelBiExplorer(const QGenConfig& cfg, QGenResult* res,
-                     size_t num_threads)
-      : ExplorerState(cfg, res), pool(num_threads) {
-    verifiers.reserve(pool.num_workers());
-    for (size_t w = 0; w < pool.num_workers(); ++w) {
-      verifiers.push_back(std::make_unique<InstanceVerifier>(cfg));
+  void SeedFrontiers() {
+    Instantiation root = Instantiation::MostRelaxed(*config.tmpl);
+    Instantiation bottom =
+        Instantiation::MostRefined(*config.tmpl, *config.domains);
+    forward.push_back({root, nullptr});
+    ++result->stats.generated;
+    if (bottom != root) {
+      backward.push_back({bottom, nullptr});
+      ++result->stats.generated;
     }
   }
 
   size_t BatchLimit() const {
-    size_t limit = pool.num_workers() * kBatchPerWorker;
+    size_t limit =
+        pool != nullptr ? pool->num_workers() * kBatchPerWorker : 1;
     if (config.max_verifications > 0) {
       // Budget() held on entry, so `remaining` is positive; the cap keeps
       // the batch from overshooting max_verifications.
@@ -354,21 +242,20 @@ struct ParallelBiExplorer : ExplorerState {
     return limit;
   }
 
-  /// Pops frontier items into `batch`, alternating directions like the
-  /// sequential interleaving; visited/sandwich-pruned items are consumed
-  /// here (sandwiched forward items spawn their children immediately).
-  /// RunContext polling happens here, once per admitted slot, on the
-  /// coordinator only: workers never observe poll-budget expiry, so the
-  /// dispatched set is an exact deterministic prefix and the final batch
-  /// always completes and folds fully (deterministic pool drain).
-  void CollectBatch(std::vector<Slot>* batch) {
-    batch->clear();
+  /// Pops frontier items into `batch`, taking turns between the two
+  /// frontiers (lines 4 and 10 of Fig. 6). `visited` and sandwich-pruned
+  /// items are consumed here (sandwiched forward items spawn their
+  /// children at once). The RunContext is polled once per admitted slot,
+  /// so the dispatched set is an exact prefix and the last batch always
+  /// completes and folds fully.
+  void CollectBatch() {
+    batch.clear();
     const size_t limit = BatchLimit();
-    bool prefer_forward = true;
-    while (batch->size() < limit && (!forward.empty() || !backward.empty())) {
-      bool take_forward = prefer_forward ? !forward.empty() : backward.empty();
-      prefer_forward = !prefer_forward;
-      std::deque<WorkItem>& src = take_forward ? forward : backward;
+    while (batch.size() < limit && (!forward.empty() || !backward.empty())) {
+      const bool is_forward = forward_turn;
+      forward_turn = !forward_turn;
+      std::deque<WorkItem>& src = is_forward ? forward : backward;
+      if (src.empty()) continue;
       WorkItem item = std::move(src.front());
       src.pop_front();
       if (!visited.insert(item.inst).second) {
@@ -378,120 +265,87 @@ struct ParallelBiExplorer : ExplorerState {
       if (SPrune(item.inst)) {
         ++result->stats.pruned;
         ++result->stats.pruned_sandwich;
-        if (take_forward) SpawnSandwichedForward(item);
+        if (is_forward) SpawnSandwichedForward(item);
         continue;
       }
       if (PollStop()) break;
-      Slot slot;
-      slot.item = std::move(item);
-      slot.is_forward = take_forward;
-      batch->push_back(std::move(slot));
+      batch.push_back({std::move(item), is_forward, nullptr, nullptr});
     }
   }
 
-  /// Runs on a pool worker: verify with the worker-private verifier, then
-  /// precompute the children of the step. Only reads shared state that is
+  /// Verifies one slot. On a pool worker it reads only state that is
   /// immutable during the batch (graph, template, domains, parent
-  /// contexts); all mutation is confined to the slot and the verifier.
-  void VerifySlot(Slot* slot) {
-    InstanceVerifier& verifier = *verifiers[pool.WorkerIndex()];
-    if (slot->is_forward) {
-      slot->cands = std::make_shared<CandidateSpace>();
-      slot->eval = verifier.Verify(slot->item.inst, slot->item.ctx.get(),
-                                   slot->cands.get());
-      if (slot->eval == nullptr || !slot->eval->feasible) return;
-      // Speculative: wasted only if the fold subtree-prunes this slot.
-      RefinementHints hints =
-          config.use_template_refinement
-              ? ComputeRefinementHints(*config.graph, *config.tmpl,
-                                       *config.domains, slot->eval->matches)
-              : RefinementHints::None(*config.tmpl);
-      slot->children = LatticeNeighbors::RefineChildren(
-          *config.tmpl, *config.domains, slot->item.inst, hints);
-    } else {
-      slot->eval = verifier.Verify(slot->item.inst, slot->item.ctx.get());
-      if (slot->eval == nullptr || slot->eval->feasible) return;
-      slot->children = LatticeNeighbors::RelaxChildren(
-          *config.tmpl, *config.domains, slot->item.inst);
-      slot->beam_dropped = ApplyBackwardBeam(&slot->children);
-    }
+  /// contexts) and writes only the slot and the worker's verifier.
+  static void VerifySlot(Slot* slot, InstanceVerifier* verifier) {
+    if (slot->is_forward) slot->cands = std::make_shared<CandidateSpace>();
+    slot->eval = verifier->Verify(slot->item.inst, slot->item.ctx.get(),
+                                  slot->cands.get());
   }
 
-  /// Coordinator-only: fold one verified slot back into the exploration
-  /// state (mirrors the post-verification halves of Step{Forward,Backward}).
-  void FoldSlot(Slot& slot) {
-    if (slot.eval == nullptr) return;  // Aborted mid-match (hard expiry).
-    ++result->stats.verified;
-    if (slot.is_forward) {
-      if (!slot.eval->feasible) return;
-      ++result->stats.feasible;
-      archive.Update(slot.eval);
-      Trace();
-      last_forward = slot.eval;
-      UpdateSBounds(last_forward, last_backward);
-      if (config.use_subtree_pruning &&
-          SubtreeCovered(archive, slot.eval->obj.diversity, max_coverage)) {
-        ++result->stats.pruned_subtree;
-        return;
-      }
-      result->stats.generated += slot.children.size();
-      auto ctx = std::make_shared<const VerifyContext>(
-          VerifyContext{slot.eval, std::move(slot.cands)});
-      for (LatticeStep& child : slot.children) {
-        forward.push_back({std::move(child.inst), ctx});
-      }
-    } else {
-      if (slot.eval->feasible) {
-        ++result->stats.feasible;
-        archive.Update(slot.eval);
-        Trace();
-        last_backward = slot.eval;
-        UpdateSBounds(last_forward, last_backward);
-        return;  // Border reached (see StepBackward).
-      }
-      result->stats.generated += slot.children.size() + slot.beam_dropped;
-      result->stats.pruned += slot.beam_dropped;
-      auto ctx = std::make_shared<const VerifyContext>(
-          VerifyContext{slot.eval, nullptr});
-      for (size_t i = slot.children.size(); i-- > 0;) {
-        backward.push_front({std::move(slot.children[i].inst), ctx});
-      }
+  void VerifyBatch() {
+    if (pool == nullptr) {
+      for (Slot& slot : batch) VerifySlot(&slot, verifiers.front().get());
+      return;
     }
+    result->stats.enqueued += batch.size();
+    FAIRSQG_TRACE_SPAN_FULL("bi_qgen.batch");
+    for (Slot& slot : batch) {
+      pool->Submit([this, &slot] {
+        VerifySlot(&slot, verifiers[pool->WorkerIndex()].get());
+      });
+    }
+    pool->Wait();
+  }
+
+  /// Folds one verified slot back into the exploration state (the
+  /// post-verification part of lines 4-17 of Fig. 6). A feasible backward
+  /// instance has reached the feasibility border: relaxing it further
+  /// belongs to the forward region, and since it is now `visited` the
+  /// forward pass would drop it, so its refinements go to the forward
+  /// frontier here.
+  void FoldSlot(Slot& slot) {
+    const EvaluatedPtr& eval = slot.eval;
+    if (eval == nullptr) return;  // Aborted mid-match; branch abandoned.
+    ++result->stats.verified;
+    if (!eval->feasible) {
+      // Refinements of an infeasible instance stay infeasible (Lemma 2).
+      if (!slot.is_forward) SpawnRelaxations(eval);
+      return;
+    }
+    ++result->stats.feasible;
+    archive.Update(eval);
+    Trace();
+    (slot.is_forward ? last_forward : last_backward) = eval;
+    UpdateSBounds(last_forward, last_backward);
+    SpawnRefinements(eval, std::move(slot.cands));
   }
 
   void Run() {
-    FAIRSQG_TRACE_SPAN("bi_qgen.explore_parallel");
+    FAIRSQG_TRACE_SPAN("bi_qgen.explore");
     SeedFrontiers();
-    std::vector<Slot> batch;
     while ((!forward.empty() || !backward.empty()) && Budget()) {
-      CollectBatch(&batch);
-      if (batch.empty()) continue;  // Whole batch pruned; refill.
-      result->stats.enqueued += batch.size();
-      {
-        FAIRSQG_TRACE_SPAN_FULL("bi_qgen.batch");
-        for (Slot& slot : batch) {
-          pool.Submit([this, &slot] { VerifySlot(&slot); });
-        }
-        pool.Wait();
-      }
+      CollectBatch();
+      if (batch.empty()) continue;  // Every popped item was pruned.
+      VerifyBatch();
+      // Slot order, not completion order: deterministic per thread count.
       for (Slot& slot : batch) FoldSlot(slot);
     }
     for (const std::unique_ptr<InstanceVerifier>& v : verifiers) {
-      result->stats.per_worker_verify_seconds.push_back(v->verify_seconds());
+      if (pool != nullptr) {
+        result->stats.per_worker_verify_seconds.push_back(v->verify_seconds());
+      }
       FoldVerifierStats(*v, &result->stats);
     }
-    result->stats.stolen = pool.stats().stolen;
+    if (pool != nullptr) result->stats.stolen = pool->stats().stolen;
   }
 };
 
-}  // namespace
-
-Result<QGenResult> BiQGen::Run(const QGenConfig& config) {
-  FAIRSQG_RETURN_NOT_OK(config.Validate());
-  FAIRSQG_TRACE_SPAN("bi_qgen.run");
-  Timer timer;
+/// The part of Run and RunParallel after validation: explore with `pool`
+/// (null: serially) and return the sorted archive.
+Result<QGenResult> Explore(const QGenConfig& config, ThreadPool* pool,
+                           const Timer& timer) {
   QGenResult result;
-  BiExplorer explorer(config, &result);
+  BiExplorer explorer(config, &result, pool);
   explorer.Run();
   if (config.run_context != nullptr && config.run_context->Expired()) {
     result.stats.deadline_exceeded = true;
@@ -500,6 +354,15 @@ Result<QGenResult> BiQGen::Run(const QGenConfig& config) {
   result.stats.total_seconds = timer.ElapsedSeconds();
   FAIRSQG_RETURN_NOT_OK(ApplyExpiryPolicy(config, result.stats));
   return result;
+}
+
+}  // namespace
+
+Result<QGenResult> BiQGen::Run(const QGenConfig& config) {
+  FAIRSQG_RETURN_NOT_OK(config.Validate());
+  FAIRSQG_TRACE_SPAN("bi_qgen.run");
+  Timer timer;
+  return Explore(config, nullptr, timer);
 }
 
 Result<QGenResult> BiQGen::RunParallel(const QGenConfig& config,
@@ -511,7 +374,6 @@ Result<QGenResult> BiQGen::RunParallel(const QGenConfig& config,
   FAIRSQG_RETURN_NOT_OK(config.Validate());
   FAIRSQG_TRACE_SPAN("bi_qgen.run_parallel");
   Timer timer;
-  QGenResult result;
   // Build the diversity precompute once and share it read-only across the
   // per-worker verifiers instead of redoing it per verifier.
   QGenConfig cfg = config;
@@ -520,15 +382,8 @@ Result<QGenResult> BiQGen::RunParallel(const QGenConfig& config,
         *cfg.graph, cfg.tmpl->node_label(cfg.tmpl->output_node()),
         cfg.diversity.relevance);
   }
-  ParallelBiExplorer explorer(cfg, &result, num_threads);
-  explorer.Run();
-  if (config.run_context != nullptr && config.run_context->Expired()) {
-    result.stats.deadline_exceeded = true;
-  }
-  result.pareto = explorer.archive.SortedEntries();
-  result.stats.total_seconds = timer.ElapsedSeconds();
-  FAIRSQG_RETURN_NOT_OK(ApplyExpiryPolicy(config, result.stats));
-  return result;
+  ThreadPool pool(num_threads);
+  return Explore(cfg, &pool, timer);
 }
 
 }  // namespace fairsqg

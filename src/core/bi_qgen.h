@@ -18,16 +18,20 @@ namespace fairsqg {
 /// balances high-diversity (forward) and high-coverage (backward)
 /// instances (Section V, Fig. 9(e)).
 ///
-/// With `num_threads > 1` the exploration runs in coordinator/worker form:
-/// the coordinator owns all lattice bookkeeping (frontiers, `visited`,
-/// sandwich pairs, the archive — strictly single-writer) and dispatches
-/// batches of work items to a work-stealing ThreadPool whose workers each
-/// own a private InstanceVerifier (memo caches stay thread-private).
-/// Verification results are folded back in batch order, so the output is
-/// deterministic for a fixed thread count. Batching relaxes *when* pruning
-/// information becomes available (prunes may trigger a batch later than in
-/// the sequential interleaving) but never what the archive guarantees: the
-/// result still ε-covers the full feasible space.
+/// Both entry points drive one explorer in rounds: pop a batch of frontier
+/// items, taking turns between the two frontiers; verify the batch; fold
+/// the results back in slot order (archive update, sandwich pairs, subtree
+/// pruning, refinement hints and children, the backward beam). All lattice
+/// bookkeeping (frontiers, `visited`, sandwich pairs, the archive) is
+/// written by the calling thread only. `Run` verifies one slot per round
+/// on the calling thread, which is exactly Fig. 6's serial interleaving.
+/// `RunParallel` dispatches several slots per pool worker to a
+/// work-stealing ThreadPool whose workers each own a private
+/// InstanceVerifier (memo caches stay thread-private); folding in slot
+/// order makes the output deterministic for a fixed thread count. Batching
+/// relaxes *when* pruning information becomes available (a prune may take
+/// effect a batch later than in the serial order) but never what the
+/// archive guarantees: the result still ε-covers the full feasible space.
 class BiQGen {
  public:
   /// Sequential exploration (the paper's Fig. 6).

@@ -26,6 +26,17 @@ UpdateOutcome ParetoArchive::Classify(const EvaluatedInstance& q) const {
   return any_dominated ? UpdateOutcome::kReplacedBoxes : UpdateOutcome::kAddedNewBox;
 }
 
+bool ParetoArchive::SubtreeCovered(double max_diversity,
+                                   double max_coverage) const {
+  BoxCoord bound = BoxOf({max_diversity, max_coverage}, epsilon_);
+  // The cached per-entry boxes make this a non-allocating scan on the
+  // feasible-verification hot path.
+  for (const Entry& e : entries_) {
+    if (BoxDominatesOrEqual(e.box, bound)) return true;
+  }
+  return false;
+}
+
 UpdateOutcome ParetoArchive::Update(EvaluatedPtr q) {
   BoxCoord box = BoxOf(q->obj, epsilon_);
 

@@ -78,13 +78,25 @@ class ParetoArchive {
   std::vector<EvaluatedPtr> Entries() const;
 
   /// Non-allocating view of the members with their cached boxes — the
-  /// accessor for per-verification scans (SubtreeCovered, Classify-style
-  /// dry runs, nearest-neighbour searches).
+  /// accessor for per-verification scans (Classify-style dry runs,
+  /// nearest-neighbour searches).
   const std::vector<Entry>& entries() const { return entries_; }
 
   /// Members sorted by descending diversity (ties: ascending coverage; two
   /// members never share both, since they would share a box).
   std::vector<EvaluatedPtr> SortedEntries() const;
+
+  /// True when the archive already ε-dominates every instance a subtree
+  /// rooted at a parent with diversity `max_diversity` can produce
+  /// (children only lose diversity, and coverage never exceeds
+  /// `max_coverage`, the total constraint C). RfQGen and BiQGen skip such a
+  /// parent's refinements.
+  ///
+  /// The check is at box level: a member whose box dominates-or-equals the
+  /// bound's box keeps covering the subtree across later archive
+  /// replacements (replacements preserve box dominance), whereas a raw
+  /// value-level ε-dominance check would degrade to 2ε under replacement.
+  bool SubtreeCovered(double max_diversity, double max_coverage) const;
 
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }

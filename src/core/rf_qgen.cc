@@ -13,25 +13,6 @@ namespace fairsqg {
 
 namespace {
 
-/// True when the archive already ε-dominates every instance a subtree
-/// rooted at a parent with diversity `max_diversity` can produce (children
-/// only lose diversity, and coverage never exceeds C).
-///
-/// The check is at box level: a member whose box dominates-or-equals the
-/// bound's box keeps covering the subtree across later archive
-/// replacements (replacements preserve box dominance), whereas a raw
-/// value-level ε-dominance check would degrade to 2ε under replacement.
-bool SubtreeCovered(const ParetoArchive& archive, double max_diversity,
-                    double max_coverage) {
-  BoxCoord bound = BoxOf({max_diversity, max_coverage}, archive.epsilon());
-  // The cached per-entry boxes make this a non-allocating scan on the
-  // feasible-verification hot path.
-  for (const ParetoArchive::Entry& e : archive.entries()) {
-    if (BoxDominatesOrEqual(e.box, bound)) return true;
-  }
-  return false;
-}
-
 struct Explorer {
   const QGenConfig& config;
   InstanceVerifier verifier;
@@ -84,7 +65,7 @@ struct Explorer {
     }
 
     if (config.use_subtree_pruning &&
-        SubtreeCovered(archive, eval->obj.diversity, max_coverage)) {
+        archive.SubtreeCovered(eval->obj.diversity, max_coverage)) {
       // Every refinement of `inst` is already ε-dominated.
       ++result->stats.pruned_subtree;
       return;

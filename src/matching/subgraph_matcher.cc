@@ -112,7 +112,7 @@ bool SubgraphMatcher::ExistsEmbedding(const QueryInstance& /*q*/,
   auto extend = [&](auto&& self, size_t pos) -> bool {
     if (pos == n) return true;
     ++stats_.backtrack_steps;
-    FAIRSQG_FAULT_POINT("matcher.step");
+    (void)FAIRSQG_FAULT_POINT("matcher.step");
     if (budget->Tick()) return false;
     QNodeId u = plan.order[pos];
     const auto& constraints = plan.constraints[pos];

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -169,6 +171,75 @@ TEST(BiQGenTest, SandwichPruningPreservesQuality) {
     ExpectEpsilonCoverage(result.pareto, truth.feasible, config.epsilon,
                           "BiQGen(sandwich toggle)");
   }
+}
+
+/// Serial BiQGen's exploration order pinned: the sorted archive and the
+/// lattice counters of a run.
+struct PinnedBiRun {
+  size_t generated, verified, pruned, pruned_sandwich, pruned_subtree,
+      feasible;
+  std::vector<std::string> archive;  // Instantiation::ToString, sorted order.
+};
+
+void ExpectPinnedBiRun(const QGenConfig& base, const QueryTemplate& tmpl,
+                       const VariableDomains& domains,
+                       const PinnedBiRun& want) {
+  for (bool incremental : {true, false}) {
+    SCOPED_TRACE(incremental ? "incVerify on" : "incVerify off");
+    QGenConfig config = base;
+    config.use_incremental_verify = incremental;
+    QGenResult r = BiQGen::Run(config).ValueOrDie();
+    std::vector<std::string> archive;
+    for (const EvaluatedPtr& q : r.pareto) {
+      archive.push_back(q->inst.ToString(tmpl, domains));
+    }
+    EXPECT_EQ(archive, want.archive);
+    EXPECT_EQ(r.stats.generated, want.generated);
+    EXPECT_EQ(r.stats.verified, want.verified);
+    EXPECT_EQ(r.stats.pruned, want.pruned);
+    EXPECT_EQ(r.stats.pruned_sandwich, want.pruned_sandwich);
+    EXPECT_EQ(r.stats.pruned_subtree, want.pruned_subtree);
+    EXPECT_EQ(r.stats.feasible, want.feasible);
+    // Serial runs dispatch nothing to a pool.
+    EXPECT_EQ(r.stats.enqueued, 0u);
+    EXPECT_EQ(r.stats.stolen, 0u);
+    EXPECT_TRUE(r.stats.per_worker_verify_seconds.empty());
+  }
+}
+
+TEST(BiQGenTest, SerialExplorationOrderIsPinnedOnSmallScenario) {
+  SmallScenario s;
+  ExpectPinnedBiRun(s.Config(0.05), *s.tmpl, *s.domains,
+                    {151, 38, 113, 33, 6, 29,
+                     {"[x0=_ x1=_ | e0=0]", "[x0=22 x1=2500 | e0=0]",
+                      "[x0=29 x1=_ | e0=0]", "[x0=_ x1=25000 | e0=1]"}});
+}
+
+/// The archive oracle's dbp scenario at four domain values and ε = 0.01.
+void ExpectPinnedDbpRun(uint64_t seed, const PinnedBiRun& want) {
+  Scenario scenario =
+      MakeScenario(OracleScenarioOptions("dbp", 0.05, seed, 4)).ValueOrDie();
+  QGenConfig config = scenario.MakeConfig(0.01);
+  config.diversity.lambda = 0.5;
+  config.use_sweep_verify = true;
+  ExpectPinnedBiRun(config, *scenario.tmpl, *scenario.domains, want);
+}
+
+TEST(BiQGenTest, SerialExplorationOrderIsPinnedOnDbpSeed44) {
+  ExpectPinnedDbpRun(44, {98, 42, 56, 0, 0, 19,
+                          {"[x0=_ x1=_ | e0=0]", "[x0=5.4 x1=_ | e0=0]",
+                           "[x0=_ x1=16 | e0=0]", "[x0=5.4 x1=_ | e0=1]",
+                           "[x0=_ x1=16 | e0=1]", "[x0=_ x1=61 | e0=0]"}});
+}
+
+TEST(BiQGenTest, SerialExplorationOrderIsPinnedOnDbpSeed115) {
+  // A feasible border instance reached by the backward pass first must
+  // still hand its refinements to the forward frontier.
+  ExpectPinnedDbpRun(115, {105, 45, 60, 0, 0, 19,
+                           {"[x0=_ x1=_ | e0=0]", "[x0=1 x1=_ | e0=0]",
+                            "[x0=1 x1=16100 | e0=0]", "[x0=2 x1=_ | e0=0]",
+                            "[x0=_ x1=4800 | e0=0]", "[x0=2 x1=16100 | e0=0]",
+                            "[x0=_ x1=_ | e0=1]"}});
 }
 
 TEST(CbmTest, AnchorsAreNonDominatedAndIncludeExtremes) {

@@ -1,9 +1,9 @@
 // Archive oracle: on many small seeded scenarios, the archives of RfQGen,
-// BiQGen and BiQGen::RunParallel — every pruning and verification toggle
-// on, incVerify on and off — are checked from scratch against a serial
-// EnumQGen reference (archive_oracle.h). A generator that misses a
-// feasible instance's box, or reports a match set or objective its
-// instantiation does not have, fails here.
+// BiQGen and BiQGen::RunParallel at 2 and 4 threads — every pruning and
+// verification toggle on, incVerify on and off — are checked from scratch
+// against a serial EnumQGen reference (archive_oracle.h). A generator that
+// misses a feasible instance's box, or reports a match set or objective
+// its instantiation does not have, fails here.
 
 #include <functional>
 #include <string>
@@ -15,7 +15,7 @@
 #include "archive_oracle.h"
 #include "core/bi_qgen.h"
 #include "core/rf_qgen.h"
-#include "workload/scenario.h"
+#include "scenario_fixture.h"
 
 namespace fairsqg {
 namespace {
@@ -34,26 +34,14 @@ constexpr int kFineShards = 2;
 constexpr uint64_t kFineSeedsPerShard = 12;
 constexpr uint64_t kFineFirstSeed = 104;
 
-/// Runs every generator under test on one seeded scenario and checks each
-/// archive against the reference. Scenario sizes follow the request-stream
-/// benchmark's: three edges, two range variables (domains coarsened to
-/// `max_domain` values), one edge variable, two groups at 55% calibrated
-/// coverage and λ = 0.5. Returns false when the seed yields no scenario (no
-/// template with a feasible root was drawn).
+/// Runs every generator under test on one seeded scenario
+/// (OracleScenarioOptions, λ = 0.5) and checks each archive against the
+/// reference. Returns false when the seed yields no scenario (no template
+/// with a feasible root was drawn).
 bool CheckScenario(const std::string& dataset, double scale, uint64_t seed,
                    size_t max_domain, double epsilon = 0.05) {
-  ScenarioOptions options;
-  options.dataset = dataset;
-  options.scale = scale;
-  options.seed = seed;
-  options.template_seed = seed * 97 + 1;
-  options.num_edges = 3;
-  options.num_range_vars = 2;
-  options.num_edge_vars = 1;
-  options.num_groups = 2;
-  options.coverage_fraction = 0.55;
-  options.max_domain_values = max_domain;
-  Result<Scenario> scenario = MakeScenario(options);
+  Result<Scenario> scenario =
+      MakeScenario(OracleScenarioOptions(dataset, scale, seed, max_domain));
   if (!scenario.ok()) return false;
   QGenConfig config = scenario->MakeConfig(epsilon);
   config.diversity.lambda = 0.5;
@@ -70,6 +58,8 @@ bool CheckScenario(const std::string& dataset, double scale, uint64_t seed,
       {"BiQGen", BiQGen::Run},
       {"BiQGen::RunParallel(2)",
        [](const QGenConfig& c) { return BiQGen::RunParallel(c, 2); }},
+      {"BiQGen::RunParallel(4)",
+       [](const QGenConfig& c) { return BiQGen::RunParallel(c, 4); }},
   };
   for (bool incremental : {true, false}) {
     config.use_incremental_verify = incremental;

@@ -131,21 +131,40 @@ TEST(ParallelBiQGenTest, EpsilonCoversFullFeasibleSpace) {
   EXPECT_TRUE(EpsilonCovers(par.pareto, FeasibleOnly(all), config.epsilon));
 }
 
+/// Two RunParallel runs at each of 2, 3 and 4 threads: batches are
+/// collected and folded in slot order, so two runs at the same thread
+/// count are bit-identical whatever the scheduling.
+void ExpectDeterministicPerThreadCount(const QGenConfig& config) {
+  for (size_t threads : {2, 3, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    QGenResult a = BiQGen::RunParallel(config, threads).ValueOrDie();
+    QGenResult b = BiQGen::RunParallel(config, threads).ValueOrDie();
+    ASSERT_GT(a.pareto.size(), 0u);
+    ASSERT_EQ(a.pareto.size(), b.pareto.size());
+    for (size_t i = 0; i < a.pareto.size(); ++i) {
+      EXPECT_EQ(a.pareto[i]->inst, b.pareto[i]->inst);
+      EXPECT_EQ(a.pareto[i]->obj.diversity, b.pareto[i]->obj.diversity);
+      EXPECT_EQ(a.pareto[i]->obj.coverage, b.pareto[i]->obj.coverage);
+      EXPECT_EQ(a.pareto[i]->matches, b.pareto[i]->matches);
+    }
+    EXPECT_EQ(a.stats.generated, b.stats.generated);
+    EXPECT_EQ(a.stats.verified, b.stats.verified);
+    EXPECT_EQ(a.stats.pruned, b.stats.pruned);
+    EXPECT_EQ(a.stats.feasible, b.stats.feasible);
+    EXPECT_EQ(a.stats.enqueued, b.stats.enqueued);
+    EXPECT_EQ(a.stats.per_worker_verify_seconds.size(), threads);
+  }
+}
+
 TEST(ParallelBiQGenTest, DeterministicForFixedThreadCount) {
   SmallScenario s;
-  QGenConfig config = s.Config(0.05);
-  // Batches are collected and folded in coordinator order, so two runs at
-  // the same thread count are bit-identical regardless of scheduling.
-  QGenResult a = BiQGen::RunParallel(config, 4).ValueOrDie();
-  QGenResult b = BiQGen::RunParallel(config, 4).ValueOrDie();
-  ASSERT_EQ(a.pareto.size(), b.pareto.size());
-  for (size_t i = 0; i < a.pareto.size(); ++i) {
-    EXPECT_EQ(a.pareto[i]->inst, b.pareto[i]->inst);
-    EXPECT_DOUBLE_EQ(a.pareto[i]->obj.diversity, b.pareto[i]->obj.diversity);
-    EXPECT_DOUBLE_EQ(a.pareto[i]->obj.coverage, b.pareto[i]->obj.coverage);
-  }
-  EXPECT_EQ(a.stats.verified, b.stats.verified);
-  EXPECT_EQ(a.stats.feasible, b.stats.feasible);
+  ExpectDeterministicPerThreadCount(s.Config(0.05));
+
+  Scenario scenario =
+      MakeScenario(OracleScenarioOptions("dbp", 0.05, 115, 4)).ValueOrDie();
+  QGenConfig config = scenario.MakeConfig(0.01);
+  config.diversity.lambda = 0.5;
+  ExpectDeterministicPerThreadCount(config);
 }
 
 TEST(ParallelBiQGenTest, SingleThreadFallsBackToSequential) {

@@ -2,11 +2,13 @@
 #define FAIRSQG_TESTS_SCENARIO_FIXTURE_H_
 
 #include <memory>
+#include <string>
 
 #include "core/config.h"
 #include "core/groups.h"
 #include "matching/subgraph_matcher.h"
 #include "query/domains.h"
+#include "workload/scenario.h"
 #include "workload/social_net_generator.h"
 
 namespace fairsqg {
@@ -73,6 +75,27 @@ struct SmallScenario {
     return config;
   }
 };
+
+/// The archive oracle's seeded scenarios, sized like the request-stream
+/// benchmark's: three edges, two range variables (domains coarsened to
+/// `max_domain` values), one edge variable and two groups at 55%
+/// calibrated coverage.
+inline ScenarioOptions OracleScenarioOptions(const std::string& dataset,
+                                             double scale, uint64_t seed,
+                                             size_t max_domain) {
+  ScenarioOptions options;
+  options.dataset = dataset;
+  options.scale = scale;
+  options.seed = seed;
+  options.template_seed = seed * 97 + 1;
+  options.num_edges = 3;
+  options.num_range_vars = 2;
+  options.num_edge_vars = 1;
+  options.num_groups = 2;
+  options.coverage_fraction = 0.55;
+  options.max_domain_values = max_domain;
+  return options;
+}
 
 }  // namespace fairsqg
 
