@@ -74,8 +74,7 @@ void AddRow(Table* table, const std::string& name, size_t threads,
                  Fmt(r.stats.verify_wall_seconds),
                  Fmt(seq_seconds / r.stats.total_seconds, 2) + "x",
                  std::to_string(r.stats.verified),
-                 std::to_string(r.pareto.size()), covers ? "yes" : "NO",
-                 std::to_string(r.stats.stolen)});
+                 std::to_string(r.pareto.size()), covers ? "yes" : "NO"});
 }
 
 void PrintSpeedupReport() {
@@ -90,7 +89,7 @@ void PrintSpeedupReport() {
 
   Table table({"algorithm", "threads", "total_s", "verify_cpu_s",
                "verify_wall_s", "speedup", "verified", "|pareto|",
-               "eps-cover", "stolen"});
+               "eps-cover"});
 
   QGenResult enum_seq = BestOf([&] { return EnumQGen::Run(config); }, kReps);
   AddRow(&table, "EnumQGen (seq)", 1, enum_seq, enum_seq.stats.total_seconds,

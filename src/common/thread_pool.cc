@@ -1,6 +1,6 @@
 #include "common/thread_pool.h"
 
-#include <deque>
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,174 +9,83 @@ namespace fairsqg {
 
 namespace {
 
-// Identifies the pool (and slot) owning the current thread so Submit can
-// route recursive submissions to the caller's own deque.
-thread_local const ThreadPool* tls_pool = nullptr;
 thread_local size_t tls_index = ThreadPool::kNotAWorker;
 
 }  // namespace
-
-struct ThreadPool::WorkerQueue {
-  std::mutex mutex;
-  std::deque<std::function<void()>> tasks;
-  std::atomic<uint64_t> executed{0};
-  std::atomic<uint64_t> stolen{0};
-};
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  queues_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  try {
+    for (size_t i = 0; i < num_threads; ++i) {
+      workers_.emplace_back([this, i] { WorkerLoop(i); });
+    }
+  } catch (...) {
+    Shutdown();  // A thread failed to start: join the ones that did.
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
-  // Drain: never drop queued work (tasks may carry results the coordinator
-  // still references). Exceptions not collected via Wait() are swallowed.
+ThreadPool::~ThreadPool() { Shutdown(); }
+
+void ThreadPool::Shutdown() {
   {
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    done_cv_.wait(lock, [this] { return pending_ == 0; });
+    std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  work_cv_.notify_all();
+  start_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
-}
-
-size_t ThreadPool::WorkerIndex() const {
-  return tls_pool == this ? tls_index : kNotAWorker;
 }
 
 size_t ThreadPool::CurrentWorkerId() { return tls_index; }
 
-void ThreadPool::Enqueue(size_t worker, std::function<void()> task) {
+void ThreadPool::Run(const std::function<void(size_t)>& body) {
   {
-    // Account before publishing so a racing completion can never observe
-    // pending_ == 0 while this task is in flight.
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    FAIRSQG_CHECK(!stop_) << "Submit on a stopped ThreadPool";
-    ++pending_;
-    ++queued_;
+    std::lock_guard<std::mutex> lock(mutex_);
+    // A body calling Run on its own team would hang; two callers mix rounds.
+    FAIRSQG_CHECK(running_ == 0) << "ThreadPool::Run is not reentrant";
+    body_ = &body;
+    running_ = workers_.size();
+    ++round_;
   }
-  {
-    std::lock_guard<std::mutex> lock(queues_[worker]->mutex);
-    // A worker pushes to the front of its own deque (depth-first locality
-    // for recursive fan-out); everything else appends.
-    if (WorkerIndex() == worker) {
-      queues_[worker]->tasks.push_front(std::move(task));
-    } else {
-      queues_[worker]->tasks.push_back(std::move(task));
-    }
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  size_t w = WorkerIndex();
-  if (w == kNotAWorker) {
-    w = next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  }
-  Enqueue(w, std::move(task));
-}
-
-void ThreadPool::SubmitOn(size_t worker, std::function<void()> task) {
-  FAIRSQG_CHECK(worker < queues_.size()) << "SubmitOn: bad worker index";
-  Enqueue(worker, std::move(task));
-}
-
-bool ThreadPool::TryPop(size_t index, std::function<void()>* task,
-                        bool* was_stolen) {
-  {
-    std::lock_guard<std::mutex> lock(queues_[index]->mutex);
-    if (!queues_[index]->tasks.empty()) {
-      *task = std::move(queues_[index]->tasks.front());
-      queues_[index]->tasks.pop_front();
-      *was_stolen = false;
-      return true;
-    }
-  }
-  // Steal from the back of a sibling's deque (opposite end from the
-  // owner's pops, minimizing contention and keeping the owner's hot work).
-  for (size_t k = 1; k < queues_.size(); ++k) {
-    size_t j = (index + k) % queues_.size();
-    std::lock_guard<std::mutex> lock(queues_[j]->mutex);
-    if (!queues_[j]->tasks.empty()) {
-      *task = std::move(queues_[j]->tasks.back());
-      queues_[j]->tasks.pop_back();
-      *was_stolen = true;
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::RunTask(std::function<void()> task, size_t worker,
-                         bool was_stolen) {
-  try {
-    task();
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(error_mutex_);
-    if (first_error_ == nullptr) first_error_ = std::current_exception();
-  }
-  queues_[worker]->executed.fetch_add(1, std::memory_order_relaxed);
-  if (was_stolen) {
-    queues_[worker]->stolen.fetch_add(1, std::memory_order_relaxed);
-  }
-  bool quiesced = false;
-  {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    quiesced = (--pending_ == 0);
-  }
-  if (quiesced) done_cv_.notify_all();
-}
-
-void ThreadPool::WorkerLoop(size_t index) {
-  tls_pool = this;
-  tls_index = index;
-  std::function<void()> task;
-  bool was_stolen = false;
-  while (true) {
-    if (TryPop(index, &task, &was_stolen)) {
-      {
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
-        --queued_;
-      }
-      RunTask(std::move(task), index, was_stolen);
-      task = nullptr;
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    work_cv_.wait(lock, [this] { return stop_ || queued_ > 0; });
-    if (stop_ && queued_ == 0) return;
-  }
-}
-
-void ThreadPool::Wait() {
-  {
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    done_cv_.wait(lock, [this] { return pending_ == 0; });
-  }
+  start_cv_.notify_all();
   std::exception_ptr error;
   {
-    std::lock_guard<std::mutex> lock(error_mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, [this] { return running_ == 0; });
     std::swap(error, first_error_);
   }
   if (error != nullptr) std::rethrow_exception(error);
 }
 
-ThreadPool::Stats ThreadPool::stats() const {
-  Stats total;
-  for (const std::unique_ptr<WorkerQueue>& q : queues_) {
-    total.executed += q->executed.load(std::memory_order_relaxed);
-    total.stolen += q->stolen.load(std::memory_order_relaxed);
+void ThreadPool::WorkerLoop(size_t index) {
+  tls_index = index;
+  uint64_t seen = 0;
+  for (;;) {
+    const std::function<void(size_t)>* body = nullptr;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      start_cv_.wait(lock, [&] { return stop_ || round_ != seen; });
+      if (stop_) return;
+      seen = round_;
+      body = body_;
+    }
+    std::exception_ptr error;
+    try {
+      (*body)(index);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    bool last = false;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (error != nullptr && first_error_ == nullptr) first_error_ = error;
+      last = (--running_ == 0);
+    }
+    if (last) done_cv_.notify_one();
   }
-  return total;
 }
 
 }  // namespace fairsqg

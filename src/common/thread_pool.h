@@ -1,43 +1,38 @@
 #ifndef FAIRSQG_COMMON_THREAD_POOL_H_
 #define FAIRSQG_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace fairsqg {
 
-/// \brief Work-stealing thread pool shared by the parallel generators.
+/// \brief Persistent fork-join team shared by the parallel generators.
 ///
-/// Each worker owns a deque of tasks. A worker pops from the front of its
-/// own deque (LIFO-ish locality for recursively submitted work) and, when
-/// empty, steals from the back of a sibling's deque. External submissions
-/// round-robin across the deques; `SubmitOn` pins a task to one worker's
-/// deque (it may still be *stolen* — pinning is a placement hint, not an
-/// execution guarantee).
+/// The worker threads start once, in the constructor, and sleep between
+/// rounds. `Run(body)` wakes them, calls `body(w)` once on every worker
+/// w in [0, num_workers()), and returns when all have returned. There is
+/// no task queue: a body that has more work than one call pulls it from a
+/// shared cursor of its own (ParallelQGen's enumerator, BiQGen's batch).
 ///
-/// Thread-safety contract (see DESIGN.md §9): tasks may submit further
-/// tasks; `Wait()` blocks until the pool has quiesced (no queued and no
-/// running task) and rethrows the first exception a task raised, if any.
-/// The destructor drains every remaining task before joining — it never
-/// drops queued work.
+/// Thread-safety contract (see DESIGN.md §9): `Run` is called from one
+/// thread at a time and never from inside a body. It rethrows the first
+/// exception a body raised, after every worker has returned; the team
+/// stays usable afterwards.
 class ThreadPool {
  public:
-  /// Sentinel returned by WorkerIndex() on threads the pool does not own.
+  /// Sentinel returned by CurrentWorkerId() on threads no pool owns.
   static constexpr size_t kNotAWorker = static_cast<size_t>(-1);
 
   /// `num_threads` 0 selects the hardware concurrency.
   explicit ThreadPool(size_t num_threads = 0);
 
-  /// Drains all queued tasks, then joins the workers. Any exception still
-  /// pending (Wait() not called) is swallowed — call Wait() to observe it.
+  /// Joins the workers (no round can be in flight: Run is synchronous).
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -45,61 +40,34 @@ class ThreadPool {
 
   size_t num_workers() const { return workers_.size(); }
 
-  /// Enqueue a task. From a worker thread the task lands on that worker's
-  /// own deque (cheap recursive fan-out); from outside, deques are filled
-  /// round-robin.
-  void Submit(std::function<void()> task);
-
-  /// Enqueue a task onto worker `worker`'s deque (placement hint only).
-  void SubmitOn(size_t worker, std::function<void()> task);
-
-  /// Blocks until every submitted task (including tasks submitted by
-  /// tasks) has finished, then rethrows the first captured task exception.
-  /// The pool stays usable afterwards.
-  void Wait();
-
-  /// Index of the calling pool worker in [0, num_workers()), or
-  /// kNotAWorker when called from a thread the pool does not own.
-  size_t WorkerIndex() const;
+  /// Calls `body(w)` on every worker w and blocks until all calls have
+  /// returned, then rethrows the first exception a call raised, if any.
+  void Run(const std::function<void(size_t)>& body);
 
   /// Worker index of the calling thread within whichever pool owns it, or
-  /// kNotAWorker when the thread belongs to no pool. Unlike WorkerIndex()
-  /// this needs no pool reference, so observers (the tracer's worker
-  /// attribution) can ask without plumbing the pool through every layer.
+  /// kNotAWorker when the thread belongs to no pool. It needs no pool
+  /// reference, so observers (the tracer's worker attribution) can ask
+  /// without plumbing the pool through every layer.
   static size_t CurrentWorkerId();
 
-  /// Lifetime counters, attributed per worker and summed on read.
-  struct Stats {
-    uint64_t executed = 0;  ///< Tasks run to completion.
-    uint64_t stolen = 0;    ///< Tasks executed by a worker that stole them.
-  };
-  Stats stats() const;
-
  private:
-  struct WorkerQueue;
-
   void WorkerLoop(size_t index);
-  /// Pops a task for worker `index`: own deque first, then steals.
-  bool TryPop(size_t index, std::function<void()>* task, bool* was_stolen);
-  void Enqueue(size_t worker, std::function<void()> task);
-  void RunTask(std::function<void()> task, size_t worker, bool was_stolen);
+  /// Wakes every worker to exit and joins those started.
+  void Shutdown();
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-
-  // Sleep/wake and quiescence. `pending_` counts submitted-but-unfinished
-  // tasks; `queued_` counts submitted-but-unpopped tasks (wake predicate).
-  std::mutex sleep_mutex_;
-  std::condition_variable work_cv_;
+  // Start/done handshake. A round is published by bumping `round_`;
+  // `running_` counts the workers that have not yet returned from it.
+  std::mutex mutex_;
+  std::condition_variable start_cv_;
   std::condition_variable done_cv_;
-  size_t pending_ = 0;
-  size_t queued_ = 0;
+  const std::function<void(size_t)>* body_ = nullptr;
+  uint64_t round_ = 0;
+  size_t running_ = 0;
   bool stop_ = false;
-
-  std::mutex error_mutex_;
   std::exception_ptr first_error_;
 
-  std::atomic<size_t> next_queue_{0};
+  // Last: the threads use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace fairsqg

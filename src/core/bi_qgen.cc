@@ -1,6 +1,7 @@
 #include "core/bi_qgen.h"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
 #include <memory>
 #include <thread>
@@ -37,7 +38,7 @@ struct WorkItem {
 constexpr size_t kBackwardBeam = 2;
 
 /// Verification slots dispatched per batch, per pool worker. Larger
-/// batches amortize the fork/join barrier but see staler pruning state.
+/// batches amortize the fork-join round but see staler pruning state.
 constexpr size_t kBatchPerWorker = 4;
 
 /// The Fig. 6 exploration, in rounds of collect → verify → fold (see
@@ -273,28 +274,28 @@ struct BiExplorer {
     }
   }
 
-  /// Verifies one slot. On a pool worker it reads only state that is
-  /// immutable during the batch (graph, template, domains, parent
-  /// contexts) and writes only the slot and the worker's verifier.
-  static void VerifySlot(Slot* slot, InstanceVerifier* verifier) {
-    if (slot->is_forward) slot->cands = std::make_shared<CandidateSpace>();
-    slot->eval = verifier->Verify(slot->item.inst, slot->item.ctx.get(),
-                                  slot->cands.get());
-  }
-
+  /// Verifies the batch. Verifier w claims slots from a shared cursor
+  /// until none is left: on the calling thread (w = 0) without a pool, on
+  /// every pool worker in one ThreadPool::Run round with one. A worker
+  /// reads only state that is immutable during the batch (graph,
+  /// template, domains, parent contexts) and writes only the slots it
+  /// claimed and its verifier. The fold reads slots in order, so the
+  /// archive does not depend on who verified which.
   void VerifyBatch() {
-    if (pool == nullptr) {
-      for (Slot& slot : batch) VerifySlot(&slot, verifiers.front().get());
-      return;
-    }
+    std::atomic<size_t> next{0};
+    auto verify = [&](size_t w) {
+      for (size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) <
+                     batch.size();) {
+        Slot& slot = batch[i];
+        if (slot.is_forward) slot.cands = std::make_shared<CandidateSpace>();
+        slot.eval = verifiers[w]->Verify(slot.item.inst, slot.item.ctx.get(),
+                                         slot.cands.get());
+      }
+    };
+    if (pool == nullptr) return verify(0);
     result->stats.enqueued += batch.size();
     FAIRSQG_TRACE_SPAN_FULL("bi_qgen.batch");
-    for (Slot& slot : batch) {
-      pool->Submit([this, &slot] {
-        VerifySlot(&slot, verifiers[pool->WorkerIndex()].get());
-      });
-    }
-    pool->Wait();
+    pool->Run(verify);
   }
 
   /// Folds one verified slot back into the exploration state (the
@@ -336,7 +337,6 @@ struct BiExplorer {
       }
       FoldVerifierStats(*v, &result->stats);
     }
-    if (pool != nullptr) result->stats.stolen = pool->stats().stolen;
   }
 };
 

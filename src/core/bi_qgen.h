@@ -25,10 +25,11 @@ namespace fairsqg {
 /// bookkeeping (frontiers, `visited`, sandwich pairs, the archive) is
 /// written by the calling thread only. `Run` verifies one slot per round
 /// on the calling thread, which is exactly Fig. 6's serial interleaving.
-/// `RunParallel` dispatches several slots per pool worker to a
-/// work-stealing ThreadPool whose workers each own a private
-/// InstanceVerifier (memo caches stay thread-private); folding in slot
-/// order makes the output deterministic for a fixed thread count. Batching
+/// `RunParallel` verifies several slots per pool worker in one
+/// ThreadPool::Run round: workers claim slots from a shared cursor, and
+/// each owns a private InstanceVerifier (memo caches stay thread-private).
+/// Folding in slot order makes the output deterministic for a fixed
+/// thread count. Batching
 /// relaxes *when* pruning information becomes available (a prune may take
 /// effect a batch later than in the serial order) but never what the
 /// archive guarantees: the result still ε-covers the full feasible space.

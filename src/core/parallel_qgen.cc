@@ -8,8 +8,8 @@
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/concurrent_archive.h"
 #include "core/enumerate.h"
+#include "core/pareto_archive.h"
 #include "core/verifier.h"
 #include "obs/trace.h"
 
@@ -41,7 +41,6 @@ Result<QGenResult> ParallelQGen::Run(const QGenConfig& config,
   num_threads = std::min(num_threads, std::max<size_t>(1, it.SpaceSize()));
 
   ThreadPool pool(num_threads);
-  ConcurrentParetoArchive archive(config.epsilon, pool.num_workers());
 
   // Build the diversity precompute once and share it read-only across the
   // per-worker verifiers instead of redoing it per verifier.
@@ -52,14 +51,18 @@ Result<QGenResult> ParallelQGen::Run(const QGenConfig& config,
         cfg.diversity.relevance);
   }
 
+  // Everything a worker writes is its own: a verifier (memo caches stay
+  // thread-private) and an archive, folded by Merge after the round.
   struct WorkerState {
     std::unique_ptr<InstanceVerifier> verifier;
+    ParetoArchive archive;
     size_t verified = 0;
     size_t feasible = 0;
   };
-  std::vector<WorkerState> states(pool.num_workers());
-  for (WorkerState& s : states) {
-    s.verifier = std::make_unique<InstanceVerifier>(cfg);
+  std::vector<WorkerState> states;
+  for (size_t w = 0; w < pool.num_workers(); ++w) {
+    states.push_back({std::make_unique<InstanceVerifier>(cfg),
+                      ParetoArchive(cfg.epsilon)});
   }
 
   // Shared pull source: workers refill a private chunk under this mutex.
@@ -96,31 +99,26 @@ Result<QGenResult> ParallelQGen::Run(const QGenConfig& config,
     if (!chunk->empty()) ++num_chunks;
   };
 
-  // One self-scheduling streaming task per worker: pull a chunk, verify it
-  // into the worker's private shard, repeat until the space (or budget)
-  // runs dry. Chunk self-scheduling gives the same load balancing the old
-  // round-robin slicing aimed for, without materializing the space.
-  for (size_t w = 0; w < pool.num_workers(); ++w) {
-    pool.SubmitOn(w, [&, w] {
-      WorkerState& state = states[w];
-      ParetoArchive& shard = archive.shard(w);
-      std::vector<Instantiation> chunk;
-      for (;;) {
-        fill_chunk(&chunk);
-        if (chunk.empty()) return;
-        for (const Instantiation& inst : chunk) {
-          EvaluatedPtr e = state.verifier->Verify(inst);
-          if (e == nullptr) continue;  // Aborted mid-match (hard expiry).
-          ++state.verified;
-          if (e->feasible) {
-            ++state.feasible;
-            shard.Update(std::move(e));
-          }
+  // Every worker verifies chunks into its private archive until the space
+  // (or budget) runs dry; chunk self-scheduling balances heterogeneous
+  // verification costs without materializing the space.
+  pool.Run([&](size_t w) {
+    WorkerState& state = states[w];
+    std::vector<Instantiation> chunk;
+    for (;;) {
+      fill_chunk(&chunk);
+      if (chunk.empty()) return;
+      for (const Instantiation& inst : chunk) {
+        EvaluatedPtr e = state.verifier->Verify(inst);
+        if (e == nullptr) continue;  // Aborted mid-match (hard expiry).
+        ++state.verified;
+        if (e->feasible) {
+          ++state.feasible;
+          state.archive.Update(std::move(e));
         }
       }
-    });
-  }
-  pool.Wait();
+    }
+  });
 
   for (const WorkerState& s : states) {
     result.stats.verified += s.verified;
@@ -134,10 +132,11 @@ Result<QGenResult> ParallelQGen::Run(const QGenConfig& config,
   }
   result.stats.generated = dispatched;
   result.stats.enqueued = num_chunks;
-  result.stats.stolen = pool.stats().stolen;
   {
     FAIRSQG_TRACE_SPAN("archive_collect");
-    result.pareto = archive.MergedSortedEntries();
+    ParetoArchive merged(cfg.epsilon);
+    for (const WorkerState& s : states) merged.Merge(s.archive);
+    result.pareto = merged.SortedEntries();
   }
   result.stats.total_seconds = timer.ElapsedSeconds();
   FAIRSQG_RETURN_NOT_OK(ApplyExpiryPolicy(config, result.stats));

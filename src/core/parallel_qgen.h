@@ -15,15 +15,15 @@ namespace fairsqg {
 ///
 /// The instance space I(Q) is *streamed* in chunks from the shared
 /// InstantiationEnumerator — never materialized, so there is no cap on
-/// |I(Q)| (config.max_verifications bounds unbounded spaces). Workers on a
-/// work-stealing ThreadPool pull chunks and verify them with a private
-/// InstanceVerifier (the graph is shared read-only) into their private
-/// shard of a ConcurrentParetoArchive; chunk self-scheduling balances the
-/// heterogeneous verification costs. The shards are then merged through
-/// procedure Update. Merging is sound: each shard box-dominates everything
-/// its worker saw, and Update preserves box dominance transitively, so the
-/// merged archive is an ε-Pareto set of the full space — the same
-/// guarantee as EnumQGen.
+/// |I(Q)| (config.max_verifications bounds unbounded spaces). One
+/// ThreadPool::Run round has every worker pull chunks and verify them with
+/// a private InstanceVerifier (the graph is shared read-only) into a
+/// private ParetoArchive; chunk self-scheduling balances the heterogeneous
+/// verification costs. The per-worker archives are then folded by
+/// ParetoArchive::Merge. Merging is sound: each archive box-dominates
+/// everything its worker saw, and Update preserves box dominance
+/// transitively, so the merged archive is an ε-Pareto set of the full
+/// space — the same guarantee as EnumQGen.
 class ParallelQGen {
  public:
   /// `num_threads` 0 selects the hardware concurrency.

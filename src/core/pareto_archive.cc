@@ -74,6 +74,11 @@ UpdateOutcome ParetoArchive::Update(EvaluatedPtr q) {
   return UpdateOutcome::kAddedNewBox;
 }
 
+void ParetoArchive::Merge(const ParetoArchive& other) {
+  FAIRSQG_CHECK(other.epsilon_ == epsilon_) << "Merge needs equal epsilon";
+  for (const Entry& e : other.entries_) Update(e.instance);
+}
+
 std::vector<EvaluatedPtr> ParetoArchive::Entries() const {
   std::vector<EvaluatedPtr> out;
   out.reserve(entries_.size());

@@ -50,8 +50,8 @@ inline bool Accepted(UpdateOutcome outcome) {
 /// instance (RanksAbove): lexicographic (δ, f), then the smaller
 /// Instantiation. That order extends Pareto dominance and is total, so the
 /// archive depends only on the set of instances offered, not on their order
-/// — a parallel run's shards merge to the same archive whatever the
-/// scheduling. Invariant (provable, and asserted by the property
+/// — a parallel run's per-worker archives merge to the same archive
+/// whatever the scheduling. Invariant (provable, and asserted by the property
 /// tests): for every instance ever offered to Update there is a current
 /// member whose box dominates-or-equals its box — hence a member that
 /// ε-dominates it — and the member count is bounded by the number of boxes
@@ -72,6 +72,13 @@ class ParetoArchive {
 
   /// Dry-run: which case Update *would* take, without modifying anything.
   UpdateOutcome Classify(const EvaluatedInstance& q) const;
+
+  /// Offers every member of `other` (same ε) to Update. Folding per-worker
+  /// archives this way is sound: each box-dominates what its worker saw,
+  /// and Update preserves box dominance transitively, so the result
+  /// ε-covers the union. Update is order-independent, so it also equals
+  /// the archive of the union offered sequentially, member for member.
+  void Merge(const ParetoArchive& other);
 
   /// Current members (box representatives), unordered. Allocates a vector
   /// of shared_ptr copies; hot paths should iterate `entries()` instead.

@@ -18,6 +18,15 @@ namespace fairsqg {
 /// the same value on both. Per-worker time is measured as wall time inside
 /// the verifier, so on a host oversubscribed with more workers than cores
 /// the CPU axis over-counts by the timeslicing factor.
+///
+/// Scheduling-dependent counters: in a parallel run with no wall-clock
+/// deadline the archive and all other counters depend only on the input
+/// and the thread count, but
+/// `cache_hits`/`cache_misses` (one shared cache, filled by whichever
+/// worker gets there first), the `sweep_*` counters (each worker's
+/// SweepVerifier serves only that worker) and the times (`total_seconds`,
+/// `verify_*_seconds`, `per_worker_verify_seconds`) depend on which worker
+/// verified what, and may differ between runs at one thread count.
 struct GenStats {
   size_t generated = 0;  ///< Instances spawned or enumerated.
   size_t verified = 0;   ///< Instances actually matched and measured.
@@ -30,10 +39,13 @@ struct GenStats {
 
   // Parallel-execution counters (zero for sequential runs).
   size_t enqueued = 0;  ///< Work items dispatched to the thread pool.
-  size_t stolen = 0;    ///< Pool tasks executed by a stealing worker.
+  /// Always 0: workers claim shared work from a cursor, and nothing is
+  /// stolen. Kept, and written nowhere, until reqbench drops its
+  /// `common.pool_stolen` metric, which reads it; then the field goes.
+  size_t stolen = 0;
 
-  // Match-set cache counters (zero when no cache is configured). Folded
-  // from per-verifier counts so parallel runs report deterministically.
+  // Match-set cache counters (zero when no cache is configured), folded
+  // from per-verifier counts. Scheduling-dependent (see above).
   size_t cache_hits = 0;    ///< Verifications answered from the cache.
   size_t cache_misses = 0;  ///< Lookups that fell through to the matcher.
 
@@ -45,7 +57,7 @@ struct GenStats {
   size_t timed_out_instances = 0;  ///< Instances whose verification aborted.
 
   // Literal-sweep batch verification (QGenConfig::use_sweep_verify,
-  // DESIGN.md §12). Folded from per-verifier counts.
+  // DESIGN.md §12). Folded from per-verifier counts; scheduling-dependent.
   size_t sweep_chains = 0;     ///< Range-variable chains verified in one pass.
   size_t sweep_instances = 0;  ///< Member instances derived from a sweep.
   size_t sweep_fallbacks = 0;  ///< Sweeps aborted mid-chain (fell back).
@@ -70,7 +82,6 @@ struct GenStats {
     }
     if (enqueued > 0) {
       s += " enqueued=" + std::to_string(enqueued) +
-           " stolen=" + std::to_string(stolen) +
            " workers=" + std::to_string(per_worker_verify_seconds.size());
     }
     if (cache_hits > 0 || cache_misses > 0) {

@@ -27,7 +27,7 @@ struct SpanRecord {
   int64_t start_ns = 0;  ///< MonotonicNanos() at open.
   int64_t dur_ns = 0;    ///< Always >= 0; 0 for instants.
   uint32_t thread = 0;   ///< Sequential tracer-assigned thread id.
-  int32_t worker = -1;   ///< ThreadPool worker index, -1 off-pool.
+  int32_t worker = -1;   ///< ThreadPool::CurrentWorkerId(), -1 off-pool.
   bool instant = false;
 };
 
@@ -69,8 +69,9 @@ class Tracer {
   void Instant(const char* name, TraceDetail level = TraceDetail::kPhase);
 
   /// Copies every live record, oldest first by buffer order. Callers must
-  /// ensure writers have quiesced (generators join their pools before
-  /// returning, so snapshotting after a run completes is race-free).
+  /// ensure writers have quiesced (a generator's ThreadPool::Run rounds
+  /// return only after every worker has, so snapshotting after a run
+  /// completes is race-free).
   std::vector<SpanRecord> Snapshot() const;
 
   /// Records overwritten because the ring wrapped.

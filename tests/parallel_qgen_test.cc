@@ -77,12 +77,21 @@ TEST(ParallelQGenTest, DeterministicResultAcrossThreadCounts) {
   SmallScenario s;
   QGenConfig config = s.Config(0.05);
   QGenResult one = ParallelQGen::Run(config, 1).ValueOrDie();
-  QGenResult eight = ParallelQGen::Run(config, 8).ValueOrDie();
-  // Instance coordinates are deterministic, so best objectives agree.
   Objectives b1 = MaxObjectives(one.pareto);
-  Objectives b8 = MaxObjectives(eight.pareto);
-  EXPECT_DOUBLE_EQ(b1.diversity, b8.diversity);
-  EXPECT_DOUBLE_EQ(b1.coverage, b8.coverage);
+  for (size_t threads : {2, 3, 8}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    QGenResult r = ParallelQGen::Run(config, threads).ValueOrDie();
+    // Instance coordinates are deterministic, so best objectives agree.
+    Objectives br = MaxObjectives(r.pareto);
+    EXPECT_DOUBLE_EQ(b1.diversity, br.diversity);
+    EXPECT_DOUBLE_EQ(b1.coverage, br.coverage);
+    // The whole space is dispatched in the same fixed-size chunks and
+    // verified exactly once, whichever worker takes which chunk.
+    EXPECT_EQ(r.stats.generated, one.stats.generated);
+    EXPECT_EQ(r.stats.verified, one.stats.verified);
+    EXPECT_EQ(r.stats.feasible, one.stats.feasible);
+    EXPECT_EQ(r.stats.enqueued, one.stats.enqueued);
+  }
 }
 
 TEST(ParallelQGenTest, MoreThreadsThanInstances) {
@@ -106,7 +115,7 @@ TEST(ParallelQGenTest, InvalidConfigRejected) {
   EXPECT_FALSE(ParallelQGen::Run(empty, 2).ok());
 }
 
-// --- Parallel Bi-QGen (coordinator + work-stealing verification pool) ---
+// --- Parallel Bi-QGen (coordinator + fork-join verification rounds) ---
 
 TEST(ParallelBiQGenTest, ArchiveMutuallyEpsilonCoversSequential) {
   SmallScenario s;
@@ -152,6 +161,12 @@ void ExpectDeterministicPerThreadCount(const QGenConfig& config) {
     EXPECT_EQ(a.stats.pruned, b.stats.pruned);
     EXPECT_EQ(a.stats.feasible, b.stats.feasible);
     EXPECT_EQ(a.stats.enqueued, b.stats.enqueued);
+    // Every counter but the scheduling-dependent ones (GenStats).
+    EXPECT_EQ(a.stats.pruned_sandwich, b.stats.pruned_sandwich);
+    EXPECT_EQ(a.stats.pruned_subtree, b.stats.pruned_subtree);
+    EXPECT_EQ(a.stats.aborted_matches, b.stats.aborted_matches);
+    EXPECT_EQ(a.stats.timed_out_instances, b.stats.timed_out_instances);
+    EXPECT_EQ(a.stats.deadline_exceeded, b.stats.deadline_exceeded);
     EXPECT_EQ(a.stats.per_worker_verify_seconds.size(), threads);
   }
 }

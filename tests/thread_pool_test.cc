@@ -3,23 +3,26 @@
 #include <atomic>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 namespace fairsqg {
 namespace {
 
+// Each Run calls the body once per worker index; one team serves many
+// rounds, as BiQGen's per-batch rounds do.
 TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_workers(), 4u);
-  std::atomic<size_t> count{0};
-  constexpr size_t kTasks = 500;
-  for (size_t i = 0; i < kTasks; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
+  constexpr size_t kRounds = 64;
+  std::vector<std::atomic<size_t>> calls(pool.num_workers());
+  for (size_t round = 0; round < kRounds; ++round) {
+    pool.Run([&](size_t w) { calls[w].fetch_add(1); });
+    for (size_t w = 0; w < calls.size(); ++w) {
+      ASSERT_EQ(calls[w].load(), round + 1) << "worker " << w;
+    }
   }
-  pool.Wait();
-  EXPECT_EQ(count.load(), kTasks);
-  EXPECT_EQ(pool.stats().executed, kTasks);
 }
 
 TEST(ThreadPoolTest, ZeroThreadsSelectsHardwareConcurrency) {
@@ -29,99 +32,66 @@ TEST(ThreadPoolTest, ZeroThreadsSelectsHardwareConcurrency) {
 
 TEST(ThreadPoolTest, WorkerIndexIdentifiesPoolThreads) {
   ThreadPool pool(3);
-  EXPECT_EQ(pool.WorkerIndex(), ThreadPool::kNotAWorker);
-  std::atomic<size_t> bad_index{0};
-  for (size_t i = 0; i < 64; ++i) {
-    pool.Submit([&] {
-      if (pool.WorkerIndex() >= pool.num_workers()) bad_index.fetch_add(1);
+  EXPECT_EQ(ThreadPool::CurrentWorkerId(), ThreadPool::kNotAWorker);
+  std::atomic<size_t> mismatches{0};
+  for (size_t round = 0; round < 8; ++round) {
+    pool.Run([&](size_t w) {
+      if (ThreadPool::CurrentWorkerId() != w) mismatches.fetch_add(1);
     });
   }
-  pool.Wait();
-  EXPECT_EQ(bad_index.load(), 0u);
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(ThreadPool::CurrentWorkerId(), ThreadPool::kNotAWorker);
 }
 
-TEST(ThreadPoolTest, TasksMaySubmitFurtherTasks) {
-  ThreadPool pool(4);
-  std::atomic<size_t> count{0};
-  constexpr size_t kParents = 16;
-  constexpr size_t kChildren = 8;
-  for (size_t i = 0; i < kParents; ++i) {
-    pool.Submit([&] {
-      count.fetch_add(1);
-      for (size_t j = 0; j < kChildren; ++j) {
-        pool.Submit([&count] { count.fetch_add(1); });
-      }
-    });
-  }
-  // Wait() must cover tasks transitively submitted by tasks.
-  pool.Wait();
-  EXPECT_EQ(count.load(), kParents * (1 + kChildren));
-}
-
+// The callers' load balancing: workers claim items from a shared cursor,
+// so a worker stuck on one item leaves the rest to its sibling.
 TEST(ThreadPoolTest, StealsFromABusyWorkersQueue) {
   ThreadPool pool(2);
-  constexpr size_t kTasks = 16;
-  std::atomic<size_t> blocked_worker{ThreadPool::kNotAWorker};
+  constexpr size_t kItems = 16;
+  std::atomic<size_t> next{0};
   std::atomic<size_t> done{0};
-  // Occupy one worker until every follow-up task has run...
-  pool.Submit([&] {
-    blocked_worker.store(pool.WorkerIndex());
-    while (done.load() < kTasks) std::this_thread::yield();
+  std::vector<size_t> owner(kItems, ThreadPool::kNotAWorker);
+  pool.Run([&](size_t w) {
+    for (size_t i; (i = next.fetch_add(1)) < kItems;) {
+      owner[i] = w;
+      // The holder of the first item blocks until every other item has
+      // run: only the other worker can run them.
+      if (i == 0) {
+        while (done.load() < kItems - 1) std::this_thread::yield();
+      } else {
+        done.fetch_add(1);
+      }
+    }
   });
-  while (blocked_worker.load() == ThreadPool::kNotAWorker) {
-    std::this_thread::yield();
+  EXPECT_EQ(done.load(), kItems - 1);
+  for (size_t i = 1; i < kItems; ++i) {
+    EXPECT_NE(owner[i], owner[0]) << "item " << i;
   }
-  // ...then pile the follow-ups onto that worker's own deque: the other
-  // worker is the only one that can run them, and only by stealing.
-  for (size_t i = 0; i < kTasks; ++i) {
-    pool.SubmitOn(blocked_worker.load(), [&done] { done.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), kTasks);
-  EXPECT_GE(pool.stats().stolen, kTasks);
 }
 
 TEST(ThreadPoolTest, ExceptionPropagatesToWait) {
   ThreadPool pool(2);
-  pool.Submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // The error is consumed: the pool stays usable and Wait() is clean again.
+  EXPECT_THROW(pool.Run([](size_t w) {
+                 if (w == 1) throw std::runtime_error("boom");
+               }),
+               std::runtime_error);
+  // The error is consumed: the team stays usable and runs clean again.
   std::atomic<int> ran{0};
-  pool.Submit([&ran] { ran.fetch_add(1); });
-  EXPECT_NO_THROW(pool.Wait());
-  EXPECT_EQ(ran.load(), 1);
+  EXPECT_NO_THROW(pool.Run([&ran](size_t) { ran.fetch_add(1); }));
+  EXPECT_EQ(ran.load(), 2);
 }
 
 TEST(ThreadPoolTest, FirstOfSeveralExceptionsIsReported) {
-  ThreadPool pool(2);
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([] { throw std::runtime_error("boom"); });
-  }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  EXPECT_NO_THROW(pool.Wait());
-  EXPECT_EQ(pool.stats().executed, 8u);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
-  std::atomic<size_t> done{0};
-  constexpr size_t kTasks = 200;
-  {
-    ThreadPool pool(2);
-    for (size_t i = 0; i < kTasks; ++i) {
-      pool.Submit([&done] { done.fetch_add(1); });
-    }
-    // No Wait(): shutdown itself must not drop queued work.
-  }
-  EXPECT_EQ(done.load(), kTasks);
-}
-
-TEST(ThreadPoolTest, DestructorSwallowsUnobservedExceptions) {
-  {
-    ThreadPool pool(2);
-    pool.Submit([] { throw std::runtime_error("unobserved"); });
-    // Destroying without Wait() must not terminate the process.
-  }
-  SUCCEED();
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.Run([&ran](size_t) {
+                 ran.fetch_add(1);
+                 throw std::runtime_error("boom");
+               }),
+               std::runtime_error);
+  // Every body still ran to its throw before Run returned.
+  EXPECT_EQ(ran.load(), 4);
+  EXPECT_NO_THROW(pool.Run([](size_t) {}));
 }
 
 }  // namespace
