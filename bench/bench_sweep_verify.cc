@@ -18,7 +18,7 @@
 
 #include "bench_common.h"
 #include "core/bi_qgen.h"
-#include "core/enum_qgen.h"
+#include "core/kungs.h"
 #include "core/rf_qgen.h"
 #include "obs/trace.h"
 
@@ -46,7 +46,9 @@ struct Algo {
 
 std::vector<Algo> Algos() {
   return {
-      {"enum", [](const QGenConfig& c) { return EnumQGen::Run(c); }},
+      // Kungs verifies the whole space with the per-instance odometer;
+      // EnumQGen takes the LatticeIndex path and sweeps nothing.
+      {"kungs", [](const QGenConfig& c) { return Kungs::Run(c); }},
       {"rfqgen", [](const QGenConfig& c) { return RfQGen::Run(c); }},
       {"biqgen", [](const QGenConfig& c) { return BiQGen::Run(c); }},
       {"biqgen_par4",

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   Objectives maxima = MaxObjectives(exact.pareto);
 
   auto describe = [&](const char* name, const QGenResult& r) {
-    std::printf("\n%s — %zu suggestions, %zu verifications, %.2fs\n", name,
+    std::printf("\n%s — %zu suggestions, %u verifications, %.2fs\n", name,
                 r.pareto.size(), r.stats.verified, r.stats.total_seconds);
     std::printf("  I_R diversity-leaning (l=0.1): %.3f | coverage-leaning "
                 "(l=0.9): %.3f\n",
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
       std::printf(")\n");
     }
   };
-  std::printf("\nexact Pareto set: %zu instances (Kungs over %zu verified)\n",
+  std::printf("\nexact Pareto set: %zu instances (Kungs over %u verified)\n",
               exact.pareto.size(), exact.stats.verified);
   describe("RfQGen", rf);
   describe("BiQGen", bi);

@@ -73,7 +73,7 @@ int main() {
   config.epsilon = 0.1;
   QGenResult result = BiQGen::Run(config).ValueOrDie();
 
-  std::printf("\ngenerated %zu suggested queries (verified %zu instances):\n",
+  std::printf("\ngenerated %zu suggested queries (verified %u instances):\n",
               result.pareto.size(), result.stats.verified);
   for (const EvaluatedPtr& q : result.pareto) {
     std::printf("  %s -> %zu matches, diversity=%.3f, coverage f=%.1f (",

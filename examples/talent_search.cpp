@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   }
 
   QGenResult result = BiQGen::Run(config).ValueOrDie();
-  std::printf("\nsuggested revisions (%zu queries, %zu instances verified):\n",
+  std::printf("\nsuggested revisions (%zu queries, %u instances verified):\n",
               result.pareto.size(), result.stats.verified);
   for (const EvaluatedPtr& q : result.pareto) {
     // Major spread of the answer (the diversity the recruiter asked for).

@@ -11,8 +11,11 @@ namespace fairsqg {
 /// verify every instance, and feed the feasible ones through procedure
 /// Update to obtain an ε-Pareto instance set.
 ///
-/// Exact on the enumerated space but pays for every verification; the
-/// baseline that RfQGen and BiQGen are measured against.
+/// Exact on the enumerated space; the baseline that RfQGen and BiQGen are
+/// measured against. On a tree template the whole space is verified from
+/// one LatticeIndex pass (VerifyLattice, DESIGN.md §14), the matcher
+/// certifying only frontier candidates; other templates are verified one
+/// instance at a time in odometer order.
 class EnumQGen {
  public:
   static Result<QGenResult> Run(const QGenConfig& config);

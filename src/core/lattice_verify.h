@@ -1,0 +1,64 @@
+#ifndef FAIRSQG_CORE_LATTICE_VERIFY_H_
+#define FAIRSQG_CORE_LATTICE_VERIFY_H_
+
+#include <cstdint>
+#include <functional>
+#include <span>
+
+#include "common/thread_pool.h"
+#include "core/config.h"
+#include "core/evaluated.h"
+#include "core/stats.h"
+#include "core/verifier.h"
+
+namespace fairsqg {
+
+/// Largest instance space the lattice path walks: it lists every instance
+/// by lattice level up front. Larger spaces keep the per-instance odometer.
+inline constexpr uint64_t kMaxLatticeInstances = uint64_t{1} << 20;
+
+/// True when EnumQGen and ParallelQGen verify `config`'s instance space
+/// from one LatticeIndex: the template is a tree (LatticeIndex::Supports)
+/// and |I(Q)| <= kMaxLatticeInstances.
+bool LatticeApplies(const QGenConfig& config);
+
+/// Receives each verified instance on the worker (index into the
+/// verifiers) that verified it.
+using LatticeSink = std::function<void(size_t worker, EvaluatedPtr)>;
+
+/// \brief Verifies the whole instance space from one LatticeIndex pass
+/// (DESIGN.md §14); the one driver of EnumQGen and ParallelQGen.
+///
+/// Instances are visited by lattice level, most refined level first, and
+/// in descending odometer rank within a level, so every instance's
+/// immediate refinements are settled before it. Each instance x gets
+///   I_x = known ∪ (the nodes of (F_x ∪ ⋃ D_c) \ known that match),
+/// where c ranges over x's immediate refinements, known = ⋃ I_c, F_x is
+/// x's frontier and D_c = H_c \ I_c the candidates that failed at c. Only
+/// that remainder reaches the matcher (InstanceVerifier::VerifyPartial);
+/// under homomorphism the frontier needs no certification at all. The
+/// sets are exact under both semantics (I_x ⊆ H_x, and both are monotone
+/// by Lemma 2). An instance whose match aborted counts as I = ∅, D = H,
+/// so its relaxations test every candidate it left open.
+///
+/// With a pool, the walk is one ThreadPool::Run round: worker w claims
+/// the level's instances from a shared cursor and verifies them with
+/// verifiers[w], and the workers meet at a spinning barrier between
+/// levels, whose last arrival opens the next level; without a pool,
+/// verifiers[0] runs the levels inline. Every claim polls
+/// the RunContext and config.max_verifications under the cursor's lock,
+/// so a budget cuts the run at an exact instance count, in this order.
+/// The sets do not depend on which worker verified what.
+///
+/// Fills stats->generated, verified, feasible and deadline_exceeded, and
+/// folds the verifiers (FoldVerifierStats) and, with a pool, their
+/// per-worker seconds. The verify axes are the verifiers' time alone; the
+/// pass shows as the `lattice_index.build` span and in total_seconds. A
+/// pass stopped by hard expiry verifies nothing.
+void VerifyLattice(const QGenConfig& config, ThreadPool* pool,
+                   std::span<InstanceVerifier* const> verifiers,
+                   const LatticeSink& sink, GenStats* stats);
+
+}  // namespace fairsqg
+
+#endif  // FAIRSQG_CORE_LATTICE_VERIFY_H_

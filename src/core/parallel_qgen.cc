@@ -4,11 +4,13 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/enumerate.h"
+#include "core/lattice_verify.h"
 #include "core/pareto_archive.h"
 #include "core/verifier.h"
 #include "obs/trace.h"
@@ -22,49 +24,22 @@ namespace {
 /// self-scheduling load-balances heterogeneous verification costs.
 constexpr size_t kChunkSize = 64;
 
-}  // namespace
+/// Everything a worker writes is its own: a verifier (memo caches stay
+/// thread-private) and an archive, folded by Merge after the run.
+struct WorkerState {
+  std::unique_ptr<InstanceVerifier> verifier;
+  ParetoArchive archive;
+  size_t verified = 0;
+  size_t feasible = 0;
+};
 
-Result<QGenResult> ParallelQGen::Run(const QGenConfig& config,
-                                     size_t num_threads) {
-  FAIRSQG_RETURN_NOT_OK(config.Validate());
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  FAIRSQG_TRACE_SPAN("parallel_qgen.run");
-  Timer timer;
-  QGenResult result;
-
-  // The instance space is streamed in chunks straight from the enumerator —
-  // nothing is materialized up-front, so there is no cap on |I(Q)|; a
-  // budget (config.max_verifications) bounds arbitrarily large spaces.
+/// The per-instance path, for templates the lattice path does not cover.
+/// The instance space is streamed in chunks straight from the enumerator —
+/// nothing is materialized up-front, so there is no cap on |I(Q)|; a
+/// budget (config.max_verifications) bounds arbitrarily large spaces.
+void RunChunks(const QGenConfig& config, ThreadPool* pool,
+               std::vector<WorkerState>* states, GenStats* stats) {
   InstantiationEnumerator it(*config.tmpl, *config.domains);
-  num_threads = std::min(num_threads, std::max<size_t>(1, it.SpaceSize()));
-
-  ThreadPool pool(num_threads);
-
-  // Build the diversity precompute once and share it read-only across the
-  // per-worker verifiers instead of redoing it per verifier.
-  QGenConfig cfg = config;
-  if (cfg.diversity_index == nullptr) {
-    cfg.diversity_index = DiversityEvaluator::BuildIndex(
-        *cfg.graph, cfg.tmpl->node_label(cfg.tmpl->output_node()),
-        cfg.diversity.relevance);
-  }
-
-  // Everything a worker writes is its own: a verifier (memo caches stay
-  // thread-private) and an archive, folded by Merge after the round.
-  struct WorkerState {
-    std::unique_ptr<InstanceVerifier> verifier;
-    ParetoArchive archive;
-    size_t verified = 0;
-    size_t feasible = 0;
-  };
-  std::vector<WorkerState> states;
-  for (size_t w = 0; w < pool.num_workers(); ++w) {
-    states.push_back({std::make_unique<InstanceVerifier>(cfg),
-                      ParetoArchive(cfg.epsilon)});
-  }
-
   // Shared pull source: workers refill a private chunk under this mutex.
   // The RunContext is polled here, once per dispatched instance and under
   // the lock: poll-budget expiry therefore cuts the dispatched set at an
@@ -102,8 +77,8 @@ Result<QGenResult> ParallelQGen::Run(const QGenConfig& config,
   // Every worker verifies chunks into its private archive until the space
   // (or budget) runs dry; chunk self-scheduling balances heterogeneous
   // verification costs without materializing the space.
-  pool.Run([&](size_t w) {
-    WorkerState& state = states[w];
+  pool->Run([&](size_t w) {
+    WorkerState& state = (*states)[w];
     std::vector<Instantiation> chunk;
     for (;;) {
       fill_chunk(&chunk);
@@ -120,18 +95,63 @@ Result<QGenResult> ParallelQGen::Run(const QGenConfig& config,
     }
   });
 
-  for (const WorkerState& s : states) {
-    result.stats.verified += s.verified;
-    result.stats.feasible += s.feasible;
-    result.stats.per_worker_verify_seconds.push_back(
-        s.verifier->verify_seconds());
-    FoldVerifierStats(*s.verifier, &result.stats);
+  for (const WorkerState& s : *states) {
+    stats->verified += s.verified;
+    stats->feasible += s.feasible;
+    stats->per_worker_verify_seconds.push_back(s.verifier->verify_seconds());
+    FoldVerifierStats(*s.verifier, stats);
   }
   if (expired || (ctx != nullptr && ctx->Expired())) {
-    result.stats.deadline_exceeded = true;
+    stats->deadline_exceeded = true;
   }
-  result.stats.generated = dispatched;
-  result.stats.enqueued = num_chunks;
+  stats->generated = dispatched;
+  stats->enqueued = num_chunks;
+}
+
+}  // namespace
+
+Result<QGenResult> ParallelQGen::Run(const QGenConfig& config,
+                                     size_t num_threads) {
+  FAIRSQG_RETURN_NOT_OK(config.Validate());
+  if (num_threads == 0) {
+    num_threads = std::max(1u, std::thread::hardware_concurrency());
+  }
+  FAIRSQG_TRACE_SPAN("parallel_qgen.run");
+  Timer timer;
+  QGenResult result;
+
+  num_threads = std::min(
+      num_threads,
+      std::max<size_t>(1, config.domains->InstanceSpaceSize(*config.tmpl)));
+  ThreadPool pool(num_threads);
+
+  // Build the diversity precompute once and share it read-only across the
+  // per-worker verifiers instead of redoing it per verifier.
+  QGenConfig cfg = config;
+  if (cfg.diversity_index == nullptr) {
+    cfg.diversity_index = DiversityEvaluator::BuildIndex(
+        *cfg.graph, cfg.tmpl->node_label(cfg.tmpl->output_node()),
+        cfg.diversity.relevance);
+  }
+
+  std::vector<WorkerState> states;
+  for (size_t w = 0; w < pool.num_workers(); ++w) {
+    states.push_back({std::make_unique<InstanceVerifier>(cfg),
+                      ParetoArchive(cfg.epsilon)});
+  }
+  if (LatticeApplies(cfg)) {
+    std::vector<InstanceVerifier*> verifiers;
+    for (WorkerState& s : states) verifiers.push_back(s.verifier.get());
+    VerifyLattice(
+        cfg, &pool, verifiers,
+        [&](size_t w, EvaluatedPtr e) {
+          if (e->feasible) states[w].archive.Update(std::move(e));
+        },
+        &result.stats);
+    result.stats.enqueued = result.stats.generated;
+  } else {
+    RunChunks(cfg, &pool, &states, &result.stats);
+  }
   {
     FAIRSQG_TRACE_SPAN("archive_collect");
     ParetoArchive merged(cfg.epsilon);

@@ -13,14 +13,17 @@ namespace fairsqg {
 /// generation over large graphs with diversity and group fairness",
 /// Section VI), realized as a data-parallel EnumQGen.
 ///
-/// The instance space I(Q) is *streamed* in chunks from the shared
+/// On a tree template (LatticeApplies) it is EnumQGen's lattice walk with
+/// a pool: VerifyLattice runs one ThreadPool::Run round whose workers
+/// claim each level's instances and meet at a barrier between levels
+/// (DESIGN.md §14). Otherwise the
+/// instance space I(Q) is *streamed* in chunks from the shared
 /// InstantiationEnumerator — never materialized, so there is no cap on
-/// |I(Q)| (config.max_verifications bounds unbounded spaces). One
-/// ThreadPool::Run round has every worker pull chunks and verify them with
-/// a private InstanceVerifier (the graph is shared read-only) into a
-/// private ParetoArchive; chunk self-scheduling balances the heterogeneous
-/// verification costs. The per-worker archives are then folded by
-/// ParetoArchive::Merge. Merging is sound: each archive box-dominates
+/// |I(Q)| (config.max_verifications bounds unbounded spaces) — in one
+/// ThreadPool::Run round whose workers pull chunks. Either way each worker
+/// verifies with a private InstanceVerifier (the graph is shared
+/// read-only) into a private ParetoArchive, and the per-worker archives
+/// are folded by ParetoArchive::Merge. Merging is sound: each archive box-dominates
 /// everything its worker saw, and Update preserves box dominance
 /// transitively, so the merged archive is an ε-Pareto set of the full
 /// space — the same guarantee as EnumQGen.

@@ -1,7 +1,9 @@
 #include "core/pareto_archive.h"
 
 #include <algorithm>
+#include <bit>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace fairsqg {
@@ -125,6 +127,26 @@ Objectives ParetoArchive::BestObjectives() const {
     best.coverage = std::max(best.coverage, e.instance->obj.coverage);
   }
   return best;
+}
+
+uint64_t ArchiveFingerprint(const std::vector<EvaluatedPtr>& archive) {
+  std::vector<const EvaluatedInstance*> members;
+  members.reserve(archive.size());
+  for (const EvaluatedPtr& e : archive) members.push_back(e.get());
+  std::sort(members.begin(), members.end(),
+            [](const EvaluatedInstance* a, const EvaluatedInstance* b) {
+              return a->inst < b->inst;
+            });
+  uint64_t h = Mix64(members.size());
+  for (const EvaluatedInstance* m : members) {
+    HashCombine(&h, m->inst.Hash());
+    HashCombine(&h, std::bit_cast<uint64_t>(m->obj.diversity));
+    HashCombine(&h, std::bit_cast<uint64_t>(m->obj.coverage));
+    uint64_t matches = Mix64(m->matches.size());
+    for (NodeId v : m->matches) HashCombine(&matches, Mix64(v));
+    HashCombine(&h, matches);
+  }
+  return h;
 }
 
 }  // namespace fairsqg

@@ -1,6 +1,7 @@
 #ifndef FAIRSQG_CORE_PARETO_ARCHIVE_H_
 #define FAIRSQG_CORE_PARETO_ARCHIVE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/evaluated.h"
@@ -124,6 +125,14 @@ class ParetoArchive {
   double epsilon_;
   std::vector<Entry> entries_;
 };
+
+/// \brief Determinism fingerprint of an archive: a hash of its members,
+/// sorted by instantiation, over each member's instantiation, the bit
+/// patterns of (δ, f) and its match set. Equal archives — whatever their
+/// order, thread count or verification path — give equal fingerprints.
+/// GenStats is left out: its sweep, cache and timing counters vary between
+/// runs that produce the same archive.
+uint64_t ArchiveFingerprint(const std::vector<EvaluatedPtr>& archive);
 
 }  // namespace fairsqg
 

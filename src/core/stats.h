@@ -2,12 +2,15 @@
 #define FAIRSQG_CORE_STATS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace fairsqg {
 
-/// Counters reported by every query-generation algorithm; the pruning
+/// Counters reported by every query-generation algorithm. They are 32-bit
+/// (no run verifies 4G instances), which keeps the record at 112 bytes for
+/// callers that keep one per request, such as reqbench. The pruning
 /// percentages of Section V (RfQGen ~40%, BiQGen ~60% fewer instances than
 /// EnumQGen) are computed from `verified` across algorithms.
 ///
@@ -28,39 +31,39 @@ namespace fairsqg {
 /// `verify_*_seconds`, `per_worker_verify_seconds`) depend on which worker
 /// verified what, and may differ between runs at one thread count.
 struct GenStats {
-  size_t generated = 0;  ///< Instances spawned or enumerated.
-  size_t verified = 0;   ///< Instances actually matched and measured.
-  size_t pruned = 0;     ///< Spawned instances skipped by pruning (all kinds).
-  size_t feasible = 0;   ///< Verified instances meeting all constraints.
+  uint32_t generated = 0;  ///< Instances spawned or enumerated.
+  uint32_t verified = 0;   ///< Instances actually matched and measured.
+  uint32_t pruned = 0;     ///< Spawned instances skipped by pruning (all kinds).
+  uint32_t feasible = 0;   ///< Verified instances meeting all constraints.
 
   // Pruning attribution (subsets of `pruned` / separate events).
-  size_t pruned_sandwich = 0;  ///< Instances skipped by SPrune (Lemma 3).
-  size_t pruned_subtree = 0;   ///< Subtree cuts by the archive-cover check.
+  uint32_t pruned_sandwich = 0;  ///< Instances skipped by SPrune (Lemma 3).
+  uint32_t pruned_subtree = 0;   ///< Subtree cuts by the archive-cover check.
 
   // Parallel-execution counters (zero for sequential runs).
-  size_t enqueued = 0;  ///< Work items dispatched to the thread pool.
+  uint32_t enqueued = 0;  ///< Work items dispatched to the thread pool.
   /// Always 0: workers claim shared work from a cursor, and nothing is
   /// stolen. Kept, and written nowhere, until reqbench drops its
   /// `common.pool_stolen` metric, which reads it; then the field goes.
-  size_t stolen = 0;
+  uint32_t stolen = 0;
 
   // Match-set cache counters (zero when no cache is configured), folded
   // from per-verifier counts. Scheduling-dependent (see above).
-  size_t cache_hits = 0;    ///< Verifications answered from the cache.
-  size_t cache_misses = 0;  ///< Lookups that fell through to the matcher.
+  uint32_t cache_hits = 0;    ///< Verifications answered from the cache.
+  uint32_t cache_misses = 0;  ///< Lookups that fell through to the matcher.
 
   // Degraded-run counters (RunContext cancellation / deadlines, DESIGN.md
   // §11). A truncated run returns the best-so-far archive with
   // `deadline_exceeded` set instead of crashing or hanging.
   bool deadline_exceeded = false;  ///< Run stopped early (deadline/cancel).
-  size_t aborted_matches = 0;      ///< Matcher searches cut off mid-flight.
-  size_t timed_out_instances = 0;  ///< Instances whose verification aborted.
+  uint32_t aborted_matches = 0;      ///< Matcher searches cut off mid-flight.
+  uint32_t timed_out_instances = 0;  ///< Instances whose verification aborted.
 
   // Literal-sweep batch verification (QGenConfig::use_sweep_verify,
   // DESIGN.md §12). Folded from per-verifier counts; scheduling-dependent.
-  size_t sweep_chains = 0;     ///< Range-variable chains verified in one pass.
-  size_t sweep_instances = 0;  ///< Member instances derived from a sweep.
-  size_t sweep_fallbacks = 0;  ///< Sweeps aborted mid-chain (fell back).
+  uint32_t sweep_chains = 0;     ///< Range-variable chains verified in one pass.
+  uint32_t sweep_instances = 0;  ///< Member instances derived from a sweep.
+  uint32_t sweep_fallbacks = 0;  ///< Sweeps aborted mid-chain (fell back).
 
   double total_seconds = 0;
   double verify_cpu_seconds = 0;   ///< Verifier time summed across workers.

@@ -11,7 +11,7 @@ namespace fairsqg {
 namespace {
 
 /// Parked member sets beyond this many evict oldest-first. Chains are
-/// normally served promptly (Enum's odometer visits them consecutively;
+/// normally served promptly (the odometer visits them consecutively;
 /// Rf/Bi spawn them as lattice children), so the cap only bounds leakage
 /// from abandoned subtrees.
 constexpr size_t kStoreCap = 4096;
@@ -26,24 +26,6 @@ bool SweepVerifier::Serve(const Instantiation& inst, NodeSet* matches) {
   *matches = std::move(it->second);
   store_.erase(it);  // The fifo_ entry goes stale; eviction skips it.
   return true;
-}
-
-int32_t SweepVerifier::CriticalLevel(
-    NodeId w, const LiteralTemplate& lit,
-    const std::vector<AttrValue>& values) const {
-  const AttrValue* a = config_->graph->GetAttr(w, lit.attr);
-  if (a == nullptr) return kWildcardBinding;
-  int32_t lo = kWildcardBinding;  // P(-1) holds: the wildcard admits all.
-  int32_t hi = static_cast<int32_t>(values.size());
-  while (hi - lo > 1) {
-    const int32_t mid = lo + (hi - lo) / 2;
-    if (a->Compare(lit.op, values[mid])) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
 }
 
 void SweepVerifier::PublishMember(const Instantiation& member, NodeSet set) {
@@ -70,8 +52,7 @@ SweepVerifier::Outcome SweepVerifier::SweepChain(
   FAIRSQG_TRACE_SPAN_FULL("sweep_chain");
   const QueryTemplate& tmpl = *config_->tmpl;
   const LiteralTemplate& lit = tmpl.literals()[tmpl.literal_of_var(var)];
-  const std::vector<AttrValue>& values = config_->domains->values(var);
-  const int32_t m = static_cast<int32_t>(values.size());
+  const int32_t m = static_cast<int32_t>(config_->domains->size(var));
   const int32_t head_level = q.instantiation().range_binding(var);
   FAIRSQG_DCHECK(head_level < m - 1);
   RunContext* ctx = config_->run_context;
@@ -106,7 +87,8 @@ SweepVerifier::Outcome SweepVerifier::SweepChain(
     level_.resize(config_->graph->num_nodes(), 0);
   }
   for (NodeId w : candidates.of(lit.node)) {
-    level_[w] = CriticalLevel(w, lit, values);
+    level_[w] = config_->domains->CriticalLevel(
+        var, lit.op, config_->graph->GetAttr(w, lit.attr));
   }
   SweepSpec spec;
   spec.node = lit.node;

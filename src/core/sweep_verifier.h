@@ -75,12 +75,6 @@ class SweepVerifier {
   uint64_t fallbacks() const { return fallbacks_; }
 
  private:
-  /// Deepest domain index of `lit` that node `w` satisfies (-1: wildcard
-  /// only). Satisfaction is an index prefix — domains are ordered relaxed
-  /// → refined — so this is a binary search over AttrValue::Compare.
-  int32_t CriticalLevel(NodeId w, const LiteralTemplate& lit,
-                        const std::vector<AttrValue>& values) const;
-
   /// Parks one member set and mirrors it into the shared MatchSetCache.
   void PublishMember(const Instantiation& member, NodeSet set);
 

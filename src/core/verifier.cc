@@ -173,9 +173,10 @@ EvaluatedPtr InstanceVerifier::Verify(const Instantiation& inst,
           restrict = &untested;
         }
         // Chain heads (DESIGN.md §12). Without a context: an instance
-        // wildcarded at variable 0 — the odometer's fastest axis, so Enum
-        // (and ParallelQGen chunks) hit it on every run, and Rf/Bi at the
-        // lattice root; the whole chain is enumerated, so no gate. With a
+        // wildcarded at variable 0 — the odometer's fastest axis, so
+        // VerifyAllInstances (and ParallelQGen chunks) hit it on every
+        // run, and Rf/Bi at the lattice root; the whole chain is
+        // enumerated, so no gate. With a
         // refined context: an instance whose one differing range variable
         // still has members below it; thresholds are probed only when the
         // head is coverage-feasible, since the explorers abandon
@@ -230,6 +231,42 @@ EvaluatedPtr InstanceVerifier::Verify(const Instantiation& inst,
     }
   }
   EvaluatedPtr out = Finish(inst, std::move(matches));
+  verify_seconds_ += timer.ElapsedSeconds();
+  return out;
+}
+
+EvaluatedPtr InstanceVerifier::VerifyPartial(const Instantiation& inst,
+                                             NodeSet known,
+                                             const NodeSet& untested,
+                                             NodeSet* rejected) {
+  FAIRSQG_TRACE_SPAN_FULL("verify");
+  Timer timer;
+  rejected->clear();
+  if (!untested.empty()) {
+    QueryInstance q =
+        QueryInstance::Materialize(*config_->tmpl, *config_->domains, inst);
+    CandidateSpace candidates = [&] {
+      FAIRSQG_TRACE_SPAN_FULL("candidate_build");
+      return CandidateSpace::Build(
+          *config_->graph, q,
+          /*degree_filter=*/config_->semantics == MatchSemantics::kIsomorphism,
+          config_->use_candidate_index, &matcher_.mutable_stats());
+    }();
+    MatchResult res = matcher_.MatchOutputBounded(
+        q, candidates, config_->run_context, &untested);
+    if (res.outcome == MatchOutcome::kAborted) {
+      verify_seconds_ += timer.ElapsedSeconds();
+      return RecordAbort();
+    }
+    std::set_difference(untested.begin(), untested.end(), res.matches.begin(),
+                        res.matches.end(), std::back_inserter(*rejected));
+    NodeSet all;
+    all.reserve(known.size() + res.matches.size());
+    std::set_union(known.begin(), known.end(), res.matches.begin(),
+                   res.matches.end(), std::back_inserter(all));
+    known = std::move(all);
+  }
+  EvaluatedPtr out = Finish(inst, std::move(known));
   verify_seconds_ += timer.ElapsedSeconds();
   return out;
 }

@@ -63,6 +63,15 @@ class InstanceVerifier {
                       const VerifyContext* ctx = nullptr,
                       CandidateSpace* out_candidates = nullptr);
 
+  /// Verifies `inst` from part of its answer (the lattice path, DESIGN.md
+  /// §14): `known` holds matches already established, and every other
+  /// match lies in `untested`, sorted output candidates disjoint from
+  /// `known`. Only `untested` is matched; the candidates that fail go to
+  /// `*rejected`. Consults neither the match-set cache nor the literal
+  /// sweep. Returns nullptr iff the bounded match aborted.
+  EvaluatedPtr VerifyPartial(const Instantiation& inst, NodeSet known,
+                             const NodeSet& untested, NodeSet* rejected);
+
   uint64_t num_verified() const { return verify_seq_; }
   double verify_seconds() const { return verify_seconds_; }
 

@@ -9,7 +9,7 @@ const AttrValue* Graph::GetAttr(NodeId v, AttrId a) const {
   auto it = std::lower_bound(
       tuple.begin(), tuple.end(), a,
       [](const AttrEntry& e, AttrId key) { return e.attr < key; });
-  if (it != tuple.end() && it->attr == a) return &it->value;
+  if (it != tuple.end() && it->attr == a) return &attr_values_[it->value_id];
   return nullptr;
 }
 
@@ -48,9 +48,20 @@ const AttrRangeIndex* Graph::RangeIndex(LabelId label, AttrId a) const {
   return &it->second;
 }
 
-const std::vector<AttrValue>& Graph::ActiveDomain(AttrId a) const {
-  if (a >= global_adom_.size()) return empty_domain_;
-  return global_adom_[a];
+std::vector<AttrValue> Graph::ActiveDomain(AttrId a) const {
+  std::vector<AttrValue> values;
+  for (const auto& [key, index] : attr_index_) {
+    if (key.second != a) continue;
+    values.insert(values.end(), index.distinct_values().begin(),
+                  index.distinct_values().end());
+  }
+  std::stable_sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end(),
+                           [](const AttrValue& x, const AttrValue& y) {
+                             return !(x < y) && !(y < x);
+                           }),
+               values.end());
+  return values;
 }
 
 const std::vector<AttrValue>& Graph::ActiveDomain(LabelId label, AttrId a) const {

@@ -18,10 +18,13 @@
 
 namespace fairsqg {
 
-/// One attribute of a node tuple `T(v)`.
+/// One attribute of a node tuple `T(v)`: the attribute and the id of its
+/// value in the graph's value pool (Graph::attr_value), which holds each
+/// distinct typed value once — 8 bytes per node attribute instead of a
+/// 40-byte AttrValue.
 struct AttrEntry {
   AttrId attr;
-  AttrValue value;
+  uint32_t value_id;
 };
 
 /// One adjacency slot: target (or source) node plus the edge label.
@@ -60,6 +63,11 @@ class Graph {
   /// Value of attribute `a` on `v`, or nullptr when absent.
   const AttrValue* GetAttr(NodeId v, AttrId a) const;
 
+  /// The pooled value an AttrEntry refers to.
+  const AttrValue& attr_value(const AttrEntry& e) const {
+    return attr_values_[e.value_id];
+  }
+
   std::span<const AdjEntry> OutEdges(NodeId v) const {
     return {out_adj_.data() + out_offsets_[v], out_offsets_[v + 1] - out_offsets_[v]};
   }
@@ -92,8 +100,10 @@ class Graph {
   /// Graph build time; drives index-sliced candidate generation.
   const AttrRangeIndex* RangeIndex(LabelId label, AttrId a) const;
 
-  /// Global active domain adom(A): sorted unique values of attribute `a`.
-  const std::vector<AttrValue>& ActiveDomain(AttrId a) const;
+  /// Global active domain adom(A): sorted unique values of attribute `a`
+  /// (one representative per AttrValue equality class), merged on demand
+  /// from the per-label range indexes — nothing on the hot path reads it.
+  std::vector<AttrValue> ActiveDomain(AttrId a) const;
 
   /// Active domain of `a` restricted to nodes labelled `label`; this is the
   /// value set a range variable on a query node with that label can take.
@@ -110,9 +120,10 @@ class Graph {
   std::shared_ptr<Schema> schema_;
   std::vector<LabelId> node_labels_;
 
-  // Attribute tuples, pooled.
+  // Attribute tuples, pooled; their values, each distinct typed value once.
   std::vector<AttrEntry> attr_pool_;
   std::vector<size_t> attr_offsets_;  // size num_nodes()+1
+  std::vector<AttrValue> attr_values_;
 
   // CSR adjacency, each list sorted by (neighbor, edge_label).
   std::vector<AdjEntry> out_adj_;
@@ -131,7 +142,6 @@ class Graph {
   // Attribute range indexes, one per (label, attr) pair present in G.
   std::map<std::pair<LabelId, AttrId>, AttrRangeIndex> attr_index_;
 
-  std::vector<std::vector<AttrValue>> global_adom_;  // indexed by AttrId
   std::vector<AttrValue> empty_domain_;
   size_t max_adom_size_ = 0;
   size_t max_degree_ = 0;

@@ -1,8 +1,9 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
-#include <set>
 
 #include "common/logging.h"
 
@@ -25,7 +26,7 @@ void GraphBuilder::SetAttr(NodeId v, std::string_view attr, AttrValue value) {
 
 void GraphBuilder::SetAttr(NodeId v, AttrId attr, AttrValue value) {
   FAIRSQG_CHECK(v < node_attrs_.size()) << "SetAttr on unknown node " << v;
-  for (AttrEntry& e : node_attrs_[v]) {
+  for (NodeAttr& e : node_attrs_[v]) {
     if (e.attr == attr) {
       e.value = std::move(value);
       return;
@@ -54,7 +55,28 @@ Result<Graph> GraphBuilder::Build() && {
   g.schema_ = std::move(schema_);
   g.node_labels_ = std::move(node_labels_);
 
-  // Attribute pool, each tuple sorted by attribute id.
+  // Attribute pool, each tuple sorted by attribute id, over a value pool
+  // holding each distinct (attribute, stored value) once. The key is the
+  // exact representation, not AttrValue's order: 5 equals 5.0, and NaN is
+  // unordered against every number, yet each prints and scores as itself.
+  struct StoredLess {
+    bool operator()(const AttrValue& a, const AttrValue& b) const {
+      const int ra = Rank(a);
+      const int rb = Rank(b);
+      if (ra != rb) return ra < rb;
+      if (a.is_int()) return a.as_int() < b.as_int();
+      if (a.is_double()) {
+        return std::bit_cast<uint64_t>(a.as_double()) <
+               std::bit_cast<uint64_t>(b.as_double());
+      }
+      return a.as_string() < b.as_string();
+    }
+    static int Rank(const AttrValue& x) {
+      return x.is_int() ? 0 : x.is_double() ? 1 : 2;
+    }
+  };
+  std::vector<std::map<AttrValue, uint32_t, StoredLess>> value_ids(
+      g.schema_->num_attrs());
   g.attr_offsets_.assign(n + 1, 0);
   size_t total_attrs = 0;
   for (auto& tuple : node_attrs_) total_attrs += tuple.size();
@@ -62,11 +84,18 @@ Result<Graph> GraphBuilder::Build() && {
   for (size_t v = 0; v < n; ++v) {
     auto& tuple = node_attrs_[v];
     std::sort(tuple.begin(), tuple.end(),
-              [](const AttrEntry& a, const AttrEntry& b) { return a.attr < b.attr; });
+              [](const NodeAttr& a, const NodeAttr& b) { return a.attr < b.attr; });
     g.attr_offsets_[v] = g.attr_pool_.size();
-    for (AttrEntry& e : tuple) g.attr_pool_.push_back(std::move(e));
+    for (NodeAttr& e : tuple) {
+      const auto [it, added] = value_ids[e.attr].try_emplace(
+          e.value, static_cast<uint32_t>(g.attr_values_.size()));
+      if (added) g.attr_values_.push_back(std::move(e.value));
+      g.attr_pool_.push_back({e.attr, it->second});
+    }
   }
   g.attr_offsets_[n] = g.attr_pool_.size();
+  g.attr_values_.shrink_to_fit();
+  node_attrs_.clear();
 
   // Deduplicate edges, then build CSR in both directions.
   std::sort(edges_.begin(), edges_.end(), [](const EdgeRec& a, const EdgeRec& b) {
@@ -136,27 +165,20 @@ Result<Graph> GraphBuilder::Build() && {
     g.label_bitsets_.push_back(NodeBitset::FromNodes(nodes, n));
   }
 
-  // Active domains: global per attribute, plus the attribute range indexes
-  // ((value, node) sorted per (node label, attribute) pair), whose distinct
-  // values are the per-label active domains.
-  size_t num_attrs = g.schema_->num_attrs();
-  std::vector<std::set<AttrValue>> global(num_attrs);
+  // The attribute range indexes ((value, node) sorted per (node label,
+  // attribute) pair), whose distinct values are the active domains.
   std::map<std::pair<LabelId, AttrId>, std::vector<std::pair<AttrValue, NodeId>>>
       index_entries;
   for (NodeId v = 0; v < n; ++v) {
     for (const AttrEntry& e : g.attrs(v)) {
-      global[e.attr].insert(e.value);
-      index_entries[{g.node_labels_[v], e.attr}].push_back({e.value, v});
+      index_entries[{g.node_labels_[v], e.attr}].push_back(
+          {g.attr_value(e), v});
     }
   }
   for (auto& [key, entries] : index_entries) {
     AttrRangeIndex index = AttrRangeIndex::Build(std::move(entries));
     g.max_adom_size_ = std::max(g.max_adom_size_, index.distinct_values().size());
     g.attr_index_.emplace(key, std::move(index));
-  }
-  g.global_adom_.resize(num_attrs);
-  for (size_t a = 0; a < num_attrs; ++a) {
-    g.global_adom_[a].assign(global[a].begin(), global[a].end());
   }
 
   for (NodeId v = 0; v < n; ++v) {

@@ -52,6 +52,10 @@ class GraphBuilder {
   Result<Graph> Build() &&;
 
  private:
+  struct NodeAttr {
+    AttrId attr;
+    AttrValue value;
+  };
   struct EdgeRec {
     NodeId from;
     NodeId to;
@@ -60,7 +64,7 @@ class GraphBuilder {
 
   std::shared_ptr<Schema> schema_;
   std::vector<LabelId> node_labels_;
-  std::vector<std::vector<AttrEntry>> node_attrs_;
+  std::vector<std::vector<NodeAttr>> node_attrs_;
   std::vector<EdgeRec> edges_;
 };
 

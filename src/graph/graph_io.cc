@@ -47,7 +47,8 @@ Status WriteGraphText(const Graph& g, std::ostream& out) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     out << "v " << v << " " << g.schema().NodeLabelName(g.node_label(v));
     for (const AttrEntry& e : g.attrs(v)) {
-      out << " " << g.schema().AttrName(e.attr) << "=" << EncodeValue(e.value);
+      out << " " << g.schema().AttrName(e.attr) << "="
+          << EncodeValue(g.attr_value(e));
     }
     out << "\n";
   }

@@ -4,7 +4,8 @@
 
 namespace fairsqg {
 
-NodeSet BruteForceMatchOutput(const Graph& g, const QueryInstance& q) {
+NodeSet BruteForceMatchOutput(const Graph& g, const QueryInstance& q,
+                              MatchSemantics semantics) {
   const auto& active = q.active_nodes();
   const size_t n = active.size();
 
@@ -42,8 +43,9 @@ NodeSet BruteForceMatchOutput(const Graph& g, const QueryInstance& q) {
       return;
     }
     for (NodeId v : cands[i]) {
-      if (std::find(assignment.begin(), assignment.begin() + i, v) !=
-          assignment.begin() + i) {
+      if (semantics == MatchSemantics::kIsomorphism &&
+          std::find(assignment.begin(), assignment.begin() + i, v) !=
+              assignment.begin() + i) {
         continue;  // Injectivity.
       }
       assignment[i] = v;

@@ -2,15 +2,19 @@
 #define FAIRSQG_MATCHING_BRUTE_FORCE_H_
 
 #include "matching/candidate_space.h"
+#include "matching/subgraph_matcher.h"
 
 namespace fairsqg {
 
 /// \brief Reference implementation of output-node matching.
 ///
-/// Enumerates every injective assignment of data nodes to the active query
-/// nodes and checks all labels, literals, and edges directly. Exponential;
-/// only for cross-validating SubgraphMatcher in tests and for tiny graphs.
-NodeSet BruteForceMatchOutput(const Graph& g, const QueryInstance& q);
+/// Enumerates every assignment of data nodes to the active query nodes —
+/// injective ones only under isomorphism — and checks all labels, literals,
+/// and edges directly. Exponential; only for cross-validating
+/// SubgraphMatcher and LatticeIndex in tests and for tiny graphs.
+NodeSet BruteForceMatchOutput(
+    const Graph& g, const QueryInstance& q,
+    MatchSemantics semantics = MatchSemantics::kIsomorphism);
 
 }  // namespace fairsqg
 

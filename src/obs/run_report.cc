@@ -51,6 +51,13 @@ void RunReport::SetGenStats(const GenStats& stats) {
   root_.Set("stats", StatsJson(stats));
 }
 
+void RunReport::SetFingerprint(uint64_t fingerprint) {
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(fingerprint));
+  root_.Set("fingerprint", Json(std::string(hex)));
+}
+
 void RunReport::SetField(const std::string& key, Json value) {
   root_.Set(key, std::move(value));
 }

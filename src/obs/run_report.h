@@ -25,6 +25,8 @@ namespace fairsqg::obs {
 ///   schema_version  RunReport::kSchemaVersion; consumers hard-fail on
 ///                   mismatch rather than misread renamed fields
 ///   algorithm       generator name, when set
+///   fingerprint     the archive's determinism fingerprint as 16 hex
+///                   digits (core's ArchiveFingerprint), when set
 ///   stats           every GenStats counter, flat (see StatsJson)
 ///   trace           {detail, dropped, spans:[...]} from a Tracer snapshot
 ///
@@ -33,13 +35,16 @@ namespace fairsqg::obs {
 /// GenStats view stays byte-stable across repeats.
 class RunReport {
  public:
-  static constexpr int kSchemaVersion = 2;
+  /// v3: the optional top-level "fingerprint".
+  static constexpr int kSchemaVersion = 3;
   static constexpr const char* kKind = "fairsqg.run_report";
 
   RunReport();
 
   void SetAlgorithm(const std::string& name);
   void SetGenStats(const GenStats& stats);
+  /// Records the archive's determinism fingerprint (ArchiveFingerprint).
+  void SetFingerprint(uint64_t fingerprint);
   /// Attaches an arbitrary top-level field (scenario parameters, repeat
   /// counts — whatever the producer wants downstream tools to see).
   void SetField(const std::string& key, Json value);

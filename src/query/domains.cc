@@ -23,6 +23,23 @@ Result<VariableDomains> VariableDomains::Build(const Graph& g,
   return out;
 }
 
+int32_t VariableDomains::CriticalLevel(RangeVarId x, CompareOp op,
+                                      const AttrValue* value) const {
+  if (value == nullptr) return -1;
+  const std::vector<AttrValue>& values = domains_[x];
+  int32_t lo = -1;  // P(-1) holds: the wildcard admits every node.
+  int32_t hi = static_cast<int32_t>(values.size());
+  while (hi - lo > 1) {
+    const int32_t mid = lo + (hi - lo) / 2;
+    if (value->Compare(op, values[mid])) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 VariableDomains VariableDomains::Coarsened(size_t max_per_var) const {
   VariableDomains out;
   out.domains_.resize(domains_.size());

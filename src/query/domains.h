@@ -38,6 +38,16 @@ class VariableDomains {
     return domains_[x][index];
   }
 
+  /// \brief Deepest index i of x's domain whose literal `*value op dom[i]`
+  /// holds, or -1 (the wildcard binding) when `value` is null or satisfies
+  /// none. `op` is the operator of x's literal.
+  ///
+  /// Satisfaction is an index prefix — domains run relaxed -> refined — so
+  /// this is a binary search, and a node carrying `value` satisfies x's
+  /// literal at binding b iff b <= CriticalLevel(x, op, value).
+  int32_t CriticalLevel(RangeVarId x, CompareOp op,
+                        const AttrValue* value) const;
+
   /// \brief A coarsened copy keeping at most `max_per_var` evenly spaced
   /// values per variable (always including the most relaxed and most
   /// refined values).

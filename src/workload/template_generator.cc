@@ -102,7 +102,7 @@ Result<QueryTemplate> GenerateTemplate(const Graph& g, const TemplateSpec& spec)
     for (size_t i = 0; i < nodes.size(); ++i) {
       LabelId label = g.node_label(nodes[i]);
       for (const AttrEntry& a : g.attrs(nodes[i])) {
-        if (!a.value.is_numeric()) continue;
+        if (!g.attr_value(a).is_numeric()) continue;
         if (g.ActiveDomain(label, a.attr).size() < 2) continue;
         sites.push_back({i, a.attr});
       }

@@ -4,23 +4,60 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
-#include "core/enum_qgen.h"
+#include "core/enumerate.h"
 #include "core/measures.h"
+#include "core/pareto_archive.h"
+#include "core/verifier.h"
 #include "matching/subgraph_matcher.h"
 #include "query/instance.h"
 
 namespace fairsqg {
 
-/// The reference an archive is checked against: serial EnumQGen with
-/// template refinement and incVerify off, so it shares neither of the
-/// optimizations the generators under test rely on.
+/// The reference an archive is checked against: every instance verified on
+/// its own by the per-instance odometer (VerifyAllInstances), folded
+/// through a ParetoArchive. Template refinement, incVerify and the literal
+/// sweep are off, and the LatticeIndex path that EnumQGen and ParallelQGen
+/// take is not involved, so the reference shares none of the optimizations
+/// the generators under test rely on.
 inline std::vector<EvaluatedPtr> ReferenceArchive(QGenConfig config) {
   config.use_template_refinement = false;
   config.use_incremental_verify = false;
-  return EnumQGen::Run(config).ValueOrDie().pareto;
+  config.use_sweep_verify = false;
+  InstanceVerifier verifier(config);
+  ParetoArchive archive(config.epsilon);
+  for (EvaluatedPtr& e :
+       VerifyAllInstances(config, &verifier, nullptr).ValueOrDie()) {
+    if (e->feasible) archive.Update(std::move(e));
+  }
+  return archive.SortedEntries();
+}
+
+/// "" when `archive` equals `reference` member for member — instantiation,
+/// match set, objectives and feasibility — else the first difference.
+inline std::string CompareArchives(const QueryTemplate& tmpl,
+                                   const VariableDomains& domains,
+                                   const std::vector<EvaluatedPtr>& archive,
+                                   const std::vector<EvaluatedPtr>& reference) {
+  if (archive.size() != reference.size()) {
+    return "archive has " + std::to_string(archive.size()) +
+           " members, reference " + std::to_string(reference.size());
+  }
+  for (size_t i = 0; i < archive.size(); ++i) {
+    const EvaluatedInstance& a = *archive[i];
+    const EvaluatedInstance& r = *reference[i];
+    if (a.inst != r.inst || a.matches != r.matches ||
+        a.obj.diversity != r.obj.diversity ||
+        a.obj.coverage != r.obj.coverage || a.feasible != r.feasible) {
+      return "member " + std::to_string(i) + " is " +
+             a.inst.ToString(tmpl, domains) + ", reference " +
+             r.inst.ToString(tmpl, domains);
+    }
+  }
+  return "";
 }
 
 /// δ by the definition: (1-λ) Σ r(v) + (2λ/(|V_uo|-1)) Σ_{v<v'} d(v, v').

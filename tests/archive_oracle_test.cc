@@ -1,11 +1,14 @@
 // Archive oracle: on many small seeded scenarios, the archives of RfQGen,
 // BiQGen and BiQGen::RunParallel at 2 and 4 threads — every pruning and
 // verification toggle on, incVerify on and off — are checked from scratch
-// against a serial EnumQGen reference (archive_oracle.h). A generator that
+// against a per-instance reference (archive_oracle.h). A generator that
 // misses a feasible instance's box, or reports a match set or objective
-// its instantiation does not have, fails here.
+// its instantiation does not have, fails here. EnumQGen and ParallelQGen
+// at 1, 2 and 4 threads, which verify the lattice from one LatticeIndex
+// pass, must reproduce the reference archive member for member.
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +17,8 @@
 
 #include "archive_oracle.h"
 #include "core/bi_qgen.h"
+#include "core/enum_qgen.h"
+#include "core/parallel_qgen.h"
 #include "core/rf_qgen.h"
 #include "scenario_fixture.h"
 
@@ -51,6 +56,11 @@ bool CheckScenario(const std::string& dataset, double scale, uint64_t seed,
   config.use_candidate_index = true;
   config.use_sweep_verify = true;
   const std::vector<EvaluatedPtr> reference = ReferenceArchive(config);
+  const std::string where = " on " + dataset + " scale " +
+                            std::to_string(scale) + " seed " +
+                            std::to_string(seed) + " domains " +
+                            std::to_string(max_domain) + " epsilon " +
+                            std::to_string(epsilon);
 
   using Generator = std::function<Result<QGenResult>(const QGenConfig&)>;
   const std::pair<const char*, Generator> generators[] = {
@@ -61,6 +71,25 @@ bool CheckScenario(const std::string& dataset, double scale, uint64_t seed,
       {"BiQGen::RunParallel(4)",
        [](const QGenConfig& c) { return BiQGen::RunParallel(c, 4); }},
   };
+  // The lattice generators consult no toggle under test: one run each.
+  const std::pair<const char*, Generator> exact[] = {
+      {"EnumQGen", EnumQGen::Run},
+      {"ParallelQGen(1)",
+       [](const QGenConfig& c) { return ParallelQGen::Run(c, 1); }},
+      {"ParallelQGen(2)",
+       [](const QGenConfig& c) { return ParallelQGen::Run(c, 2); }},
+      {"ParallelQGen(4)",
+       [](const QGenConfig& c) { return ParallelQGen::Run(c, 4); }},
+  };
+  for (const auto& [name, run] : exact) {
+    Result<QGenResult> result = run(config);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) continue;
+    EXPECT_EQ(CompareArchives(*config.tmpl, *config.domains, result->pareto,
+                              reference),
+              "")
+        << name << where;
+  }
   for (bool incremental : {true, false}) {
     config.use_incremental_verify = incremental;
     for (const auto& [name, run] : generators) {
@@ -68,9 +97,7 @@ bool CheckScenario(const std::string& dataset, double scale, uint64_t seed,
       EXPECT_TRUE(result.ok()) << result.status().ToString();
       if (!result.ok()) continue;
       EXPECT_EQ(CheckArchive(config, result->pareto, reference), "")
-          << name << " incVerify=" << incremental << " on " << dataset
-          << " scale " << scale << " seed " << seed << " domains "
-          << max_domain << " epsilon " << epsilon;
+          << name << " incVerify=" << incremental << where;
     }
   }
   return true;
@@ -120,6 +147,32 @@ TEST_P(ArchiveOracleDatasetTest, ScenariosPassOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Datasets, ArchiveOracleDatasetTest,
                          testing::Values("lki", "cite"));
+
+TEST(ArchiveFingerprintTest, EnumMatchesPerInstanceReference) {
+  uint64_t checked = 0;
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    Result<Scenario> scenario =
+        MakeScenario(OracleScenarioOptions("dbp", 0.05, seed, 8));
+    if (!scenario.ok()) continue;
+    QGenConfig config = scenario->MakeConfig(0.05);
+    config.diversity.lambda = 0.5;
+    const std::vector<EvaluatedPtr> reference = ReferenceArchive(config);
+    const std::vector<EvaluatedPtr> archive =
+        EnumQGen::Run(config).ValueOrDie().pareto;
+    EXPECT_EQ(ArchiveFingerprint(archive), ArchiveFingerprint(reference))
+        << "seed " << seed;
+    // The fingerprint sees match sets, not only instantiations.
+    if (!reference.empty() && !reference[0]->matches.empty()) {
+      auto changed = std::make_shared<EvaluatedInstance>(*reference[0]);
+      changed->matches.pop_back();
+      std::vector<EvaluatedPtr> altered = reference;
+      altered[0] = changed;
+      EXPECT_NE(ArchiveFingerprint(altered), ArchiveFingerprint(reference));
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+}
 
 }  // namespace
 }  // namespace fairsqg

@@ -14,6 +14,7 @@
 #include "common/run_context.h"
 #include "core/bi_qgen.h"
 #include "core/enum_qgen.h"
+#include "core/kungs.h"
 #include "core/match_cache.h"
 #include "core/verifier.h"
 #include "scenario_fixture.h"
@@ -69,7 +70,9 @@ TEST_F(FaultInjectionTest, FaultPointsAreReached) {
 TEST_F(FaultInjectionTest, CacheFaultsAreInvisibleInResults) {
   SmallScenario s;
   QGenConfig config = s.Config(0.05);
-  QGenResult baseline = EnumQGen::Run(config).ValueOrDie();
+  // Kungs verifies every instance on its own, through the cache; EnumQGen
+  // takes the LatticeIndex path on this tree template and never consults it.
+  QGenResult baseline = Kungs::Run(config).ValueOrDie();
 
   // Every cache fault mode must leave the archive byte-identical to the
   // cacheless baseline: a failed lookup is a miss, a failed insert is a
@@ -94,7 +97,7 @@ TEST_F(FaultInjectionTest, CacheFaultsAreInvisibleInResults) {
     auto cache = MatchSetCache::Create(options).ValueOrDie();
     QGenConfig faulty = s.Config(0.05);
     faulty.match_cache = cache.get();
-    QGenResult r = EnumQGen::Run(faulty).ValueOrDie();
+    QGenResult r = Kungs::Run(faulty).ValueOrDie();
     ExpectSameResult(baseline, r, mode.site);
   }
 }
@@ -108,7 +111,7 @@ TEST_F(FaultInjectionTest, LookupFailForcesMisses) {
   auto cache = MatchSetCache::Create(options).ValueOrDie();
   QGenConfig config = s.Config(0.05);
   config.match_cache = cache.get();
-  QGenResult r = EnumQGen::Run(config).ValueOrDie();
+  QGenResult r = Kungs::Run(config).ValueOrDie();
   EXPECT_EQ(r.stats.cache_hits, 0u);
   EXPECT_GT(r.stats.cache_misses, 0u);
 }
@@ -168,7 +171,7 @@ TEST_F(FaultInjectionTest, InsertFailKeepsCacheEmpty) {
   auto cache = MatchSetCache::Create(options).ValueOrDie();
   QGenConfig config = s.Config(0.05);
   config.match_cache = cache.get();
-  ASSERT_TRUE(EnumQGen::Run(config).ok());
+  ASSERT_TRUE(Kungs::Run(config).ok());
   EXPECT_GT(fault::HitCount("cache.insert"), 0u);
   MatchSetCache::CacheStats stats = cache->GetStats();
   EXPECT_EQ(stats.insertions, 0u);

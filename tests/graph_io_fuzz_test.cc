@@ -64,9 +64,11 @@ TEST_P(GraphIoFuzzTest, RoundTripIsExact) {
     for (size_t i = 0; i < attrs.size(); ++i) {
       EXPECT_EQ(g2.schema().AttrName(attrs2[i].attr),
                 g.schema().AttrName(attrs[i].attr));
-      EXPECT_EQ(attrs2[i].value, attrs[i].value);
-      EXPECT_EQ(attrs2[i].value.is_int(), attrs[i].value.is_int());
-      EXPECT_EQ(attrs2[i].value.is_double(), attrs[i].value.is_double());
+      const AttrValue& value = g.attr_value(attrs[i]);
+      const AttrValue& value2 = g2.attr_value(attrs2[i]);
+      EXPECT_EQ(value2, value);
+      EXPECT_EQ(value2.is_int(), value.is_int());
+      EXPECT_EQ(value2.is_double(), value.is_double());
     }
     // Adjacency as multisets of (neighbor, label name): the interning
     // order — and hence the in-memory sort within a (from, to) pair — may

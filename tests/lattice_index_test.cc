@@ -1,0 +1,316 @@
+// LatticeIndex differential test (DESIGN.md §14): on seeded random tree
+// templates over a small random movie graph, every instance's match set
+// derived from one annotated pass — plus frontier certification under
+// isomorphism — must equal SubgraphMatcher::MatchOutput and the brute-force
+// oracle, under both matching semantics. The templates mix 1–4 range
+// variables (>= and <=), fixed literals, empty domains, up to two optional
+// edges (one of them above a subtree), and repeated labels.
+
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/random.h"
+#include "common/run_context.h"
+#include "core/enum_qgen.h"
+#include "core/enumerate.h"
+#include "core/groups.h"
+#include "core/lattice_verify.h"
+#include "core/match_cache.h"
+#include "core/verifier.h"
+#include "graph/graph_builder.h"
+#include "matching/brute_force.h"
+#include "matching/lattice_index.h"
+#include "matching/subgraph_matcher.h"
+#include "query/instance.h"
+
+namespace fairsqg {
+namespace {
+
+/// Small enough for the brute-force oracle: 9 movies, 4 directors and
+/// 4 actors, with directs, stars and sequel edges.
+Graph MakeMovieGraph(uint64_t seed, std::shared_ptr<Schema> schema) {
+  Rng rng(seed);
+  GraphBuilder b(std::move(schema));
+  std::vector<NodeId> movies, people;
+  for (int i = 0; i < 9; ++i) {
+    NodeId m = b.AddNode("movie");
+    if (rng.NextBernoulli(0.85)) {
+      b.SetAttr(m, "year", AttrValue(rng.NextInRange(1990, 1997)));
+    }
+    b.SetAttr(m, "rating", AttrValue(static_cast<double>(rng.NextInRange(2, 9))));
+    b.SetAttr(m, "genre",
+              AttrValue(std::string(rng.NextBernoulli(0.5) ? "drama" : "comedy")));
+    movies.push_back(m);
+  }
+  for (const char* label : {"director", "director", "director", "director",
+                            "actor", "actor", "actor", "actor"}) {
+    NodeId p = b.AddNode(label);
+    b.SetAttr(p, "age", AttrValue(rng.NextInRange(20, 60)));
+    people.push_back(p);
+  }
+  for (int i = 0; i < 14; ++i) {
+    NodeId p = people[rng.NextBounded(people.size())];
+    NodeId m = movies[rng.NextBounded(movies.size())];
+    b.AddEdge(p, m, p < movies.size() + 4 ? "directs" : "stars");
+  }
+  for (int i = 0; i < 10; ++i) {
+    NodeId a = movies[rng.NextBounded(movies.size())];
+    NodeId c = movies[rng.NextBounded(movies.size())];
+    if (a != c) b.AddEdge(a, c, "sequel");
+  }
+  return std::move(b).Build().ValueOrDie();
+}
+
+/// A random tree rooted at a movie: each new node hangs off an earlier one
+/// over an edge the graph's labels allow (people attach to movies, movies
+/// to anything), so labels repeat (movie–director–movie–movie).
+std::unique_ptr<QueryTemplate> MakeTreeTemplate(
+    Rng* rng, const std::shared_ptr<Schema>& schema) {
+  auto t = std::make_unique<QueryTemplate>(schema);
+  std::vector<std::string> labels = {"movie"};
+  t->AddNode("movie");
+  t->SetOutputNode(0);
+  const size_t num_nodes = 2 + rng->NextBounded(3);  // 2..4 nodes.
+  size_t optional_edges = 0;
+  for (size_t i = 1; i < num_nodes; ++i) {
+    const QNodeId parent = static_cast<QNodeId>(rng->NextBounded(i));
+    std::string label = "movie";
+    if (labels[parent] == "movie") {
+      const char* options[] = {"movie", "director", "actor"};
+      label = options[rng->NextBounded(3)];
+    }
+    const QNodeId child = t->AddNode(label);
+    labels.push_back(label);
+    QNodeId from = parent, to = child;
+    std::string edge = "sequel";
+    if (label == "director" || labels[parent] == "director") edge = "directs";
+    if (label == "actor" || labels[parent] == "actor") edge = "stars";
+    if (edge != "sequel") {
+      // People point at movies.
+      if (labels[parent] == "movie") std::swap(from, to);
+    } else if (rng->NextBernoulli(0.5)) {
+      std::swap(from, to);
+    }
+    // Optional edges, the first one above whatever subtree `child` grows.
+    if (optional_edges < 2 && rng->NextBernoulli(0.4)) {
+      t->AddVariableEdge(from, to, edge);
+      ++optional_edges;
+    } else {
+      t->AddEdge(from, to, edge);
+    }
+  }
+  // 1..4 range variables; "age" on a movie has an empty domain.
+  const size_t num_range = 1 + rng->NextBounded(4);
+  for (size_t i = 0; i < num_range; ++i) {
+    const QNodeId u = static_cast<QNodeId>(rng->NextBounded(num_nodes));
+    const char* attr = "age";
+    if (labels[u] == "movie") {
+      const char* options[] = {"year", "rating", "age"};
+      attr = options[rng->NextBounded(3)];
+    }
+    t->AddRangeLiteral(u, attr,
+                       rng->NextBernoulli(0.5) ? CompareOp::kGe : CompareOp::kLe);
+  }
+  if (rng->NextBernoulli(0.5)) {
+    const QNodeId u = static_cast<QNodeId>(rng->NextBounded(num_nodes));
+    if (labels[u] == "movie") {
+      t->AddLiteral(u, "genre", CompareOp::kEq, AttrValue(std::string("drama")));
+    } else {
+      t->AddLiteral(u, "age", CompareOp::kGe, AttrValue(int64_t{30}));
+    }
+  }
+  return t;
+}
+
+struct Fixture {
+  std::shared_ptr<Schema> schema = std::make_shared<Schema>();
+  Graph graph;
+  std::unique_ptr<QueryTemplate> tmpl;
+  std::unique_ptr<VariableDomains> domains;
+  std::unique_ptr<GroupSet> groups;
+
+  explicit Fixture(uint64_t seed) : graph(MakeMovieGraph(seed, schema)) {
+    Rng rng(seed * 7919 + 3);
+    tmpl = MakeTreeTemplate(&rng, schema);
+    domains = std::make_unique<VariableDomains>(
+        VariableDomains::Build(graph, *tmpl).ValueOrDie().Coarsened(3));
+    groups = std::make_unique<GroupSet>(
+        GroupSet::Create(graph.num_nodes(),
+                         {graph.NodesWithLabel(schema->NodeLabelId("movie"))},
+                         {1})
+            .ValueOrDie());
+  }
+
+  QGenConfig Config(MatchSemantics semantics) const {
+    QGenConfig config;
+    config.graph = &graph;
+    config.tmpl = tmpl.get();
+    config.domains = domains.get();
+    config.groups = groups.get();
+    config.epsilon = 0.05;
+    config.semantics = semantics;
+    return config;
+  }
+};
+
+class LatticeIndexTest : public testing::TestWithParam<int> {};
+
+TEST_P(LatticeIndexTest, DerivedSetsMatchMatcherAndBruteForce) {
+  Fixture f(static_cast<uint64_t>(GetParam()));
+  ASSERT_TRUE(f.tmpl->Validate().ok()) << f.tmpl->ToString();
+  ASSERT_TRUE(LatticeApplies(f.Config(MatchSemantics::kIsomorphism)));
+  for (MatchSemantics semantics :
+       {MatchSemantics::kIsomorphism, MatchSemantics::kHomomorphism}) {
+    const QGenConfig config = f.Config(semantics);
+    InstanceVerifier verifier(config);
+    InstanceVerifier* const verifiers[] = {&verifier};
+    std::vector<EvaluatedPtr> derived;
+    GenStats stats;
+    VerifyLattice(
+        config, /*pool=*/nullptr, verifiers,
+        [&](size_t, EvaluatedPtr e) { derived.push_back(std::move(e)); },
+        &stats);
+    const size_t space = f.domains->InstanceSpaceSize(*f.tmpl);
+    ASSERT_EQ(derived.size(), space);
+    EXPECT_EQ(stats.verified, space);
+    EXPECT_FALSE(stats.deadline_exceeded);
+
+    SubgraphMatcher matcher(f.graph, semantics);
+    for (const EvaluatedPtr& e : derived) {
+      QueryInstance q =
+          QueryInstance::Materialize(*f.tmpl, *f.domains, e->inst);
+      const std::string who =
+          std::string(semantics == MatchSemantics::kIsomorphism ? "iso "
+                                                                : "hom ") +
+          e->inst.ToString(*f.tmpl, *f.domains) + "\n" + f.tmpl->ToString();
+      EXPECT_EQ(e->matches, matcher.MatchOutput(q)) << who;
+      EXPECT_EQ(e->matches, BruteForceMatchOutput(f.graph, q, semantics))
+          << who;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LatticeIndexTest, testing::Range(0, 48));
+
+TEST(LatticeIndexCoverageTest, SeedsExerciseTheFeatures) {
+  // The seeds above must reach every feature the test claims: optional
+  // edges above a subtree, empty domains, repeated labels, 4 range
+  // variables, fixed literals, and non-empty isomorphic answers that differ
+  // from the homomorphic ones.
+  bool subtree_edge = false, empty_domain = false, repeated = false;
+  bool four_vars = false, fixed = false, iso_differs = false;
+  size_t nonempty = 0;
+  for (int seed = 0; seed < 48; ++seed) {
+    Fixture f(static_cast<uint64_t>(seed));
+    const QueryTemplate& t = *f.tmpl;
+    for (const QueryEdge& e : t.edges()) {
+      if (!e.is_variable()) continue;
+      // Nodes are added below their parents, so the later endpoint is the
+      // root of the subtree the edge switches off.
+      const QNodeId lower = std::max(e.from, e.to);
+      for (const QueryEdge& other : t.edges()) {
+        if (&other != &e && (other.from == lower || other.to == lower)) {
+          subtree_edge = true;
+        }
+      }
+    }
+    for (RangeVarId x = 0; x < t.num_range_vars(); ++x) {
+      empty_domain = empty_domain || f.domains->size(x) == 0;
+    }
+    for (QNodeId u = 1; u < t.num_nodes(); ++u) {
+      repeated = repeated || t.node_label(u) == t.node_label(0);
+    }
+    four_vars = four_vars || t.num_range_vars() == 4;
+    fixed = fixed || t.literals().size() > t.num_range_vars();
+    SubgraphMatcher iso(f.graph, MatchSemantics::kIsomorphism);
+    SubgraphMatcher hom(f.graph, MatchSemantics::kHomomorphism);
+    InstantiationEnumerator it(t, *f.domains);
+    Instantiation inst;
+    while (it.Next(&inst)) {
+      QueryInstance q = QueryInstance::Materialize(t, *f.domains, inst);
+      const NodeSet a = iso.MatchOutput(q);
+      nonempty += !a.empty();
+      iso_differs = iso_differs || a != hom.MatchOutput(q);
+    }
+  }
+  EXPECT_TRUE(subtree_edge);
+  EXPECT_TRUE(empty_domain);
+  EXPECT_TRUE(repeated);
+  EXPECT_TRUE(four_vars);
+  EXPECT_TRUE(fixed);
+  EXPECT_TRUE(iso_differs);
+  EXPECT_GT(nonempty, 0u);
+}
+
+/// movie -sequel-> movie -sequel-> movie -sequel-> back to the first: a
+/// cycle, which the pass does not cover.
+TEST(LatticeIndexFallbackTest, CyclicTemplateTakesPerInstancePath) {
+  Fixture f(5);
+  QueryTemplate cyclic(f.schema);
+  QNodeId a = cyclic.AddNode("movie");
+  QNodeId b = cyclic.AddNode("movie");
+  QNodeId c = cyclic.AddNode("movie");
+  cyclic.SetOutputNode(a);
+  cyclic.AddRangeLiteral(b, "rating", CompareOp::kGe);
+  cyclic.AddEdge(a, b, "sequel");
+  cyclic.AddEdge(b, c, "sequel");
+  cyclic.AddVariableEdge(c, a, "sequel");
+  VariableDomains domains =
+      VariableDomains::Build(f.graph, cyclic).ValueOrDie().Coarsened(3);
+  EXPECT_FALSE(LatticeIndex::Supports(cyclic, domains));
+  EXPECT_EQ(LatticeIndex::Build(f.graph, cyclic, domains).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  QGenConfig config = f.Config(MatchSemantics::kIsomorphism);
+  config.tmpl = &cyclic;
+  config.domains = &domains;
+  EXPECT_FALSE(LatticeApplies(config));
+  // The per-instance path consults the match-set cache for every
+  // instance; the lattice path never does.
+  MatchSetCache cache;
+  config.match_cache = &cache;
+  QGenResult r = EnumQGen::Run(config).ValueOrDie();
+  EXPECT_EQ(r.stats.verified, domains.InstanceSpaceSize(cyclic));
+  EXPECT_EQ(r.stats.cache_hits + r.stats.cache_misses, r.stats.verified);
+}
+
+TEST(LatticeIndexDeadlineTest, HardExpiredContextAbortsThePass) {
+  Fixture f(3);
+  RunContext ctx;
+  ctx.RequestCancel();
+  EXPECT_EQ(LatticeIndex::Build(f.graph, *f.tmpl, *f.domains, &ctx)
+                .status()
+                .code(),
+            StatusCode::kDeadlineExceeded);
+
+  QGenConfig config = f.Config(MatchSemantics::kIsomorphism);
+  config.run_context = &ctx;
+  ctx.set_on_expiry(ExpiryPolicy::kPartial);
+  QGenResult r = EnumQGen::Run(config).ValueOrDie();
+  EXPECT_TRUE(r.stats.deadline_exceeded);
+  EXPECT_EQ(r.stats.verified, 0u);
+  EXPECT_TRUE(r.pareto.empty());
+}
+
+TEST(LatticeIndexTest, RanksFollowTheOdometer) {
+  Fixture f(11);
+  LatticeIndex index =
+      LatticeIndex::Build(f.graph, *f.tmpl, *f.domains).ValueOrDie();
+  ASSERT_EQ(index.num_instances(), f.domains->InstanceSpaceSize(*f.tmpl));
+  InstantiationEnumerator it(*f.tmpl, *f.domains);
+  Instantiation inst;
+  uint64_t rank = 0;
+  while (it.Next(&inst)) {
+    EXPECT_EQ(index.InstanceAt(rank), inst);
+    ++rank;
+  }
+  EXPECT_EQ(rank, index.num_instances());
+}
+
+}  // namespace
+}  // namespace fairsqg

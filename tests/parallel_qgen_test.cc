@@ -6,6 +6,7 @@
 #include "core/enum_qgen.h"
 #include "core/enumerate.h"
 #include "core/indicators.h"
+#include "core/pareto_archive.h"
 #include "scenario_fixture.h"
 
 namespace fairsqg {
@@ -85,12 +86,30 @@ TEST(ParallelQGenTest, DeterministicResultAcrossThreadCounts) {
     Objectives br = MaxObjectives(r.pareto);
     EXPECT_DOUBLE_EQ(b1.diversity, br.diversity);
     EXPECT_DOUBLE_EQ(b1.coverage, br.coverage);
-    // The whole space is dispatched in the same fixed-size chunks and
-    // verified exactly once, whichever worker takes which chunk.
+    // The whole space is dispatched, one claim per instance, and verified
+    // exactly once, whichever worker claims which instance.
     EXPECT_EQ(r.stats.generated, one.stats.generated);
     EXPECT_EQ(r.stats.verified, one.stats.verified);
     EXPECT_EQ(r.stats.feasible, one.stats.feasible);
     EXPECT_EQ(r.stats.enqueued, one.stats.enqueued);
+  }
+}
+
+TEST(ParallelQGenTest, FingerprintIndependentOfThreadCount) {
+  SmallScenario s;
+  for (double epsilon : {0.05, 0.01}) {
+    QGenConfig config = s.Config(epsilon);
+    const uint64_t one =
+        ArchiveFingerprint(ParallelQGen::Run(config, 1).ValueOrDie().pareto);
+    for (size_t threads : {2, 4}) {
+      EXPECT_EQ(ArchiveFingerprint(
+                    ParallelQGen::Run(config, threads).ValueOrDie().pareto),
+                one)
+          << threads << " threads, epsilon " << epsilon;
+    }
+    // Serial Enum walks the same lattice.
+    EXPECT_EQ(ArchiveFingerprint(EnumQGen::Run(config).ValueOrDie().pareto),
+              one);
   }
 }
 

@@ -72,6 +72,7 @@ obs::RunReport PinnedReport() {
   stats.verify_wall_seconds = 0.0625;
   stats.per_worker_verify_seconds = {0.03125, 0.03125};
   report.SetGenStats(stats);
+  report.SetFingerprint(0x0123456789abcdefULL);
 
   std::vector<obs::SpanRecord> spans;
   obs::SpanRecord run;
@@ -135,8 +136,10 @@ TEST(RunReportTest, GoldenFileParsesWithExpectedSchema) {
   // Top-level key set is closed: a new key is a schema change.
   std::set<std::string> keys;
   for (const auto& [key, value] : parsed.items()) keys.insert(key);
-  EXPECT_EQ(keys, (std::set<std::string>{"algorithm", "kind", "schema_version",
-                                         "stats", "trace"}));
+  EXPECT_EQ(keys, (std::set<std::string>{"algorithm", "fingerprint", "kind",
+                                         "schema_version", "stats", "trace"}));
+  ASSERT_NE(parsed.Find("fingerprint"), nullptr);
+  EXPECT_EQ(parsed.Find("fingerprint")->as_string(), "0123456789abcdef");
   // stats carries every GenStats counter.
   const obs::Json* stats = parsed.Find("stats");
   ASSERT_NE(stats, nullptr);

@@ -4,7 +4,9 @@
 // The contract under test: archives are byte-identical with sweeping on or
 // off — for every generator, with and without a match-set cache, and under
 // randomized cancellation — and sweeping silently disables itself when a
-// per-match step budget is configured.
+// per-match step budget is configured. EnumQGen and ParallelQGen verify a
+// tree template from one LatticeIndex pass and sweep nothing; Kungs, the
+// per-instance odometer (VerifyAllInstances), still sweeps.
 
 #include <functional>
 #include <random>
@@ -16,6 +18,7 @@
 #include "common/run_context.h"
 #include "core/bi_qgen.h"
 #include "core/enum_qgen.h"
+#include "core/kungs.h"
 #include "core/match_cache.h"
 #include "core/parallel_qgen.h"
 #include "core/rf_qgen.h"
@@ -28,17 +31,21 @@ namespace {
 struct NamedRunner {
   const char* name;
   std::function<Result<QGenResult>(const QGenConfig&)> run;
+  /// False for the generators that verify a tree template's lattice from
+  /// one LatticeIndex pass, which consults no sweep (DESIGN.md §14).
+  bool sweeps = true;
 };
 
 std::vector<NamedRunner> SweepRunners() {
   return {
-      {"EnumQGen", [](const QGenConfig& c) { return EnumQGen::Run(c); }},
+      {"EnumQGen", [](const QGenConfig& c) { return EnumQGen::Run(c); },
+       false},
       {"RfQGen", [](const QGenConfig& c) { return RfQGen::Run(c); }},
       {"BiQGen", [](const QGenConfig& c) { return BiQGen::Run(c); }},
       {"BiQGen/parallel",
        [](const QGenConfig& c) { return BiQGen::RunParallel(c, 4); }},
       {"ParallelQGen",
-       [](const QGenConfig& c) { return ParallelQGen::Run(c, 4); }},
+       [](const QGenConfig& c) { return ParallelQGen::Run(c, 4); }, false},
   };
 }
 
@@ -93,8 +100,13 @@ TEST(SweepVerifyTest, ArchivesByteIdenticalAcrossGeneratorsAndCaches) {
       EXPECT_EQ(base.stats.verified, swept.stats.verified) << label;
       EXPECT_EQ(base.stats.feasible, swept.stats.feasible) << label;
       EXPECT_EQ(base.stats.sweep_chains, 0u) << label;
-      EXPECT_GT(swept.stats.sweep_chains, 0u) << label;
-      EXPECT_GT(swept.stats.sweep_instances, 0u) << label;
+      if (runner.sweeps) {
+        EXPECT_GT(swept.stats.sweep_chains, 0u) << label;
+        EXPECT_GT(swept.stats.sweep_instances, 0u) << label;
+      } else {
+        EXPECT_EQ(swept.stats.sweep_chains, 0u) << label;
+        EXPECT_EQ(swept.stats.sweep_instances, 0u) << label;
+      }
     }
   }
 }
@@ -176,23 +188,23 @@ TEST(SweepVerifyTest, InactiveSweepNodeChainsAreServed) {
   off.domains = &domains;
   off.groups = s.groups.get();
   off.epsilon = 0.05;
-  QGenResult base = EnumQGen::Run(off).ValueOrDie();
+  QGenResult base = Kungs::Run(off).ValueOrDie();
 
   QGenConfig on = off;
   on.use_sweep_verify = true;
-  QGenResult swept = EnumQGen::Run(on).ValueOrDie();
+  QGenResult swept = Kungs::Run(on).ValueOrDie();
 
   ExpectSameArchive(base, swept, "inactive-node");
   EXPECT_GT(swept.stats.sweep_chains, 0u);
 }
 
-TEST(SweepVerifyTest, CounterAccountingOnEnum) {
+TEST(SweepVerifyTest, CounterAccountingOnVerifyAll) {
   SmallScenario s;
   QGenConfig on = s.Config();
   on.use_sweep_verify = true;
-  QGenResult swept = EnumQGen::Run(on).ValueOrDie();
+  QGenResult swept = Kungs::Run(on).ValueOrDie();
 
-  // Enum's odometer varies x0 fastest from the wildcard, so every x0 chain
+  // Kungs's odometer varies x0 fastest from the wildcard, so every x0 chain
   // head triggers a sweep covering the full domain: instances per chain is
   // exactly |dom(x0)|, and nothing ever falls back without a deadline.
   const size_t chain_len = s.domains->size(0);

@@ -24,6 +24,7 @@
 #include "core/kungs.h"
 #include "core/match_cache.h"
 #include "core/parallel_qgen.h"
+#include "core/pareto_archive.h"
 #include "core/rf_qgen.h"
 #include "graph/csv_loader.h"
 #include "rpq/rpq_engine.h"
@@ -278,6 +279,7 @@ int CmdGenerate(int argc, char** argv) {
       obs::RunReport report;
       report.SetAlgorithm(algo);
       report.SetGenStats(result->stats);
+      report.SetFingerprint(ArchiveFingerprint(result->pareto));
       if (trace_detail != obs::TraceDetail::kOff) {
         report.AttachTrace(spans, trace_detail, dropped);
       }
@@ -295,14 +297,14 @@ int CmdGenerate(int argc, char** argv) {
     }
   }
 
-  std::printf("%s: %zu suggested queries (%zu verified, %.2fs)\n", algo.c_str(),
+  std::printf("%s: %zu suggested queries (%u verified, %.2fs)\n", algo.c_str(),
               result->pareto.size(), result->stats.verified,
               result->stats.total_seconds);
   if (result->stats.deadline_exceeded || result->stats.aborted_matches > 0 ||
       result->stats.timed_out_instances > 0) {
     std::fprintf(stderr,
-                 "degraded run: deadline_exceeded=%s aborted_matches=%zu "
-                 "timed_out_instances=%zu (archive is the verified-prefix "
+                 "degraded run: deadline_exceeded=%s aborted_matches=%u "
+                 "timed_out_instances=%u (archive is the verified-prefix "
                  "epsilon-Pareto set; every retained instance is fully "
                  "verified)\n",
                  result->stats.deadline_exceeded ? "true" : "false",
@@ -311,7 +313,7 @@ int CmdGenerate(int argc, char** argv) {
   }
   if (cache != nullptr) {
     MatchSetCache::CacheStats cs = cache->GetStats();
-    std::printf("match cache: %zu hits, %zu misses, %zu entries (%.1f MiB)\n",
+    std::printf("match cache: %u hits, %u misses, %zu entries (%.1f MiB)\n",
                 result->stats.cache_hits, result->stats.cache_misses,
                 cs.entries, static_cast<double>(cs.bytes) / (1 << 20));
   }
