@@ -46,8 +46,9 @@ struct Algo {
 
 std::vector<Algo> Algos() {
   return {
-      // Kungs verifies the whole space with the per-instance odometer;
-      // EnumQGen takes the LatticeIndex path and sweeps nothing.
+      // On this tree template Kungs and RfQGen take the LatticeIndex path
+      // and sweep nothing (their chains read 0), as EnumQGen, which is
+      // left out; BiQGen verifies per instance and sweeps.
       {"kungs", [](const QGenConfig& c) { return Kungs::Run(c); }},
       {"rfqgen", [](const QGenConfig& c) { return RfQGen::Run(c); }},
       {"biqgen", [](const QGenConfig& c) { return BiQGen::Run(c); }},

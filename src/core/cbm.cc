@@ -4,6 +4,7 @@
 
 #include "common/timer.h"
 #include "core/enumerate.h"
+#include "core/lattice_verify.h"
 #include "obs/trace.h"
 
 namespace fairsqg {
@@ -16,12 +17,15 @@ Result<QGenResult> Cbm::Run(const QGenConfig& config, size_t num_sections) {
   InstanceVerifier verifier(config);
   FAIRSQG_ASSIGN_OR_RETURN(
       std::vector<EvaluatedPtr> all,
-      VerifyAllInstances(config, &verifier, &result.stats));
-  std::vector<EvaluatedPtr> feasible = FeasibleOnly(all);
-  if (feasible.empty()) {
-    result.stats.total_seconds = timer.ElapsedSeconds();
-    return result;
-  }
+      VerifyInstanceSpace(config, &verifier, &result.stats));
+  result.pareto = Select(FeasibleOnly(all), num_sections);
+  result.stats.total_seconds = timer.ElapsedSeconds();
+  return result;
+}
+
+std::vector<EvaluatedPtr> Cbm::Select(const std::vector<EvaluatedPtr>& feasible,
+                                      size_t num_sections) {
+  if (feasible.empty()) return {};
 
   // Anchor points: the single-objective optima.
   auto by_diversity = [](const EvaluatedPtr& a, const EvaluatedPtr& b) {
@@ -56,12 +60,9 @@ Result<QGenResult> Cbm::Run(const QGenConfig& config, size_t num_sections) {
     }
   }
 
-  // Drop duplicates and dominated anchors.
-  std::sort(anchors.begin(), anchors.end());
-  anchors.erase(std::unique(anchors.begin(), anchors.end()), anchors.end());
-  result.pareto = ExactParetoSet(std::move(anchors));
-  result.stats.total_seconds = timer.ElapsedSeconds();
-  return result;
+  // Drop duplicates and dominated anchors. The anchors stay in the order
+  // they were found, so exact ties resolve the same way on every run.
+  return ExactParetoSet(std::move(anchors));
 }
 
 }  // namespace fairsqg

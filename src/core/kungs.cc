@@ -2,6 +2,7 @@
 
 #include "common/timer.h"
 #include "core/enumerate.h"
+#include "core/lattice_verify.h"
 #include "obs/trace.h"
 
 namespace fairsqg {
@@ -14,7 +15,7 @@ Result<QGenResult> Kungs::Run(const QGenConfig& config) {
   InstanceVerifier verifier(config);
   FAIRSQG_ASSIGN_OR_RETURN(
       std::vector<EvaluatedPtr> all,
-      VerifyAllInstances(config, &verifier, &result.stats));
+      VerifyInstanceSpace(config, &verifier, &result.stats));
   result.pareto = ExactParetoSet(FeasibleOnly(all));
   result.stats.total_seconds = timer.ElapsedSeconds();
   return result;

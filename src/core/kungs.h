@@ -7,9 +7,14 @@
 
 namespace fairsqg {
 
-/// \brief Kungs (Section V baseline): enumerate and verify all of I(Q),
-/// then compute the *exact* Pareto-optimal non-dominated set with Kung's
-/// maximal-vector algorithm (sort by one objective, sweep the other).
+/// \brief Kungs (Section V baseline): verify all of I(Q), then compute the
+/// *exact* Pareto-optimal non-dominated set with Kung's maximal-vector
+/// algorithm (sort by one objective, sweep the other).
+///
+/// On a tree template every evaluation comes from one lattice pass
+/// (VerifyInstanceSpace, DESIGN.md §14), which consults neither the
+/// match-set cache nor the literal sweep; other templates are verified
+/// instance by instance (VerifyAllInstances).
 ///
 /// Returns the unique maximum Pareto set of Lemma 1 — the ground truth the
 /// ε-indicator compares the approximate algorithms against.

@@ -254,4 +254,47 @@ void VerifyLattice(const QGenConfig& config, ThreadPool* pool,
   }
 }
 
+uint64_t OdometerRank(const QueryTemplate& tmpl, const VariableDomains& domains,
+                      const Instantiation& inst) {
+  uint64_t rank = 0;
+  uint64_t stride = 1;
+  for (RangeVarId x = 0; x < tmpl.num_range_vars(); ++x) {
+    rank += static_cast<uint64_t>(inst.range_binding(x) + 1) * stride;
+    stride *= domains.size(x) + 1;
+  }
+  for (EdgeVarId x = 0; x < tmpl.num_edge_vars(); ++x) {
+    rank += inst.edge_binding(x) * stride;
+    stride *= 2;
+  }
+  return rank;
+}
+
+std::vector<EvaluatedPtr> EvaluateLattice(const QGenConfig& config,
+                                          InstanceVerifier* verifier,
+                                          GenStats* stats) {
+  std::vector<EvaluatedPtr> by_rank(
+      config.domains->InstanceSpaceSize(*config.tmpl));
+  InstanceVerifier* const verifiers[] = {verifier};
+  VerifyLattice(
+      config, /*pool=*/nullptr, verifiers,
+      [&](size_t, EvaluatedPtr e) {
+        by_rank[OdometerRank(*config.tmpl, *config.domains, e->inst)] =
+            std::move(e);
+      },
+      stats);
+  return by_rank;
+}
+
+Result<std::vector<EvaluatedPtr>> VerifyInstanceSpace(const QGenConfig& config,
+                                                      InstanceVerifier* verifier,
+                                                      GenStats* stats) {
+  if (!LatticeApplies(config)) {
+    return VerifyAllInstances(config, verifier, stats);
+  }
+  std::vector<EvaluatedPtr> all = EvaluateLattice(config, verifier, stats);
+  std::erase(all, nullptr);
+  FAIRSQG_RETURN_NOT_OK(ApplyExpiryPolicy(config, *stats));
+  return all;
+}
+
 }  // namespace fairsqg

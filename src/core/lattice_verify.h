@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <vector>
 
+#include "common/result.h"
 #include "common/thread_pool.h"
 #include "core/config.h"
 #include "core/evaluated.h"
@@ -17,9 +19,10 @@ namespace fairsqg {
 /// by lattice level up front. Larger spaces keep the per-instance odometer.
 inline constexpr uint64_t kMaxLatticeInstances = uint64_t{1} << 20;
 
-/// True when EnumQGen and ParallelQGen verify `config`'s instance space
-/// from one LatticeIndex: the template is a tree (LatticeIndex::Supports)
-/// and |I(Q)| <= kMaxLatticeInstances.
+/// True when the generators verify `config`'s instance space from one
+/// LatticeIndex (EnumQGen, ParallelQGen, RfQGen, Kungs and CBM; not
+/// BiQGen): the template is a tree (LatticeIndex::Supports) and
+/// |I(Q)| <= kMaxLatticeInstances.
 bool LatticeApplies(const QGenConfig& config);
 
 /// Receives each verified instance on the worker (index into the
@@ -27,7 +30,8 @@ bool LatticeApplies(const QGenConfig& config);
 using LatticeSink = std::function<void(size_t worker, EvaluatedPtr)>;
 
 /// \brief Verifies the whole instance space from one LatticeIndex pass
-/// (DESIGN.md §14); the one driver of EnumQGen and ParallelQGen.
+/// (DESIGN.md §14); the one driver of EnumQGen and ParallelQGen, and,
+/// through EvaluateLattice, of RfQGen, Kungs and CBM.
 ///
 /// Instances are visited by lattice level, most refined level first, and
 /// in descending odometer rank within a level, so every instance's
@@ -58,6 +62,30 @@ using LatticeSink = std::function<void(size_t worker, EvaluatedPtr)>;
 void VerifyLattice(const QGenConfig& config, ThreadPool* pool,
                    std::span<InstanceVerifier* const> verifiers,
                    const LatticeSink& sink, GenStats* stats);
+
+/// The rank of `inst` in the odometer order of InstantiationEnumerator and
+/// LatticeIndex: range variable 0 is the fastest digit, a range digit is
+/// its binding + 1 (0 is the wildcard), an edge digit its binding.
+uint64_t OdometerRank(const QueryTemplate& tmpl, const VariableDomains& domains,
+                      const Instantiation& inst);
+
+/// Every instance's evaluation from one serial VerifyLattice run with
+/// `verifier`, indexed by OdometerRank. An entry is null when the run
+/// settled no evaluation for it: the run stopped before its level (the
+/// most refined levels are settled first), or its match aborted. Requires
+/// LatticeApplies(config); fills `stats` as VerifyLattice does. The
+/// evaluations of RfQGen, Kungs and CBM.
+std::vector<EvaluatedPtr> EvaluateLattice(const QGenConfig& config,
+                                          InstanceVerifier* verifier,
+                                          GenStats* stats);
+
+/// Every verified instance of I(Q), in odometer order: from EvaluateLattice
+/// when LatticeApplies(config), else from the per-instance odometer
+/// (VerifyAllInstances). Fills `stats` like either, and applies the
+/// expiry policy. The instance space of Kungs and CBM.
+Result<std::vector<EvaluatedPtr>> VerifyInstanceSpace(const QGenConfig& config,
+                                                      InstanceVerifier* verifier,
+                                                      GenStats* stats);
 
 }  // namespace fairsqg
 

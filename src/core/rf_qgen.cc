@@ -4,6 +4,7 @@
 
 #include "common/timer.h"
 #include "core/enumerate.h"
+#include "core/lattice_verify.h"
 #include "core/pareto_archive.h"
 #include "core/template_refiner.h"
 #include "core/verifier.h"
@@ -20,6 +21,10 @@ struct Explorer {
   std::unordered_set<Instantiation, Instantiation::Hasher> visited;
   QGenResult* result;
   double max_coverage;
+  /// On a tree template, every instance's evaluation by OdometerRank from
+  /// one lattice pass (EvaluateLattice), which the search reads instead of
+  /// verifying; empty on the per-instance path.
+  std::vector<EvaluatedPtr> lattice;
   /// RunContext expired: unwind the recursion without further verifies.
   bool stopped = false;
 
@@ -35,25 +40,41 @@ struct Explorer {
                         result->stats.verified < config.max_verifications);
   }
 
+  /// The RunContext check before an instance is consumed. The per-instance
+  /// path polls a verification; the lattice pass polled already, so the
+  /// search only checks the deadline and the cancellation token.
+  bool ShouldStop() const {
+    RunContext* ctx = config.run_context;
+    if (ctx == nullptr) return false;
+    return lattice.empty() ? ctx->PollVerification() : ctx->HardExpired();
+  }
+
   /// Procedure BFExplore (Fig. 3). `ctx` is the parent's verification
-  /// context, null at the lattice root.
+  /// context, null at the lattice root; the lattice path ignores it.
   void Explore(const Instantiation& inst, const VerifyContext* ctx) {
     if (!Budget()) return;
     if (!visited.insert(inst).second) {
       ++result->stats.pruned;  // Reached via another lattice path already.
       return;
     }
-    if (config.run_context != nullptr &&
-        config.run_context->PollVerification()) {
+    if (ShouldStop()) {
       FAIRSQG_TRACE_INSTANT("run_context.stop");
       stopped = true;
       result->stats.deadline_exceeded = true;
       return;
     }
 
-    auto cands = std::make_shared<CandidateSpace>();
-    EvaluatedPtr eval = verifier.Verify(inst, ctx, cands.get());
-    if (eval == nullptr) return;  // Aborted mid-match; subtree abandoned.
+    std::shared_ptr<CandidateSpace> cands;
+    EvaluatedPtr eval;
+    if (lattice.empty()) {
+      cands = std::make_shared<CandidateSpace>();
+      eval = verifier.Verify(inst, ctx, cands.get());
+    } else {
+      eval = lattice[OdometerRank(*config.tmpl, *config.domains, inst)];
+    }
+    // Aborted mid-match, or not settled by a pass cut short: the subtree
+    // is abandoned.
+    if (eval == nullptr) return;
     ++result->stats.verified;
     if (!eval->feasible) return;  // Backtrack: the whole subtree is infeasible.
     ++result->stats.feasible;
@@ -94,6 +115,17 @@ Result<QGenResult> RfQGen::Run(const QGenConfig& config) {
   Timer timer;
   QGenResult result;
   Explorer explorer(config, &result);
+  if (LatticeApplies(config)) {
+    // The pass settles every instance; the verification budget bounds the
+    // instances the search consumes, as on the per-instance path. GenStats
+    // counts what the search consumes, so of the pass's stats only its
+    // expiry is kept (the verifier is folded once, below).
+    QGenConfig whole = config;
+    whole.max_verifications = 0;
+    GenStats pass;
+    explorer.lattice = EvaluateLattice(whole, &explorer.verifier, &pass);
+    result.stats.deadline_exceeded = pass.deadline_exceeded;
+  }
   Instantiation root = Instantiation::MostRelaxed(*config.tmpl);
   ++result.stats.generated;
   explorer.Explore(root, nullptr);

@@ -13,9 +13,28 @@ QNodeId QueryTemplate::AddNode(std::string_view label) {
 }
 
 QNodeId QueryTemplate::AddNode(LabelId label) {
-  QNodeId id = static_cast<QNodeId>(node_labels_.size());
-  node_labels_.push_back(label);
-  node_literals_.emplace_back();
+  const QNodeId id = num_nodes_;
+  const auto literal_count = static_cast<uint32_t>(literals_.size());
+  IndexInsert(id, label);
+  // The labels grew by one, so the offsets start one slot later; the new
+  // node's literals end where the last node's do.
+  IndexInsert(NodeLiteralsBegin() + 1, literal_count);
+  ++num_nodes_;
+  return id;
+}
+
+void QueryTemplate::IndexInsert(size_t pos, uint32_t value) {
+  index_.reserve(index_.size() + 1);
+  index_.insert(index_.begin() + static_cast<ptrdiff_t>(pos), value);
+}
+
+uint32_t QueryTemplate::PushLiteral(QNodeId u, LiteralTemplate l) {
+  FAIRSQG_CHECK(u < num_nodes()) << "literal on unknown query node";
+  const auto id = static_cast<uint32_t>(literals_.size());
+  IndexInsert(NodeLiteralsBegin() + index_[OffsetsBegin() + u + 1], id);
+  for (size_t v = u + 1; v <= num_nodes_; ++v) ++index_[OffsetsBegin() + v];
+  literals_.reserve(literals_.size() + 1);
+  literals_.push_back(std::move(l));
   return id;
 }
 
@@ -26,14 +45,12 @@ void QueryTemplate::AddLiteral(QNodeId u, std::string_view attr, CompareOp op,
 
 void QueryTemplate::AddLiteral(QNodeId u, AttrId attr, CompareOp op,
                                AttrValue value) {
-  FAIRSQG_CHECK(u < num_nodes()) << "literal on unknown query node";
   LiteralTemplate l;
   l.node = u;
   l.attr = attr;
   l.op = op;
   l.fixed_value = std::move(value);
-  node_literals_[u].push_back(static_cast<uint32_t>(literals_.size()));
-  literals_.push_back(std::move(l));
+  PushLiteral(u, std::move(l));
 }
 
 RangeVarId QueryTemplate::AddRangeLiteral(QNodeId u, std::string_view attr,
@@ -42,16 +59,15 @@ RangeVarId QueryTemplate::AddRangeLiteral(QNodeId u, std::string_view attr,
 }
 
 RangeVarId QueryTemplate::AddRangeLiteral(QNodeId u, AttrId attr, CompareOp op) {
-  FAIRSQG_CHECK(u < num_nodes()) << "literal on unknown query node";
-  RangeVarId var = static_cast<RangeVarId>(range_var_literal_.size());
+  const RangeVarId var = num_range_vars_;
   LiteralTemplate l;
   l.node = u;
   l.attr = attr;
   l.op = op;
   l.variable = var;
-  node_literals_[u].push_back(static_cast<uint32_t>(literals_.size()));
-  range_var_literal_.push_back(static_cast<uint32_t>(literals_.size()));
-  literals_.push_back(std::move(l));
+  const uint32_t id = PushLiteral(u, std::move(l));
+  IndexInsert(RangeVarsBegin() + var, id);
+  ++num_range_vars_;
   return var;
 }
 
@@ -61,6 +77,7 @@ QEdgeId QueryTemplate::AddEdge(QNodeId from, QNodeId to, std::string_view label)
 
 QEdgeId QueryTemplate::AddEdge(QNodeId from, QNodeId to, LabelId label) {
   QEdgeId id = static_cast<QEdgeId>(edges_.size());
+  edges_.reserve(edges_.size() + 1);
   edges_.push_back({from, to, label, kNoVariable});
   return id;
 }
@@ -71,16 +88,20 @@ EdgeVarId QueryTemplate::AddVariableEdge(QNodeId from, QNodeId to,
 }
 
 EdgeVarId QueryTemplate::AddVariableEdge(QNodeId from, QNodeId to, LabelId label) {
-  EdgeVarId var = static_cast<EdgeVarId>(edge_var_edge_.size());
-  QEdgeId e = static_cast<QEdgeId>(edges_.size());
+  const EdgeVarId var = num_edge_vars_;
+  const auto e = static_cast<QEdgeId>(edges_.size());
+  edges_.reserve(edges_.size() + 1);
   edges_.push_back({from, to, label, var});
-  edge_var_edge_.push_back(e);
+  IndexInsert(index_.size(), e);
+  ++num_edge_vars_;
   return var;
 }
 
-const std::vector<uint32_t>& QueryTemplate::literals_of(QNodeId u) const {
+std::span<const uint32_t> QueryTemplate::literals_of(QNodeId u) const {
   FAIRSQG_CHECK(u < num_nodes());
-  return node_literals_[u];
+  const uint32_t begin = index_[OffsetsBegin() + u];
+  const uint32_t end = index_[OffsetsBegin() + u + 1];
+  return {index_.data() + NodeLiteralsBegin() + begin, end - begin};
 }
 
 int QueryTemplate::Diameter() const {
@@ -173,8 +194,8 @@ std::string QueryTemplate::ToString() const {
       << ", |E|=" << num_edges() << ", |X_L|=" << num_range_vars()
       << ", |X_E|=" << num_edge_vars() << ")\n";
   for (QNodeId u = 0; u < num_nodes(); ++u) {
-    out << "  u" << u << ": " << schema_->NodeLabelName(node_labels_[u]);
-    for (uint32_t li : node_literals_[u]) {
+    out << "  u" << u << ": " << schema_->NodeLabelName(node_label(u));
+    for (uint32_t li : literals_of(u)) {
       const LiteralTemplate& l = literals_[li];
       out << " [" << schema_->AttrName(l.attr) << " " << CompareOpToString(l.op)
           << " ";

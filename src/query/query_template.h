@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -88,25 +89,30 @@ class QueryTemplate {
   EdgeVarId AddVariableEdge(QNodeId from, QNodeId to, std::string_view label);
   EdgeVarId AddVariableEdge(QNodeId from, QNodeId to, LabelId label);
 
-  size_t num_nodes() const { return node_labels_.size(); }
+  size_t num_nodes() const { return num_nodes_; }
   size_t num_edges() const { return edges_.size(); }
-  LabelId node_label(QNodeId u) const { return node_labels_[u]; }
+  LabelId node_label(QNodeId u) const { return index_[u]; }
   const std::vector<QueryEdge>& edges() const { return edges_; }
   const QueryEdge& edge(QEdgeId e) const { return edges_[e]; }
   const std::vector<LiteralTemplate>& literals() const { return literals_; }
 
-  /// Literal indexes attached to query node `u`.
-  const std::vector<uint32_t>& literals_of(QNodeId u) const;
+  /// Literal indexes attached to query node `u`, in the order they were
+  /// added.
+  std::span<const uint32_t> literals_of(QNodeId u) const;
 
-  size_t num_range_vars() const { return range_var_literal_.size(); }
-  size_t num_edge_vars() const { return edge_var_edge_.size(); }
+  size_t num_range_vars() const { return num_range_vars_; }
+  size_t num_edge_vars() const { return num_edge_vars_; }
   /// |X| = |X_L| + |X_E|.
   size_t num_vars() const { return num_range_vars() + num_edge_vars(); }
 
   /// Literal index parameterized by range variable `x`.
-  uint32_t literal_of_var(RangeVarId x) const { return range_var_literal_[x]; }
+  uint32_t literal_of_var(RangeVarId x) const {
+    return index_[RangeVarsBegin() + x];
+  }
   /// Edge index controlled by edge variable `x`.
-  QEdgeId edge_of_var(EdgeVarId x) const { return edge_var_edge_[x]; }
+  QEdgeId edge_of_var(EdgeVarId x) const {
+    return index_[RangeVarsBegin() + num_range_vars_ + x];
+  }
 
   const Schema& schema() const { return *schema_; }
   const std::shared_ptr<Schema>& schema_ptr() const { return schema_; }
@@ -124,13 +130,33 @@ class QueryTemplate {
   std::string ToString() const;
 
  private:
+  /// Where index_'s sections start: the node literal offsets, the node
+  /// literal indexes, and the range then edge variables' targets.
+  size_t OffsetsBegin() const { return num_nodes_; }
+  size_t NodeLiteralsBegin() const { return 2 * size_t{num_nodes_} + 1; }
+  size_t RangeVarsBegin() const { return NodeLiteralsBegin() + literals_.size(); }
+
+  /// Inserts `value` at `pos` of index_, growing it by exactly one slot:
+  /// a pooled template keeps no spare capacity.
+  void IndexInsert(size_t pos, uint32_t value);
+
+  /// Appends literal `l` to node `u` and returns its index.
+  uint32_t PushLiteral(QNodeId u, LiteralTemplate l);
+
   std::shared_ptr<Schema> schema_;
-  std::vector<LabelId> node_labels_;
   std::vector<QueryEdge> edges_;
   std::vector<LiteralTemplate> literals_;
-  std::vector<std::vector<uint32_t>> node_literals_;  // per node
-  std::vector<uint32_t> range_var_literal_;           // RangeVarId -> literal idx
-  std::vector<QEdgeId> edge_var_edge_;                // EdgeVarId -> edge idx
+  /// Every small per-template array in one allocation, in sections:
+  ///   node labels (num_nodes_),
+  ///   node literal offsets (num_nodes_ + 1; node u's literals are
+  ///     entries [offset u, offset u+1) of the next section),
+  ///   node literal indexes (literals_.size(), grouped by node),
+  ///   range variable -> literal index (num_range_vars_),
+  ///   edge variable -> edge index (num_edge_vars_).
+  std::vector<uint32_t> index_{0};
+  uint32_t num_nodes_ = 0;
+  uint32_t num_range_vars_ = 0;
+  uint32_t num_edge_vars_ = 0;
   QNodeId output_node_ = 0;
 };
 

@@ -260,9 +260,10 @@ TEST(CbmTest, AnchorsAreNonDominatedAndIncludeExtremes) {
   }
 }
 
-// With group constraints no instance meets, CBM returns an empty archive
-// early, but it still verified every instance: its verify time and cache
-// traffic must be reported like any other run's.
+// With group constraints no instance meets, CBM returns an empty archive,
+// but it still verified every instance: its verify time must be reported
+// like any other run's. On this tree template the instances come from one
+// lattice pass, which consults no match-set cache.
 TEST(CbmTest, InfeasibleSpaceStillReportsVerifierStats) {
   SmallScenario s;
   GroupSet unmeetable = s.UnmeetableGroups();
@@ -276,8 +277,8 @@ TEST(CbmTest, InfeasibleSpaceStillReportsVerifierStats) {
   ASSERT_GT(result.stats.verified, 0u);
   EXPECT_GT(result.stats.verify_cpu_seconds, 0.0);
   EXPECT_EQ(result.stats.verify_wall_seconds, result.stats.verify_cpu_seconds);
-  EXPECT_EQ(result.stats.cache_hits + result.stats.cache_misses,
-            result.stats.verified);
+  EXPECT_EQ(result.stats.verified, s.domains->InstanceSpaceSize(*s.tmpl));
+  EXPECT_EQ(result.stats.cache_hits + result.stats.cache_misses, 0u);
 }
 
 TEST(AlgorithmsTest, SizeBoundHolds) {

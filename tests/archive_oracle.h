@@ -3,7 +3,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -11,29 +14,102 @@
 #include "core/enumerate.h"
 #include "core/measures.h"
 #include "core/pareto_archive.h"
+#include "core/qgen_result.h"
+#include "core/template_refiner.h"
 #include "core/verifier.h"
 #include "matching/subgraph_matcher.h"
 #include "query/instance.h"
 
 namespace fairsqg {
 
-/// The reference an archive is checked against: every instance verified on
-/// its own by the per-instance odometer (VerifyAllInstances), folded
-/// through a ParetoArchive. Template refinement, incVerify and the literal
-/// sweep are off, and the LatticeIndex path that EnumQGen and ParallelQGen
-/// take is not involved, so the reference shares none of the optimizations
-/// the generators under test rely on.
-inline std::vector<EvaluatedPtr> ReferenceArchive(QGenConfig config) {
+/// Every instance of I(Q) verified on its own by the per-instance odometer
+/// (VerifyAllInstances), in odometer order. Template refinement, incVerify
+/// and the literal sweep are off, and the LatticeIndex path is not
+/// involved, so these evaluations share none of the optimizations the
+/// generators under test rely on.
+inline std::vector<EvaluatedPtr> ReferenceEvaluations(QGenConfig config) {
   config.use_template_refinement = false;
   config.use_incremental_verify = false;
   config.use_sweep_verify = false;
   InstanceVerifier verifier(config);
-  ParetoArchive archive(config.epsilon);
-  for (EvaluatedPtr& e :
-       VerifyAllInstances(config, &verifier, nullptr).ValueOrDie()) {
-    if (e->feasible) archive.Update(std::move(e));
+  return VerifyAllInstances(config, &verifier, nullptr).ValueOrDie();
+}
+
+/// The feasible members of `all` folded through a ParetoArchive.
+inline std::vector<EvaluatedPtr> ArchiveOf(const std::vector<EvaluatedPtr>& all,
+                                           double epsilon) {
+  ParetoArchive archive(epsilon);
+  for (const EvaluatedPtr& e : all) {
+    if (e->feasible) archive.Update(e);
   }
   return archive.SortedEntries();
+}
+
+/// The reference an archive is checked against: the ReferenceEvaluations
+/// folded through a ParetoArchive.
+inline std::vector<EvaluatedPtr> ReferenceArchive(const QGenConfig& config) {
+  return ArchiveOf(ReferenceEvaluations(config), config.epsilon);
+}
+
+/// RfQGen's search (Fig. 3) replayed over `all`, the per-instance
+/// evaluations in odometer order: depth first from the most relaxed
+/// instance, with the visited set, the infeasibility cut, subtree pruning,
+/// refinement hints and the verification budget as `config` sets them, but
+/// every evaluation read from `all`. Returns the archive, and in
+/// `*verified` the number of instances the search consumed.
+inline std::vector<EvaluatedPtr> ReplayRfQGen(
+    const QGenConfig& config, const std::vector<EvaluatedPtr>& all,
+    size_t* verified) {
+  const QueryTemplate& tmpl = *config.tmpl;
+  const VariableDomains& domains = *config.domains;
+  std::unordered_map<Instantiation, EvaluatedPtr, Instantiation::Hasher> by_inst;
+  for (const EvaluatedPtr& e : all) by_inst.emplace(e->inst, e);
+  std::unordered_set<Instantiation, Instantiation::Hasher> visited;
+  ParetoArchive archive(config.epsilon);
+  const double max_coverage =
+      static_cast<double>(config.groups->total_constraint());
+  *verified = 0;
+  std::function<void(const Instantiation&)> explore =
+      [&](const Instantiation& inst) {
+        if (config.max_verifications > 0 &&
+            *verified >= config.max_verifications) {
+          return;
+        }
+        if (!visited.insert(inst).second) return;
+        const EvaluatedPtr& e = by_inst.at(inst);
+        ++*verified;
+        if (!e->feasible) return;
+        archive.Update(e);
+        if (config.use_subtree_pruning &&
+            archive.SubtreeCovered(e->obj.diversity, max_coverage)) {
+          return;
+        }
+        const RefinementHints hints =
+            config.use_template_refinement
+                ? ComputeRefinementHints(*config.graph, tmpl, domains,
+                                         e->matches)
+                : RefinementHints::None(tmpl);
+        for (const LatticeStep& child :
+             LatticeNeighbors::RefineChildren(tmpl, domains, inst, hints)) {
+          explore(child.inst);
+        }
+      };
+  explore(Instantiation::MostRelaxed(tmpl));
+  return archive.SortedEntries();
+}
+
+/// Kungs's archive from the per-instance odometer (VerifyAllInstances)
+/// under `config` as given: the reference of Kungs's lattice path, and the
+/// generator for tests of what only per-instance verification consults
+/// (the match-set cache, the literal sweep, the per-match step budget).
+inline Result<QGenResult> PerInstanceKungs(const QGenConfig& config) {
+  QGenResult result;
+  InstanceVerifier verifier(config);
+  FAIRSQG_ASSIGN_OR_RETURN(
+      std::vector<EvaluatedPtr> all,
+      VerifyAllInstances(config, &verifier, &result.stats));
+  result.pareto = ExactParetoSet(FeasibleOnly(all));
+  return result;
 }
 
 /// "" when `archive` equals `reference` member for member — instantiation,

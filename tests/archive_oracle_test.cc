@@ -5,11 +5,16 @@
 // misses a feasible instance's box, or reports a match set or objective
 // its instantiation does not have, fails here. EnumQGen and ParallelQGen
 // at 1, 2 and 4 threads, which verify the lattice from one LatticeIndex
-// pass, must reproduce the reference archive member for member.
+// pass, must reproduce the reference archive member for member. RfQGen,
+// which reads its evaluations from that pass, must reproduce a replay of
+// Fig. 3 over the per-instance evaluations member for member and visit as
+// many instances; Kungs and CBM must reproduce their selections over the
+// per-instance evaluations.
 
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -17,7 +22,9 @@
 
 #include "archive_oracle.h"
 #include "core/bi_qgen.h"
+#include "core/cbm.h"
 #include "core/enum_qgen.h"
+#include "core/kungs.h"
 #include "core/parallel_qgen.h"
 #include "core/rf_qgen.h"
 #include "scenario_fixture.h"
@@ -55,7 +62,9 @@ bool CheckScenario(const std::string& dataset, double scale, uint64_t seed,
   config.use_subtree_pruning = true;
   config.use_candidate_index = true;
   config.use_sweep_verify = true;
-  const std::vector<EvaluatedPtr> reference = ReferenceArchive(config);
+  const std::vector<EvaluatedPtr> evaluations = ReferenceEvaluations(config);
+  const std::vector<EvaluatedPtr> reference =
+      ArchiveOf(evaluations, config.epsilon);
   const std::string where = " on " + dataset + " scale " +
                             std::to_string(scale) + " seed " +
                             std::to_string(seed) + " domains " +
@@ -90,6 +99,23 @@ bool CheckScenario(const std::string& dataset, double scale, uint64_t seed,
               "")
         << name << where;
   }
+  // Kungs and CBM select from the lattice's evaluations: their archives
+  // equal the same selections over the per-instance evaluations.
+  const std::vector<EvaluatedPtr> feasible = FeasibleOnly(evaluations);
+  EXPECT_EQ(CompareArchives(*config.tmpl, *config.domains,
+                            Kungs::Run(config).ValueOrDie().pareto,
+                            ExactParetoSet(feasible)),
+            "")
+      << "Kungs" << where;
+  EXPECT_EQ(CompareArchives(*config.tmpl, *config.domains,
+                            Cbm::Run(config).ValueOrDie().pareto,
+                            Cbm::Select(feasible, 10)),
+            "")
+      << "Cbm" << where;
+
+  size_t replay_verified = 0;
+  const std::vector<EvaluatedPtr> replay =
+      ReplayRfQGen(config, evaluations, &replay_verified);
   for (bool incremental : {true, false}) {
     config.use_incremental_verify = incremental;
     for (const auto& [name, run] : generators) {
@@ -98,6 +124,15 @@ bool CheckScenario(const std::string& dataset, double scale, uint64_t seed,
       if (!result.ok()) continue;
       EXPECT_EQ(CheckArchive(config, result->pareto, reference), "")
           << name << " incVerify=" << incremental << where;
+      if (std::string_view(name) == "RfQGen") {
+        EXPECT_EQ(CompareArchives(*config.tmpl, *config.domains,
+                                  result->pareto, replay),
+                  "")
+            << "RfQGen against the Fig. 3 replay, incVerify=" << incremental
+            << where;
+        EXPECT_EQ(result->stats.verified, replay_verified)
+            << "RfQGen incVerify=" << incremental << where;
+      }
     }
   }
   return true;
@@ -156,7 +191,9 @@ TEST(ArchiveFingerprintTest, EnumMatchesPerInstanceReference) {
     if (!scenario.ok()) continue;
     QGenConfig config = scenario->MakeConfig(0.05);
     config.diversity.lambda = 0.5;
-    const std::vector<EvaluatedPtr> reference = ReferenceArchive(config);
+    const std::vector<EvaluatedPtr> evaluations = ReferenceEvaluations(config);
+  const std::vector<EvaluatedPtr> reference =
+      ArchiveOf(evaluations, config.epsilon);
     const std::vector<EvaluatedPtr> archive =
         EnumQGen::Run(config).ValueOrDie().pareto;
     EXPECT_EQ(ArchiveFingerprint(archive), ArchiveFingerprint(reference))

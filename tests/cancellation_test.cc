@@ -21,6 +21,8 @@
 #include "core/online_qgen.h"
 #include "core/parallel_qgen.h"
 #include "core/rf_qgen.h"
+#include "archive_oracle.h"
+#include "core/lattice_verify.h"
 #include "scenario_fixture.h"
 
 namespace fairsqg {
@@ -191,6 +193,42 @@ TEST(CancellationTest, ParallelQGenCancelDispatchesExactPrefix) {
   ExpectFullyVerified(r.pareto, config, "ParallelQGen cancel@10");
 }
 
+TEST(CancellationTest, RfQGenCancelDuringLatticePassAbandonsUnsettled) {
+  SmallScenario s;
+  QGenConfig config = s.Config(0.05);
+  ASSERT_TRUE(LatticeApplies(config));
+  const uint64_t space = s.domains->InstanceSpaceSize(*s.tmpl);
+  ASSERT_GT(space, 2u);
+  const QGenResult whole = RfQGen::Run(config).ValueOrDie();
+  ASSERT_FALSE(whole.pareto.empty());
+  ASSERT_LT(whole.stats.verified, space);  // The search consumes a part.
+
+  // The pass polls once per instance, the most refined level first, so a
+  // cut before its end leaves the root unsettled: the search abandons it.
+  for (uint64_t n : {uint64_t{1}, space / 2, space - 1}) {
+    const std::string label = "RfQGen cancel@" + std::to_string(n);
+    RunContext ctx;
+    ctx.CancelAfterVerifications(n);
+    config.run_context = &ctx;
+    Result<QGenResult> r = RfQGen::Run(config);
+    ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString();
+    EXPECT_TRUE(r->stats.deadline_exceeded) << label;
+    EXPECT_LE(r->stats.verified, n) << label;
+    ExpectParetoValid(r->pareto, label);
+    ExpectFullyVerified(r->pareto, config, label);
+  }
+
+  // A budget the pass does not exhaust leaves the search whole: the search
+  // itself polls no verifications.
+  RunContext ctx;
+  ctx.CancelAfterVerifications(space + 1);
+  config.run_context = &ctx;
+  const QGenResult r = RfQGen::Run(config).ValueOrDie();
+  EXPECT_FALSE(r.stats.deadline_exceeded);
+  EXPECT_EQ(r.stats.verified, whole.stats.verified);
+  EXPECT_EQ(ArchiveFingerprint(r.pareto), ArchiveFingerprint(whole.pareto));
+}
+
 TEST(CancellationTest, FailPolicyReturnsDeadlineExceeded) {
   SmallScenario s;
   for (const NamedRunner& runner : AllRunners()) {
@@ -243,9 +281,10 @@ TEST(CancellationTest, StepLimitAbortsAreCountedAndCacheTransparent) {
     QGenConfig config = s.Config(0.05);
     config.run_context = &ctx;
     config.match_cache = cache;
-    // Kungs verifies every instance on its own, through the cache; Enum's
-    // lattice path tests so few candidates per search that no budget trips.
-    return Kungs::Run(config).ValueOrDie();
+    // The per-instance odometer verifies every instance on its own,
+    // through the cache; the lattice path (Enum, Rf, Kungs) tests so few
+    // candidates per search that no budget trips.
+    return PerInstanceKungs(config).ValueOrDie();
   };
 
   QGenResult plain = run_with_limit(nullptr);

@@ -19,8 +19,10 @@
 #include "core/enum_qgen.h"
 #include "core/enumerate.h"
 #include "core/groups.h"
+#include "core/kungs.h"
 #include "core/lattice_verify.h"
 #include "core/match_cache.h"
+#include "core/rf_qgen.h"
 #include "core/verifier.h"
 #include "graph/graph_builder.h"
 #include "matching/brute_force.h"
@@ -291,10 +293,12 @@ TEST(LatticeIndexDeadlineTest, HardExpiredContextAbortsThePass) {
   QGenConfig config = f.Config(MatchSemantics::kIsomorphism);
   config.run_context = &ctx;
   ctx.set_on_expiry(ExpiryPolicy::kPartial);
-  QGenResult r = EnumQGen::Run(config).ValueOrDie();
-  EXPECT_TRUE(r.stats.deadline_exceeded);
-  EXPECT_EQ(r.stats.verified, 0u);
-  EXPECT_TRUE(r.pareto.empty());
+  for (const auto run : {&EnumQGen::Run, &RfQGen::Run, &Kungs::Run}) {
+    QGenResult r = run(config).ValueOrDie();
+    EXPECT_TRUE(r.stats.deadline_exceeded);
+    EXPECT_EQ(r.stats.verified, 0u);
+    EXPECT_TRUE(r.pareto.empty());
+  }
 }
 
 TEST(LatticeIndexTest, RanksFollowTheOdometer) {
@@ -307,6 +311,7 @@ TEST(LatticeIndexTest, RanksFollowTheOdometer) {
   uint64_t rank = 0;
   while (it.Next(&inst)) {
     EXPECT_EQ(index.InstanceAt(rank), inst);
+    EXPECT_EQ(OdometerRank(*f.tmpl, *f.domains, inst), rank);
     ++rank;
   }
   EXPECT_EQ(rank, index.num_instances());

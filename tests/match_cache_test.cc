@@ -131,8 +131,9 @@ void ExpectIdenticalResults(const QGenResult& a, const QGenResult& b) {
 }
 
 /// `consults_cache` is false for the generators that verify a tree
-/// template from one LatticeIndex pass (EnumQGen, ParallelQGen): they never
-/// look the cache up, so only the byte-identity assertions apply.
+/// template from one LatticeIndex pass (EnumQGen, ParallelQGen, RfQGen,
+/// Kungs): they never look the cache up, so only the byte-identity
+/// assertions apply.
 template <typename RunFn>
 void CheckCacheTransparency(RunFn run, bool consults_cache = true) {
   SmallScenario s;
@@ -165,11 +166,13 @@ TEST(MatchCacheEquivalenceTest, BiQGenIdenticalWithCacheOnOrOff) {
 }
 
 TEST(MatchCacheEquivalenceTest, RfQGenIdenticalWithCacheOnOrOff) {
-  CheckCacheTransparency([](const QGenConfig& c) { return RfQGen::Run(c); });
+  CheckCacheTransparency([](const QGenConfig& c) { return RfQGen::Run(c); },
+                         /*consults_cache=*/false);
 }
 
 TEST(MatchCacheEquivalenceTest, KungsIdenticalWithCacheOnOrOff) {
-  CheckCacheTransparency([](const QGenConfig& c) { return Kungs::Run(c); });
+  CheckCacheTransparency([](const QGenConfig& c) { return Kungs::Run(c); },
+                         /*consults_cache=*/false);
 }
 
 TEST(MatchCacheEquivalenceTest, ParallelQGenIdenticalWithCacheOnOrOff) {

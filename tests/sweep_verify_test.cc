@@ -4,9 +4,10 @@
 // The contract under test: archives are byte-identical with sweeping on or
 // off — for every generator, with and without a match-set cache, and under
 // randomized cancellation — and sweeping silently disables itself when a
-// per-match step budget is configured. EnumQGen and ParallelQGen verify a
-// tree template from one LatticeIndex pass and sweep nothing; Kungs, the
-// per-instance odometer (VerifyAllInstances), still sweeps.
+// per-match step budget is configured. EnumQGen, ParallelQGen, RfQGen and
+// Kungs verify a tree template from one LatticeIndex pass and sweep
+// nothing; the per-instance odometer (VerifyAllInstances, driven here as
+// PerInstanceKungs) still sweeps.
 
 #include <functional>
 #include <random>
@@ -18,11 +19,11 @@
 #include "common/run_context.h"
 #include "core/bi_qgen.h"
 #include "core/enum_qgen.h"
-#include "core/kungs.h"
 #include "core/match_cache.h"
 #include "core/parallel_qgen.h"
 #include "core/rf_qgen.h"
 #include "core/verifier.h"
+#include "archive_oracle.h"
 #include "scenario_fixture.h"
 
 namespace fairsqg {
@@ -40,7 +41,7 @@ std::vector<NamedRunner> SweepRunners() {
   return {
       {"EnumQGen", [](const QGenConfig& c) { return EnumQGen::Run(c); },
        false},
-      {"RfQGen", [](const QGenConfig& c) { return RfQGen::Run(c); }},
+      {"RfQGen", [](const QGenConfig& c) { return RfQGen::Run(c); }, false},
       {"BiQGen", [](const QGenConfig& c) { return BiQGen::Run(c); }},
       {"BiQGen/parallel",
        [](const QGenConfig& c) { return BiQGen::RunParallel(c, 4); }},
@@ -188,11 +189,11 @@ TEST(SweepVerifyTest, InactiveSweepNodeChainsAreServed) {
   off.domains = &domains;
   off.groups = s.groups.get();
   off.epsilon = 0.05;
-  QGenResult base = Kungs::Run(off).ValueOrDie();
+  QGenResult base = PerInstanceKungs(off).ValueOrDie();
 
   QGenConfig on = off;
   on.use_sweep_verify = true;
-  QGenResult swept = Kungs::Run(on).ValueOrDie();
+  QGenResult swept = PerInstanceKungs(on).ValueOrDie();
 
   ExpectSameArchive(base, swept, "inactive-node");
   EXPECT_GT(swept.stats.sweep_chains, 0u);
@@ -202,9 +203,9 @@ TEST(SweepVerifyTest, CounterAccountingOnVerifyAll) {
   SmallScenario s;
   QGenConfig on = s.Config();
   on.use_sweep_verify = true;
-  QGenResult swept = Kungs::Run(on).ValueOrDie();
+  QGenResult swept = PerInstanceKungs(on).ValueOrDie();
 
-  // Kungs's odometer varies x0 fastest from the wildcard, so every x0 chain
+  // The odometer varies x0 fastest from the wildcard, so every x0 chain
   // head triggers a sweep covering the full domain: instances per chain is
   // exactly |dom(x0)|, and nothing ever falls back without a deadline.
   const size_t chain_len = s.domains->size(0);
