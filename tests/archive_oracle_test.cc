@@ -191,9 +191,7 @@ TEST(ArchiveFingerprintTest, EnumMatchesPerInstanceReference) {
     if (!scenario.ok()) continue;
     QGenConfig config = scenario->MakeConfig(0.05);
     config.diversity.lambda = 0.5;
-    const std::vector<EvaluatedPtr> evaluations = ReferenceEvaluations(config);
-  const std::vector<EvaluatedPtr> reference =
-      ArchiveOf(evaluations, config.epsilon);
+    const std::vector<EvaluatedPtr> reference = ReferenceArchive(config);
     const std::vector<EvaluatedPtr> archive =
         EnumQGen::Run(config).ValueOrDie().pareto;
     EXPECT_EQ(ArchiveFingerprint(archive), ArchiveFingerprint(reference))

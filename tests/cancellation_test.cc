@@ -11,18 +11,18 @@
 
 #include <gtest/gtest.h>
 
+#include "archive_oracle.h"
 #include "common/run_context.h"
 #include "core/bi_qgen.h"
 #include "core/cbm.h"
 #include "core/enum_qgen.h"
 #include "core/enumerate.h"
 #include "core/kungs.h"
+#include "core/lattice_verify.h"
 #include "core/match_cache.h"
 #include "core/online_qgen.h"
 #include "core/parallel_qgen.h"
 #include "core/rf_qgen.h"
-#include "archive_oracle.h"
-#include "core/lattice_verify.h"
 #include "scenario_fixture.h"
 
 namespace fairsqg {

@@ -10,13 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include "archive_oracle.h"
 #include "common/fault_injection.h"
 #include "common/run_context.h"
 #include "core/bi_qgen.h"
 #include "core/enum_qgen.h"
 #include "core/match_cache.h"
 #include "core/verifier.h"
-#include "archive_oracle.h"
 #include "scenario_fixture.h"
 
 namespace fairsqg {

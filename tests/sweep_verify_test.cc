@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "archive_oracle.h"
 #include "common/run_context.h"
 #include "core/bi_qgen.h"
 #include "core/enum_qgen.h"
@@ -23,7 +24,6 @@
 #include "core/parallel_qgen.h"
 #include "core/rf_qgen.h"
 #include "core/verifier.h"
-#include "archive_oracle.h"
 #include "scenario_fixture.h"
 
 namespace fairsqg {
