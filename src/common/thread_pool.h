@@ -18,7 +18,8 @@ namespace fairsqg {
 /// rounds. `Run(body)` wakes them, calls `body(w)` once on every worker
 /// w in [0, num_workers()), and returns when all have returned. There is
 /// no task queue: a body that has more work than one call pulls it from a
-/// shared cursor of its own (ParallelQGen's enumerator, BiQGen's batch).
+/// shared cursor of its own (the lattice pass's level, the odometer's
+/// enumerator).
 ///
 /// Thread-safety contract (see DESIGN.md §9): `Run` is called from one
 /// thread at a time and never from inside a body. It rethrows the first

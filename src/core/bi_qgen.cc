@@ -1,15 +1,17 @@
 #include "core/bi_qgen.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <memory>
+#include <span>
 #include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/enumerate.h"
+#include "core/lattice_verify.h"
 #include "core/pareto_archive.h"
 #include "core/template_refiner.h"
 #include "core/verifier.h"
@@ -37,77 +39,53 @@ struct WorkItem {
 /// Beam width of the backward relaxation descent (DESIGN.md §4).
 constexpr size_t kBackwardBeam = 2;
 
-/// Verification slots dispatched per batch, per pool worker. Larger
-/// batches amortize the fork-join round but see staler pruning state.
-constexpr size_t kBatchPerWorker = 4;
-
-/// The Fig. 6 exploration, in rounds of collect → verify → fold (see
-/// BiQGen's class comment). All lattice bookkeeping is written by the
-/// calling thread only; pool workers, when there are any, only verify.
+/// The Fig. 6 exploration (see BiQGen's class comment). It runs on the
+/// calling thread alone.
 struct BiExplorer {
-  /// One admitted frontier item and its verification result.
-  struct Slot {
-    WorkItem item;
-    bool is_forward = true;
-    std::shared_ptr<CandidateSpace> cands;  // Forward slots only.
-    EvaluatedPtr eval;
-  };
-
   const QGenConfig& config;
   QGenResult* result;
-  ThreadPool* pool;  // Null: serial, one slot per batch.
-  /// One verifier per pool worker, or one for the calling thread.
-  std::vector<std::unique_ptr<InstanceVerifier>> verifiers;
+  /// Verifies each instance on the per-instance path.
+  InstanceVerifier* verifier;
+  /// On a tree template, every instance's evaluation by OdometerRank from
+  /// one lattice pass (EvaluateLattice), which the search reads instead of
+  /// verifying; empty on the per-instance path.
+  std::vector<EvaluatedPtr> lattice;
   ParetoArchive archive;
   std::unordered_set<Instantiation, Instantiation::Hasher> visited;
   std::vector<SandwichPair> sbounds;
   std::deque<WorkItem> forward;
   std::deque<WorkItem> backward;
-  std::vector<Slot> batch;
   double max_coverage;
 
   // Most recent feasible instances of each direction, paired for SBounds.
   EvaluatedPtr last_forward;
   EvaluatedPtr last_backward;
 
-  /// Whose turn is next. It flips on every turn, an empty frontier's
-  /// included, and persists across batches (Fig. 6's interleaving).
-  bool forward_turn = true;
-
-  /// RunContext expired: stop dispatching further verifications.
-  bool stopped = false;
-
-  BiExplorer(const QGenConfig& cfg, QGenResult* res, ThreadPool* p)
+  BiExplorer(const QGenConfig& cfg, QGenResult* res, InstanceVerifier* v)
       : config(cfg),
         result(res),
-        pool(p),
+        verifier(v),
         archive(cfg.epsilon),
-        max_coverage(static_cast<double>(cfg.groups->total_constraint())) {
-    const size_t n = pool != nullptr ? pool->num_workers() : 1;
-    for (size_t w = 0; w < n; ++w) {
-      verifiers.push_back(std::make_unique<InstanceVerifier>(cfg));
-    }
-  }
+        max_coverage(static_cast<double>(cfg.groups->total_constraint())) {}
 
   bool Budget() const {
-    return !stopped && (config.max_verifications == 0 ||
-                        result->stats.verified < config.max_verifications);
+    return config.max_verifications == 0 ||
+           result->stats.verified < config.max_verifications;
   }
 
-  /// Polls the RunContext at a scheduling point (once per verification
-  /// about to be dispatched); true once expired. Only the calling thread
-  /// polls, so parallel runs stay deterministic under poll-budget
-  /// cancellation.
-  bool PollStop() {
-    if (stopped) return true;
-    if (config.run_context != nullptr &&
-        config.run_context->PollVerification()) {
-      FAIRSQG_TRACE_INSTANT("run_context.stop");
-      stopped = true;
-      result->stats.deadline_exceeded = true;
-      return true;
+  /// The RunContext check before an instance is consumed; true once
+  /// expired. The per-instance path polls a verification; the lattice pass
+  /// polled already, so the search only checks the deadline and the
+  /// cancellation token.
+  bool ShouldStop() {
+    RunContext* ctx = config.run_context;
+    if (ctx == nullptr) return false;
+    if (!(lattice.empty() ? ctx->PollVerification() : ctx->HardExpired())) {
+      return false;
     }
-    return false;
+    FAIRSQG_TRACE_INSTANT("run_context.stop");
+    result->stats.deadline_exceeded = true;
+    return true;
   }
 
   /// Procedure SPrune: q lies strictly inside a recorded sandwich pair.
@@ -231,28 +209,51 @@ struct BiExplorer {
     }
   }
 
-  size_t BatchLimit() const {
-    size_t limit =
-        pool != nullptr ? pool->num_workers() * kBatchPerWorker : 1;
-    if (config.max_verifications > 0) {
-      // Budget() held on entry, so `remaining` is positive; the cap keeps
-      // the batch from overshooting max_verifications.
-      size_t remaining = config.max_verifications - result->stats.verified;
-      limit = std::min(limit, remaining);
+  /// The instance's evaluation: read from the lattice pass, or verified
+  /// from the item's context (forward items also keep their candidate
+  /// space, their refinements' context). Null when the match aborted or
+  /// a pass cut short did not settle the instance.
+  EvaluatedPtr Evaluate(const WorkItem& item, bool is_forward,
+                        std::shared_ptr<CandidateSpace>* cands) {
+    if (!lattice.empty()) {
+      return lattice[OdometerRank(*config.tmpl, *config.domains, item.inst)];
     }
-    return limit;
+    if (is_forward) *cands = std::make_shared<CandidateSpace>();
+    return verifier->Verify(item.inst, item.ctx.get(), cands->get());
   }
 
-  /// Pops frontier items into `batch`, taking turns between the two
-  /// frontiers (lines 4 and 10 of Fig. 6). `visited` and sandwich-pruned
-  /// items are consumed here (sandwiched forward items spawn their
-  /// children at once). The RunContext is polled once per admitted slot,
-  /// so the dispatched set is an exact prefix and the last batch always
-  /// completes and folds fully.
-  void CollectBatch() {
-    batch.clear();
-    const size_t limit = BatchLimit();
-    while (batch.size() < limit && (!forward.empty() || !backward.empty())) {
+  /// Folds one evaluated instance back into the exploration state (the
+  /// post-verification part of lines 4-17 of Fig. 6). A feasible backward
+  /// instance has reached the feasibility border: relaxing it further
+  /// belongs to the forward region, and since it is now `visited` the
+  /// forward pass would drop it, so its refinements go to the forward
+  /// frontier here.
+  void Fold(const EvaluatedPtr& eval, bool is_forward,
+            std::shared_ptr<CandidateSpace> cands) {
+    if (eval == nullptr) return;  // Not evaluated: the branch is abandoned.
+    ++result->stats.verified;
+    if (!eval->feasible) {
+      // Refinements of an infeasible instance stay infeasible (Lemma 2).
+      if (!is_forward) SpawnRelaxations(eval);
+      return;
+    }
+    ++result->stats.feasible;
+    archive.Update(eval);
+    Trace();
+    (is_forward ? last_forward : last_backward) = eval;
+    UpdateSBounds(last_forward, last_backward);
+    SpawnRefinements(eval, std::move(cands));
+  }
+
+  /// Takes turns between the two frontiers (lines 4 and 10 of Fig. 6);
+  /// the turn flips on every pop attempt, an empty frontier's included.
+  /// `visited` and sandwich-pruned items are consumed without an
+  /// evaluation (sandwiched forward items still spawn their children).
+  void Run() {
+    FAIRSQG_TRACE_SPAN("bi_qgen.explore");
+    SeedFrontiers();
+    bool forward_turn = true;
+    while ((!forward.empty() || !backward.empty()) && Budget()) {
       const bool is_forward = forward_turn;
       forward_turn = !forward_turn;
       std::deque<WorkItem>& src = is_forward ? forward : backward;
@@ -269,84 +270,35 @@ struct BiExplorer {
         if (is_forward) SpawnSandwichedForward(item);
         continue;
       }
-      if (PollStop()) break;
-      batch.push_back({std::move(item), is_forward, nullptr, nullptr});
-    }
-  }
-
-  /// Verifies the batch. Verifier w claims slots from a shared cursor
-  /// until none is left: on the calling thread (w = 0) without a pool, on
-  /// every pool worker in one ThreadPool::Run round with one. A worker
-  /// reads only state that is immutable during the batch (graph,
-  /// template, domains, parent contexts) and writes only the slots it
-  /// claimed and its verifier. The fold reads slots in order, so the
-  /// archive does not depend on who verified which.
-  void VerifyBatch() {
-    std::atomic<size_t> next{0};
-    auto verify = [&](size_t w) {
-      for (size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) <
-                     batch.size();) {
-        Slot& slot = batch[i];
-        if (slot.is_forward) slot.cands = std::make_shared<CandidateSpace>();
-        slot.eval = verifiers[w]->Verify(slot.item.inst, slot.item.ctx.get(),
-                                         slot.cands.get());
-      }
-    };
-    if (pool == nullptr) return verify(0);
-    result->stats.enqueued += batch.size();
-    FAIRSQG_TRACE_SPAN_FULL("bi_qgen.batch");
-    pool->Run(verify);
-  }
-
-  /// Folds one verified slot back into the exploration state (the
-  /// post-verification part of lines 4-17 of Fig. 6). A feasible backward
-  /// instance has reached the feasibility border: relaxing it further
-  /// belongs to the forward region, and since it is now `visited` the
-  /// forward pass would drop it, so its refinements go to the forward
-  /// frontier here.
-  void FoldSlot(Slot& slot) {
-    const EvaluatedPtr& eval = slot.eval;
-    if (eval == nullptr) return;  // Aborted mid-match; branch abandoned.
-    ++result->stats.verified;
-    if (!eval->feasible) {
-      // Refinements of an infeasible instance stay infeasible (Lemma 2).
-      if (!slot.is_forward) SpawnRelaxations(eval);
-      return;
-    }
-    ++result->stats.feasible;
-    archive.Update(eval);
-    Trace();
-    (slot.is_forward ? last_forward : last_backward) = eval;
-    UpdateSBounds(last_forward, last_backward);
-    SpawnRefinements(eval, std::move(slot.cands));
-  }
-
-  void Run() {
-    FAIRSQG_TRACE_SPAN("bi_qgen.explore");
-    SeedFrontiers();
-    while ((!forward.empty() || !backward.empty()) && Budget()) {
-      CollectBatch();
-      if (batch.empty()) continue;  // Every popped item was pruned.
-      VerifyBatch();
-      // Slot order, not completion order: deterministic per thread count.
-      for (Slot& slot : batch) FoldSlot(slot);
-    }
-    for (const std::unique_ptr<InstanceVerifier>& v : verifiers) {
-      if (pool != nullptr) {
-        result->stats.per_worker_verify_seconds.push_back(v->verify_seconds());
-      }
-      FoldVerifierStats(*v, &result->stats);
+      if (ShouldStop()) break;
+      std::shared_ptr<CandidateSpace> cands;
+      EvaluatedPtr eval = Evaluate(item, is_forward, &cands);
+      Fold(eval, is_forward, std::move(cands));
     }
   }
 };
 
-/// The part of Run and RunParallel after validation: explore with `pool`
-/// (null: serially) and return the sorted archive.
+/// The part of Run and RunParallel after validation. On a tree template
+/// one lattice pass with `verifiers` (on `pool`, when there is one) first
+/// settles every instance, and the search reads them; otherwise the search
+/// verifies each instance it consumes with verifiers[0].
 Result<QGenResult> Explore(const QGenConfig& config, ThreadPool* pool,
+                           std::span<InstanceVerifier* const> verifiers,
                            const Timer& timer) {
   QGenResult result;
-  BiExplorer explorer(config, &result, pool);
+  BiExplorer explorer(config, &result, verifiers[0]);
+  if (LatticeApplies(config)) {
+    // As in RfQGen: the search spends the verification budget, so the pass
+    // runs without one, and GenStats counts the instances the search
+    // consumes, so of the pass's counts only its expiry, its verifiers'
+    // folds and its pool counters are kept.
+    QGenConfig whole = config;
+    whole.max_verifications = 0;
+    explorer.lattice = EvaluateLattice(whole, pool, verifiers, &result.stats);
+    result.stats.generated = result.stats.verified = result.stats.feasible = 0;
+  }
   explorer.Run();
+  if (explorer.lattice.empty()) FoldVerifierStats(*verifiers[0], &result.stats);
   if (config.run_context != nullptr && config.run_context->Expired()) {
     result.stats.deadline_exceeded = true;
   }
@@ -362,16 +314,19 @@ Result<QGenResult> BiQGen::Run(const QGenConfig& config) {
   FAIRSQG_RETURN_NOT_OK(config.Validate());
   FAIRSQG_TRACE_SPAN("bi_qgen.run");
   Timer timer;
-  return Explore(config, nullptr, timer);
+  InstanceVerifier verifier(config);
+  InstanceVerifier* const verifiers[] = {&verifier};
+  return Explore(config, /*pool=*/nullptr, verifiers, timer);
 }
 
 Result<QGenResult> BiQGen::RunParallel(const QGenConfig& config,
                                        size_t num_threads) {
+  FAIRSQG_RETURN_NOT_OK(config.Validate());
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  if (num_threads == 1) return Run(config);
-  FAIRSQG_RETURN_NOT_OK(config.Validate());
+  // Only the lattice pass runs on the pool.
+  if (num_threads == 1 || !LatticeApplies(config)) return Run(config);
   FAIRSQG_TRACE_SPAN("bi_qgen.run_parallel");
   Timer timer;
   // Build the diversity precompute once and share it read-only across the
@@ -383,7 +338,13 @@ Result<QGenResult> BiQGen::RunParallel(const QGenConfig& config,
         cfg.diversity.relevance);
   }
   ThreadPool pool(num_threads);
-  return Explore(cfg, &pool, timer);
+  std::vector<std::unique_ptr<InstanceVerifier>> owned;
+  std::vector<InstanceVerifier*> verifiers;
+  for (size_t w = 0; w < pool.num_workers(); ++w) {
+    owned.push_back(std::make_unique<InstanceVerifier>(cfg));
+    verifiers.push_back(owned.back().get());
+  }
+  return Explore(cfg, &pool, verifiers, timer);
 }
 
 }  // namespace fairsqg

@@ -18,28 +18,31 @@ namespace fairsqg {
 /// balances high-diversity (forward) and high-coverage (backward)
 /// instances (Section V, Fig. 9(e)).
 ///
-/// Both entry points drive one explorer in rounds: pop a batch of frontier
-/// items, taking turns between the two frontiers; verify the batch; fold
-/// the results back in slot order (archive update, sandwich pairs, subtree
-/// pruning, refinement hints and children, the backward beam). All lattice
-/// bookkeeping (frontiers, `visited`, sandwich pairs, the archive) is
-/// written by the calling thread only. `Run` verifies one slot per round
-/// on the calling thread, which is exactly Fig. 6's serial interleaving.
-/// `RunParallel` verifies several slots per pool worker in one
-/// ThreadPool::Run round: workers claim slots from a shared cursor, and
-/// each owns a private InstanceVerifier (memo caches stay thread-private).
-/// Folding in slot order makes the output deterministic for a fixed
-/// thread count. Batching
-/// relaxes *when* pruning information becomes available (a prune may take
-/// effect a batch later than in the serial order) but never what the
-/// archive guarantees: the result still ε-covers the full feasible space.
+/// The search runs on the calling thread, one instance at a time, in
+/// Fig. 6's order: turns alternate between the two frontiers; each
+/// consumed instance is folded back in (archive update, sandwich pairs,
+/// subtree pruning, refinement hints and children, the backward beam).
+///
+/// On a tree template (LatticeApplies) the search verifies nothing
+/// itself: one lattice pass (EvaluateLattice, DESIGN.md §14) first
+/// settles every instance's exact evaluation, and the search reads each
+/// instance it consumes from there, as RfQGen does. The search is the
+/// same either way, so it consumes the same instances and builds the same
+/// archive as the per-instance path; GenStats::verified counts the
+/// instances it consumed, not the pass's. The pass settles the most
+/// refined levels first: when the RunContext stops it, the unsettled
+/// instances count as aborted (DESIGN.md §14.3). Other templates keep the
+/// per-instance incVerify path.
 class BiQGen {
  public:
   /// Sequential exploration (the paper's Fig. 6).
   static Result<QGenResult> Run(const QGenConfig& config);
 
-  /// Parallel exploration; `num_threads` 0 selects hardware concurrency,
-  /// 1 falls back to the sequential path.
+  /// Run with the lattice pass on a `num_threads`-worker pool, followed
+  /// by the same serial search: the archive and every counter but the
+  /// pool's (`enqueued`, the per-worker and verify times) equal Run's.
+  /// `num_threads` 0 selects hardware concurrency; 1, or a template
+  /// without the lattice path, runs Run.
   static Result<QGenResult> RunParallel(const QGenConfig& config,
                                         size_t num_threads = 0);
 };

@@ -15,7 +15,8 @@ namespace fairsqg {
 /// measured against. On a tree template the whole space is verified from
 /// one LatticeIndex pass (VerifyLattice, DESIGN.md §14), the matcher
 /// certifying only frontier candidates; other templates are verified one
-/// instance at a time in odometer order.
+/// instance at a time in odometer order. ParallelQGen is this body run on
+/// a thread pool.
 class EnumQGen {
  public:
   static Result<QGenResult> Run(const QGenConfig& config);

@@ -241,6 +241,7 @@ void VerifyLattice(const QGenConfig& config, ThreadPool* pool,
   }
 
   stats->generated += dispatched;
+  if (pool != nullptr) stats->enqueued += dispatched;
   for (size_t w = 0; w < verifiers.size(); ++w) {
     stats->verified += counts[w].verified;
     stats->feasible += counts[w].feasible;
@@ -269,14 +270,14 @@ uint64_t OdometerRank(const QueryTemplate& tmpl, const VariableDomains& domains,
   return rank;
 }
 
-std::vector<EvaluatedPtr> EvaluateLattice(const QGenConfig& config,
-                                          InstanceVerifier* verifier,
-                                          GenStats* stats) {
+std::vector<EvaluatedPtr> EvaluateLattice(
+    const QGenConfig& config, ThreadPool* pool,
+    std::span<InstanceVerifier* const> verifiers, GenStats* stats) {
   std::vector<EvaluatedPtr> by_rank(
       config.domains->InstanceSpaceSize(*config.tmpl));
-  InstanceVerifier* const verifiers[] = {verifier};
+  // Each rank is settled once, by one worker: the writes are disjoint.
   VerifyLattice(
-      config, /*pool=*/nullptr, verifiers,
+      config, pool, verifiers,
       [&](size_t, EvaluatedPtr e) {
         by_rank[OdometerRank(*config.tmpl, *config.domains, e->inst)] =
             std::move(e);
@@ -291,7 +292,9 @@ Result<std::vector<EvaluatedPtr>> VerifyInstanceSpace(const QGenConfig& config,
   if (!LatticeApplies(config)) {
     return VerifyAllInstances(config, verifier, stats);
   }
-  std::vector<EvaluatedPtr> all = EvaluateLattice(config, verifier, stats);
+  InstanceVerifier* const verifiers[] = {verifier};
+  std::vector<EvaluatedPtr> all =
+      EvaluateLattice(config, /*pool=*/nullptr, verifiers, stats);
   std::erase(all, nullptr);
   FAIRSQG_RETURN_NOT_OK(ApplyExpiryPolicy(config, *stats));
   return all;

@@ -20,8 +20,8 @@ namespace fairsqg {
 inline constexpr uint64_t kMaxLatticeInstances = uint64_t{1} << 20;
 
 /// True when the generators verify `config`'s instance space from one
-/// LatticeIndex (EnumQGen, ParallelQGen, RfQGen, Kungs and CBM; not
-/// BiQGen): the template is a tree (LatticeIndex::Supports) and
+/// LatticeIndex (EnumQGen, ParallelQGen, RfQGen, BiQGen, Kungs and CBM):
+/// the template is a tree (LatticeIndex::Supports) and
 /// |I(Q)| <= kMaxLatticeInstances.
 bool LatticeApplies(const QGenConfig& config);
 
@@ -31,7 +31,7 @@ using LatticeSink = std::function<void(size_t worker, EvaluatedPtr)>;
 
 /// \brief Verifies the whole instance space from one LatticeIndex pass
 /// (DESIGN.md §14); the one driver of EnumQGen and ParallelQGen, and,
-/// through EvaluateLattice, of RfQGen, Kungs and CBM.
+/// through EvaluateLattice, of RfQGen, BiQGen, Kungs and CBM.
 ///
 /// Instances are visited by lattice level, most refined level first, and
 /// in descending odometer rank within a level, so every instance's
@@ -55,10 +55,11 @@ using LatticeSink = std::function<void(size_t worker, EvaluatedPtr)>;
 /// The sets do not depend on which worker verified what.
 ///
 /// Fills stats->generated, verified, feasible and deadline_exceeded, and
-/// folds the verifiers (FoldVerifierStats) and, with a pool, their
-/// per-worker seconds. The verify axes are the verifiers' time alone; the
-/// pass shows as the `lattice_index.build` span and in total_seconds. A
-/// pass stopped by hard expiry verifies nothing.
+/// folds the verifiers (FoldVerifierStats); with a pool, also their
+/// per-worker seconds and `enqueued` (the instances dispatched). The
+/// verify axes are the verifiers' time alone; the pass shows as the
+/// `lattice_index.build` span and in total_seconds. A pass stopped by hard
+/// expiry verifies nothing.
 void VerifyLattice(const QGenConfig& config, ThreadPool* pool,
                    std::span<InstanceVerifier* const> verifiers,
                    const LatticeSink& sink, GenStats* stats);
@@ -69,15 +70,16 @@ void VerifyLattice(const QGenConfig& config, ThreadPool* pool,
 uint64_t OdometerRank(const QueryTemplate& tmpl, const VariableDomains& domains,
                       const Instantiation& inst);
 
-/// Every instance's evaluation from one serial VerifyLattice run with
-/// `verifier`, indexed by OdometerRank. An entry is null when the run
+/// Every instance's evaluation from one VerifyLattice run with `pool` and
+/// `verifiers`, indexed by OdometerRank. An entry is null when the run
 /// settled no evaluation for it: the run stopped before its level (the
-/// most refined levels are settled first), or its match aborted. Requires
-/// LatticeApplies(config); fills `stats` as VerifyLattice does. The
-/// evaluations of RfQGen, Kungs and CBM.
-std::vector<EvaluatedPtr> EvaluateLattice(const QGenConfig& config,
-                                          InstanceVerifier* verifier,
-                                          GenStats* stats);
+/// most refined levels are settled first), or its match aborted. The
+/// entries do not depend on the pool. Requires LatticeApplies(config);
+/// fills `stats` as VerifyLattice does. The evaluations of RfQGen, BiQGen,
+/// Kungs and CBM.
+std::vector<EvaluatedPtr> EvaluateLattice(
+    const QGenConfig& config, ThreadPool* pool,
+    std::span<InstanceVerifier* const> verifiers, GenStats* stats);
 
 /// Every verified instance of I(Q), in odometer order: from EvaluateLattice
 /// when LatticeApplies(config), else from the per-instance odometer

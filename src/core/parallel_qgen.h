@@ -13,20 +13,22 @@ namespace fairsqg {
 /// generation over large graphs with diversity and group fairness",
 /// Section VI), realized as a data-parallel EnumQGen.
 ///
-/// On a tree template (LatticeApplies) it is EnumQGen's lattice walk with
-/// a pool: VerifyLattice runs one ThreadPool::Run round whose workers
-/// claim each level's instances and meet at a barrier between levels
-/// (DESIGN.md §14). Otherwise the
+/// It is EnumQGen's body run on a ThreadPool (both are defined in
+/// enum_qgen.cc). On a tree template (LatticeApplies) VerifyLattice runs
+/// one ThreadPool::Run round whose workers claim each level's instances
+/// and meet at a barrier between levels (DESIGN.md §14). Otherwise the
 /// instance space I(Q) is *streamed* in chunks from the shared
 /// InstantiationEnumerator — never materialized, so there is no cap on
 /// |I(Q)| (config.max_verifications bounds unbounded spaces) — in one
 /// ThreadPool::Run round whose workers pull chunks. Either way each worker
 /// verifies with a private InstanceVerifier (the graph is shared
 /// read-only) into a private ParetoArchive, and the per-worker archives
-/// are folded by ParetoArchive::Merge. Merging is sound: each archive box-dominates
-/// everything its worker saw, and Update preserves box dominance
-/// transitively, so the merged archive is an ε-Pareto set of the full
-/// space — the same guarantee as EnumQGen.
+/// are folded by ParetoArchive::Merge. Merging is sound: each archive
+/// box-dominates everything its worker saw, and Update preserves box
+/// dominance transitively, so the merged archive is an ε-Pareto set of the
+/// full space — the same guarantee as EnumQGen, and, since Update keeps
+/// each box's highest-ranked instance, the same archive at any thread
+/// count.
 class ParallelQGen {
  public:
   /// `num_threads` 0 selects the hardware concurrency.

@@ -123,7 +123,9 @@ Result<QGenResult> RfQGen::Run(const QGenConfig& config) {
     QGenConfig whole = config;
     whole.max_verifications = 0;
     GenStats pass;
-    explorer.lattice = EvaluateLattice(whole, &explorer.verifier, &pass);
+    InstanceVerifier* const verifiers[] = {&explorer.verifier};
+    explorer.lattice =
+        EvaluateLattice(whole, /*pool=*/nullptr, verifiers, &pass);
     result.stats.deadline_exceeded = pass.deadline_exceeded;
   }
   Instantiation root = Instantiation::MostRelaxed(*config.tmpl);

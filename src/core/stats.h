@@ -24,12 +24,15 @@ namespace fairsqg {
 ///
 /// Scheduling-dependent counters: in a parallel run with no wall-clock
 /// deadline the archive and all other counters depend only on the input
-/// and the thread count, but
-/// `cache_hits`/`cache_misses` (one shared cache, filled by whichever
-/// worker gets there first), the `sweep_*` counters (each worker's
-/// SweepVerifier serves only that worker) and the times (`total_seconds`,
+/// and the thread count, but the times (`total_seconds`,
 /// `verify_*_seconds`, `per_worker_verify_seconds`) depend on which worker
-/// verified what, and may differ between runs at one thread count.
+/// verified what, and so, on ParallelQGen's per-instance odometer (a
+/// template without the lattice path), do `cache_hits`/`cache_misses`
+/// (one shared cache, filled by whichever worker gets there first) and the
+/// `sweep_*` counters (each worker's SweepVerifier serves only that
+/// worker). The lattice pass consults neither, and BiQGen::RunParallel
+/// runs only that pass on its pool, so its counters other than the times
+/// and `enqueued` equal BiQGen::Run's.
 struct GenStats {
   uint32_t generated = 0;  ///< Instances spawned or enumerated.
   uint32_t verified = 0;   ///< Instances actually matched and measured.
@@ -41,7 +44,9 @@ struct GenStats {
   uint32_t pruned_subtree = 0;   ///< Subtree cuts by the archive-cover check.
 
   // Parallel-execution counters (zero for sequential runs).
-  uint32_t enqueued = 0;  ///< Work items dispatched to the thread pool.
+  /// Work items dispatched to the thread pool: the lattice pass's
+  /// instances, or the per-instance odometer's chunks.
+  uint32_t enqueued = 0;
   /// Always 0: workers claim shared work from a cursor, and nothing is
   /// stolen. Kept, and written nowhere, until reqbench drops its
   /// `common.pool_stolen` metric, which reads it; then the field goes.

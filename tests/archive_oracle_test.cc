@@ -3,7 +3,9 @@
 // verification toggle on, incVerify on and off — are checked from scratch
 // against a per-instance reference (archive_oracle.h). A generator that
 // misses a feasible instance's box, or reports a match set or objective
-// its instantiation does not have, fails here. EnumQGen and ParallelQGen
+// its instantiation does not have, fails here. RunParallel, which runs
+// only the lattice pass on its pool, must also reproduce BiQGen::Run's
+// archive member for member. EnumQGen and ParallelQGen
 // at 1, 2 and 4 threads, which verify the lattice from one LatticeIndex
 // pass, must reproduce the reference archive member for member. RfQGen,
 // which reads its evaluations from that pass, must reproduce a replay of
@@ -118,12 +120,21 @@ bool CheckScenario(const std::string& dataset, double scale, uint64_t seed,
       ReplayRfQGen(config, evaluations, &replay_verified);
   for (bool incremental : {true, false}) {
     config.use_incremental_verify = incremental;
+    std::vector<EvaluatedPtr> bi_archive;  // BiQGen::Run's, for RunParallel.
     for (const auto& [name, run] : generators) {
       Result<QGenResult> result = run(config);
       EXPECT_TRUE(result.ok()) << result.status().ToString();
       if (!result.ok()) continue;
       EXPECT_EQ(CheckArchive(config, result->pareto, reference), "")
           << name << " incVerify=" << incremental << where;
+      if (std::string_view(name) == "BiQGen") bi_archive = result->pareto;
+      if (std::string_view(name).starts_with("BiQGen::RunParallel")) {
+        EXPECT_EQ(CompareArchives(*config.tmpl, *config.domains,
+                                  result->pareto, bi_archive),
+                  "")
+            << name << " against BiQGen::Run, incVerify=" << incremental
+            << where;
+      }
       if (std::string_view(name) == "RfQGen") {
         EXPECT_EQ(CompareArchives(*config.tmpl, *config.domains,
                                   result->pareto, replay),

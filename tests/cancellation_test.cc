@@ -155,10 +155,10 @@ TEST(CancellationTest, SequentialBiCancelIsDeterministic) {
 
 TEST(CancellationTest, ParallelBiCancelIsDeterministic) {
   SmallScenario s;
-  // The coordinator alone polls the context (one poll per admitted batch
-  // slot), so the set of verified instances is a deterministic prefix of
-  // the batch schedule — two cancelled runs at the same thread count must
-  // be bit-identical, exactly like the uncancelled determinism guarantee.
+  // The lattice pass polls the context once per instance under its
+  // cursor's lock, so it settles the same instances at any thread count,
+  // and the serial search that reads them polls nothing — two cancelled
+  // runs must be bit-identical, exactly like the uncancelled guarantee.
   QGenResult runs[2];
   for (QGenResult& out : runs) {
     RunContext ctx;
@@ -224,6 +224,52 @@ TEST(CancellationTest, RfQGenCancelDuringLatticePassAbandonsUnsettled) {
   ctx.CancelAfterVerifications(space + 1);
   config.run_context = &ctx;
   const QGenResult r = RfQGen::Run(config).ValueOrDie();
+  EXPECT_FALSE(r.stats.deadline_exceeded);
+  EXPECT_EQ(r.stats.verified, whole.stats.verified);
+  EXPECT_EQ(ArchiveFingerprint(r.pareto), ArchiveFingerprint(whole.pareto));
+}
+
+TEST(CancellationTest, BiQGenCancelDuringLatticePassAbandonsUnsettled) {
+  SmallScenario s;
+  QGenConfig config = s.Config(0.05);
+  ASSERT_TRUE(LatticeApplies(config));
+  const uint64_t space = s.domains->InstanceSpaceSize(*s.tmpl);
+  ASSERT_GT(space, 2u);
+  const QGenResult whole = BiQGen::Run(config).ValueOrDie();
+  ASSERT_FALSE(whole.pareto.empty());
+  ASSERT_LT(whole.stats.verified, space);  // The search consumes a part.
+  const Instantiation root = Instantiation::MostRelaxed(*s.tmpl);
+
+  // The pass polls once per instance, the most refined level first, so a
+  // cut before its end leaves the root unsettled: the forward frontier is
+  // abandoned at once, and the backward one consumes only settled
+  // instances. The pass settles the same instances on a pool.
+  for (uint64_t n : {uint64_t{1}, space / 2, space - 1}) {
+    uint64_t fingerprint = 0;
+    for (size_t threads : {1, 2}) {
+      const std::string label = "BiQGen cancel@" + std::to_string(n) +
+                                " threads=" + std::to_string(threads);
+      RunContext ctx;
+      ctx.CancelAfterVerifications(n);
+      config.run_context = &ctx;
+      Result<QGenResult> r = BiQGen::RunParallel(config, threads);
+      ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString();
+      EXPECT_TRUE(r->stats.deadline_exceeded) << label;
+      EXPECT_LE(r->stats.verified, n) << label;
+      for (const EvaluatedPtr& m : r->pareto) EXPECT_NE(m->inst, root) << label;
+      ExpectParetoValid(r->pareto, label);
+      ExpectFullyVerified(r->pareto, config, label);
+      if (threads == 1) fingerprint = ArchiveFingerprint(r->pareto);
+      EXPECT_EQ(ArchiveFingerprint(r->pareto), fingerprint) << label;
+    }
+  }
+
+  // A budget the pass does not exhaust leaves the search whole: the search
+  // itself polls no verifications.
+  RunContext ctx;
+  ctx.CancelAfterVerifications(space + 1);
+  config.run_context = &ctx;
+  const QGenResult r = BiQGen::Run(config).ValueOrDie();
   EXPECT_FALSE(r.stats.deadline_exceeded);
   EXPECT_EQ(r.stats.verified, whole.stats.verified);
   EXPECT_EQ(ArchiveFingerprint(r.pareto), ArchiveFingerprint(whole.pareto));

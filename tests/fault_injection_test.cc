@@ -55,12 +55,13 @@ TEST_F(FaultInjectionTest, FaultPointsAreReached) {
   SmallScenario s;
   // Arm every site with a no-op spec: hits are counted, nothing fires.
   for (const char* site : kSites) fault::Arm(site, fault::FaultSpec{});
+  // BiQGen on a cyclic template exercises all verify paths: the relaxed
+  // path is the only caller of the verifier.reserve hints.
+  s.CloseCycle();
   QGenConfig config = s.Config(0.05);
   MatchSetCache::Options options;
   auto cache = MatchSetCache::Create(options).ValueOrDie();
   config.match_cache = cache.get();
-  // BiQGen exercises all verify paths: the relaxed path is the only caller
-  // of the verifier.reserve hints.
   ASSERT_TRUE(BiQGen::Run(config).ok());
   for (const char* site : kSites) {
     EXPECT_GT(fault::HitCount(site), 0u) << site;
@@ -119,6 +120,7 @@ TEST_F(FaultInjectionTest, LookupFailForcesMisses) {
 
 TEST_F(FaultInjectionTest, ReserveFaultChangesNothing) {
   SmallScenario s;
+  s.CloseCycle();  // BiQGen's per-instance path reaches the reserve hints.
   QGenConfig config = s.Config(0.05);
   QGenResult baseline = BiQGen::Run(config).ValueOrDie();
   fault::FaultSpec fail;

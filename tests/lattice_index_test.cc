@@ -16,6 +16,7 @@
 
 #include "common/random.h"
 #include "common/run_context.h"
+#include "core/bi_qgen.h"
 #include "core/enum_qgen.h"
 #include "core/enumerate.h"
 #include "core/groups.h"
@@ -293,7 +294,9 @@ TEST(LatticeIndexDeadlineTest, HardExpiredContextAbortsThePass) {
   QGenConfig config = f.Config(MatchSemantics::kIsomorphism);
   config.run_context = &ctx;
   ctx.set_on_expiry(ExpiryPolicy::kPartial);
-  for (const auto run : {&EnumQGen::Run, &RfQGen::Run, &Kungs::Run}) {
+  for (const auto run :
+       {&EnumQGen::Run, &RfQGen::Run, &Kungs::Run, &BiQGen::Run,
+        +[](const QGenConfig& c) { return BiQGen::RunParallel(c, 2); }}) {
     QGenResult r = run(config).ValueOrDie();
     EXPECT_TRUE(r.stats.deadline_exceeded);
     EXPECT_EQ(r.stats.verified, 0u);

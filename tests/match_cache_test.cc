@@ -132,7 +132,7 @@ void ExpectIdenticalResults(const QGenResult& a, const QGenResult& b) {
 
 /// `consults_cache` is false for the generators that verify a tree
 /// template from one LatticeIndex pass (EnumQGen, ParallelQGen, RfQGen,
-/// Kungs): they never look the cache up, so only the byte-identity
+/// BiQGen, Kungs): they never look the cache up, so only the byte-identity
 /// assertions apply.
 template <typename RunFn>
 void CheckCacheTransparency(RunFn run, bool consults_cache = true) {
@@ -162,7 +162,8 @@ TEST(MatchCacheEquivalenceTest, EnumQGenIdenticalWithCacheOnOrOff) {
 }
 
 TEST(MatchCacheEquivalenceTest, BiQGenIdenticalWithCacheOnOrOff) {
-  CheckCacheTransparency([](const QGenConfig& c) { return BiQGen::Run(c); });
+  CheckCacheTransparency([](const QGenConfig& c) { return BiQGen::Run(c); },
+                         /*consults_cache=*/false);
 }
 
 TEST(MatchCacheEquivalenceTest, RfQGenIdenticalWithCacheOnOrOff) {
@@ -183,7 +184,8 @@ TEST(MatchCacheEquivalenceTest, ParallelQGenIdenticalWithCacheOnOrOff) {
 
 TEST(MatchCacheEquivalenceTest, ParallelBiQGenIdenticalWithCacheOnOrOff) {
   CheckCacheTransparency(
-      [](const QGenConfig& c) { return BiQGen::RunParallel(c, 4); });
+      [](const QGenConfig& c) { return BiQGen::RunParallel(c, 4); },
+      /*consults_cache=*/false);
 }
 
 TEST(MatchCacheEquivalenceTest, ScanAndIndexCandidatePathsAgree) {

@@ -6,6 +6,7 @@
 #include "core/enum_qgen.h"
 #include "core/enumerate.h"
 #include "core/indicators.h"
+#include "core/lattice_verify.h"
 #include "core/pareto_archive.h"
 #include "scenario_fixture.h"
 
@@ -134,20 +135,7 @@ TEST(ParallelQGenTest, InvalidConfigRejected) {
   EXPECT_FALSE(ParallelQGen::Run(empty, 2).ok());
 }
 
-// --- Parallel Bi-QGen (coordinator + fork-join verification rounds) ---
-
-TEST(ParallelBiQGenTest, ArchiveMutuallyEpsilonCoversSequential) {
-  SmallScenario s;
-  QGenConfig config = s.Config(0.05);
-  QGenResult seq = BiQGen::Run(config).ValueOrDie();
-  QGenResult par = BiQGen::RunParallel(config, 4).ValueOrDie();
-  ASSERT_GT(seq.pareto.size(), 0u);
-  ASSERT_GT(par.pareto.size(), 0u);
-  // Exploration order differs (batched vs stepwise), but both archives
-  // ε-cover the full feasible space — so each must ε-cover the other.
-  EXPECT_TRUE(EpsilonCovers(par.pareto, seq.pareto, config.epsilon));
-  EXPECT_TRUE(EpsilonCovers(seq.pareto, par.pareto, config.epsilon));
-}
+// --- Parallel Bi-QGen (the lattice pass on a pool, then the serial search) ---
 
 TEST(ParallelBiQGenTest, EpsilonCoversFullFeasibleSpace) {
   SmallScenario s;
@@ -159,46 +147,65 @@ TEST(ParallelBiQGenTest, EpsilonCoversFullFeasibleSpace) {
   EXPECT_TRUE(EpsilonCovers(par.pareto, FeasibleOnly(all), config.epsilon));
 }
 
-/// Two RunParallel runs at each of 2, 3 and 4 threads: batches are
-/// collected and folded in slot order, so two runs at the same thread
-/// count are bit-identical whatever the scheduling.
-void ExpectDeterministicPerThreadCount(const QGenConfig& config) {
-  for (size_t threads : {2, 3, 4}) {
+/// RunParallel at 1, 2, 3 and 4 threads against Run: the pool runs only
+/// the lattice pass, whose evaluations do not depend on it, and the search
+/// is Run's, so the archive and every deterministic counter are equal.
+void ExpectEqualsRun(const QGenConfig& config) {
+  const QGenResult seq = BiQGen::Run(config).ValueOrDie();
+  ASSERT_GT(seq.pareto.size(), 0u);
+  for (size_t threads : {1, 2, 3, 4}) {
     SCOPED_TRACE(testing::Message() << threads << " threads");
-    QGenResult a = BiQGen::RunParallel(config, threads).ValueOrDie();
-    QGenResult b = BiQGen::RunParallel(config, threads).ValueOrDie();
-    ASSERT_GT(a.pareto.size(), 0u);
-    ASSERT_EQ(a.pareto.size(), b.pareto.size());
-    for (size_t i = 0; i < a.pareto.size(); ++i) {
-      EXPECT_EQ(a.pareto[i]->inst, b.pareto[i]->inst);
-      EXPECT_EQ(a.pareto[i]->obj.diversity, b.pareto[i]->obj.diversity);
-      EXPECT_EQ(a.pareto[i]->obj.coverage, b.pareto[i]->obj.coverage);
-      EXPECT_EQ(a.pareto[i]->matches, b.pareto[i]->matches);
+    const QGenResult par = BiQGen::RunParallel(config, threads).ValueOrDie();
+    ASSERT_EQ(par.pareto.size(), seq.pareto.size());
+    for (size_t i = 0; i < seq.pareto.size(); ++i) {
+      EXPECT_EQ(par.pareto[i]->inst, seq.pareto[i]->inst);
+      EXPECT_EQ(par.pareto[i]->matches, seq.pareto[i]->matches);
+      EXPECT_EQ(par.pareto[i]->obj.diversity, seq.pareto[i]->obj.diversity);
+      EXPECT_EQ(par.pareto[i]->obj.coverage, seq.pareto[i]->obj.coverage);
     }
-    EXPECT_EQ(a.stats.generated, b.stats.generated);
-    EXPECT_EQ(a.stats.verified, b.stats.verified);
-    EXPECT_EQ(a.stats.pruned, b.stats.pruned);
-    EXPECT_EQ(a.stats.feasible, b.stats.feasible);
-    EXPECT_EQ(a.stats.enqueued, b.stats.enqueued);
-    // Every counter but the scheduling-dependent ones (GenStats).
-    EXPECT_EQ(a.stats.pruned_sandwich, b.stats.pruned_sandwich);
-    EXPECT_EQ(a.stats.pruned_subtree, b.stats.pruned_subtree);
-    EXPECT_EQ(a.stats.aborted_matches, b.stats.aborted_matches);
-    EXPECT_EQ(a.stats.timed_out_instances, b.stats.timed_out_instances);
-    EXPECT_EQ(a.stats.deadline_exceeded, b.stats.deadline_exceeded);
-    EXPECT_EQ(a.stats.per_worker_verify_seconds.size(), threads);
+    const GenStats& a = par.stats;
+    const GenStats& b = seq.stats;
+    EXPECT_EQ(a.generated, b.generated);
+    EXPECT_EQ(a.verified, b.verified);
+    EXPECT_EQ(a.pruned, b.pruned);
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.pruned_sandwich, b.pruned_sandwich);
+    EXPECT_EQ(a.pruned_subtree, b.pruned_subtree);
+    EXPECT_EQ(a.cache_hits, b.cache_hits);
+    EXPECT_EQ(a.cache_misses, b.cache_misses);
+    EXPECT_EQ(a.deadline_exceeded, b.deadline_exceeded);
+    EXPECT_EQ(a.aborted_matches, b.aborted_matches);
+    EXPECT_EQ(a.timed_out_instances, b.timed_out_instances);
+    EXPECT_EQ(a.sweep_chains, b.sweep_chains);
+    EXPECT_EQ(a.sweep_instances, b.sweep_instances);
+    EXPECT_EQ(a.sweep_fallbacks, b.sweep_fallbacks);
+    // The pool's own counters: one time per worker, and every instance of
+    // the pass dispatched. One thread, or a template without the lattice
+    // path, runs Run.
+    const bool pooled = threads > 1 && LatticeApplies(config);
+    EXPECT_EQ(a.per_worker_verify_seconds.size(), pooled ? threads : 0u);
+    EXPECT_EQ(a.enqueued, pooled ? config.domains->InstanceSpaceSize(
+                                       *config.tmpl)
+                                 : 0u);
   }
 }
 
-TEST(ParallelBiQGenTest, DeterministicForFixedThreadCount) {
+TEST(ParallelBiQGenTest, EqualsSequentialAtAnyThreadCount) {
   SmallScenario s;
-  ExpectDeterministicPerThreadCount(s.Config(0.05));
+  ASSERT_TRUE(LatticeApplies(s.Config(0.05)));
+  ExpectEqualsRun(s.Config(0.05));
 
-  Scenario scenario =
-      MakeScenario(OracleScenarioOptions("dbp", 0.05, 115, 4)).ValueOrDie();
-  QGenConfig config = scenario.MakeConfig(0.01);
-  config.diversity.lambda = 0.5;
-  ExpectDeterministicPerThreadCount(config);
+  // The fine-ε oracle scenarios: seed 115's template has a cycle, so
+  // RunParallel runs Run there; seed 117's is a tree, where SPrune skips
+  // instances.
+  for (uint64_t seed : {115, 117}) {
+    SCOPED_TRACE(testing::Message() << "dbp seed " << seed);
+    Scenario scenario =
+        MakeScenario(OracleScenarioOptions("dbp", 0.05, seed, 4)).ValueOrDie();
+    QGenConfig config = scenario.MakeConfig(0.01);
+    config.diversity.lambda = 0.5;
+    ExpectEqualsRun(config);
+  }
 }
 
 TEST(ParallelBiQGenTest, SingleThreadFallsBackToSequential) {
@@ -225,11 +232,12 @@ TEST(ParallelBiQGenTest, ReportsParallelStats) {
   SmallScenario s;
   QGenConfig config = s.Config(0.05);
   QGenResult r = BiQGen::RunParallel(config, 4).ValueOrDie();
-  EXPECT_GT(r.stats.enqueued, 0u);
   ASSERT_EQ(r.stats.per_worker_verify_seconds.size(), 4u);
   EXPECT_GE(r.stats.verify_cpu_seconds, r.stats.verify_wall_seconds);
-  // Dispatched work is verified work in the batched explorer.
-  EXPECT_EQ(r.stats.enqueued, r.stats.verified);
+  // The pool runs the lattice pass, which dispatches every instance; the
+  // search consumes only some of them.
+  EXPECT_EQ(r.stats.enqueued, s.domains->InstanceSpaceSize(*s.tmpl));
+  EXPECT_LT(r.stats.verified, r.stats.enqueued);
 }
 
 }  // namespace

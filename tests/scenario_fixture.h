@@ -65,6 +65,11 @@ struct SmallScenario {
     return GroupSet::Create(graph.num_nodes(), {user}, {1}).ValueOrDie();
   }
 
+  /// Adds the template edge u2 -worksAt-> org, which closes the cycle
+  /// director - u1 - org - u2. The lattice pass needs a tree, so the
+  /// generators then take their per-instance incVerify paths.
+  void CloseCycle() { tmpl->AddEdge(2, 3, "worksAt"); }
+
   QGenConfig Config(double epsilon = 0.05) const {
     QGenConfig config;
     config.graph = &graph;

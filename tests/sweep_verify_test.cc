@@ -4,10 +4,10 @@
 // The contract under test: archives are byte-identical with sweeping on or
 // off — for every generator, with and without a match-set cache, and under
 // randomized cancellation — and sweeping silently disables itself when a
-// per-match step budget is configured. EnumQGen, ParallelQGen, RfQGen and
-// Kungs verify a tree template from one LatticeIndex pass and sweep
-// nothing; the per-instance odometer (VerifyAllInstances, driven here as
-// PerInstanceKungs) still sweeps.
+// per-match step budget is configured. EnumQGen, ParallelQGen, RfQGen,
+// BiQGen and Kungs verify a tree template from one LatticeIndex pass and
+// sweep nothing; the per-instance odometer (VerifyAllInstances, driven here
+// as PerInstanceKungs) still sweeps.
 
 #include <functional>
 #include <random>
@@ -42,9 +42,9 @@ std::vector<NamedRunner> SweepRunners() {
       {"EnumQGen", [](const QGenConfig& c) { return EnumQGen::Run(c); },
        false},
       {"RfQGen", [](const QGenConfig& c) { return RfQGen::Run(c); }, false},
-      {"BiQGen", [](const QGenConfig& c) { return BiQGen::Run(c); }},
+      {"BiQGen", [](const QGenConfig& c) { return BiQGen::Run(c); }, false},
       {"BiQGen/parallel",
-       [](const QGenConfig& c) { return BiQGen::RunParallel(c, 4); }},
+       [](const QGenConfig& c) { return BiQGen::RunParallel(c, 4); }, false},
       {"ParallelQGen",
        [](const QGenConfig& c) { return ParallelQGen::Run(c, 4); }, false},
   };
@@ -152,7 +152,7 @@ TEST(SweepVerifyTest, StepLimitDisablesSweeping) {
   QGenConfig on = s.Config();
   on.use_sweep_verify = true;
   on.run_context = &on_ctx;
-  QGenResult swept = BiQGen::Run(on).ValueOrDie();
+  QGenResult swept = PerInstanceKungs(on).ValueOrDie();
   // A per-match step budget would be consumed differently by a pooled
   // chain search, so sweeping turns itself off entirely.
   EXPECT_EQ(swept.stats.sweep_chains, 0u);
@@ -162,7 +162,7 @@ TEST(SweepVerifyTest, StepLimitDisablesSweeping) {
   off_ctx.set_match_step_limit(100000);
   QGenConfig off = s.Config();
   off.run_context = &off_ctx;
-  QGenResult base = BiQGen::Run(off).ValueOrDie();
+  QGenResult base = PerInstanceKungs(off).ValueOrDie();
   ExpectSameArchive(base, swept, "step-limit");
 }
 

@@ -11,7 +11,7 @@ namespace fairsqg {
 namespace {
 
 // Each Run calls the body once per worker index; one team serves many
-// rounds, as BiQGen's per-batch rounds do.
+// rounds.
 TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_workers(), 4u);
