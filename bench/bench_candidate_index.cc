@@ -3,7 +3,9 @@
 //  (a) candidate-space construction over an enumerated instance sample,
 //      reference label scan vs index slicing / bitmap filtering;
 //  (b) end-to-end Bi-QGen, scan path without a cache vs index path with a
-//      shared MatchSetCache.
+//      shared MatchSetCache. On these tree templates Bi-QGen reads its
+//      evaluations from the lattice pass, which consults no cache, so the
+//      hit and miss columns read 0 and the warm rerun repeats the cold one.
 // Emits the console table plus machine-readable BENCH_candidate_index.json
 // in the working directory.
 

@@ -46,9 +46,9 @@ struct Algo {
 
 std::vector<Algo> Algos() {
   return {
-      // On this tree template Kungs and RfQGen take the LatticeIndex path
-      // and sweep nothing (their chains read 0), as EnumQGen, which is
-      // left out; BiQGen verifies per instance and sweeps.
+      // On this tree template Kungs, RfQGen and BiQGen take the
+      // LatticeIndex path and sweep nothing (their chains read 0), as
+      // EnumQGen, which is left out.
       {"kungs", [](const QGenConfig& c) { return Kungs::Run(c); }},
       {"rfqgen", [](const QGenConfig& c) { return RfQGen::Run(c); }},
       {"biqgen", [](const QGenConfig& c) { return BiQGen::Run(c); }},
