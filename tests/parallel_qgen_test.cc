@@ -137,6 +137,19 @@ TEST(ParallelQGenTest, InvalidConfigRejected) {
 
 // --- Parallel Bi-QGen (the lattice pass on a pool, then the serial search) ---
 
+TEST(ParallelBiQGenTest, ArchiveMutuallyEpsilonCoversSequential) {
+  SmallScenario s;
+  QGenConfig config = s.Config(0.05);
+  QGenResult seq = BiQGen::Run(config).ValueOrDie();
+  QGenResult par = BiQGen::RunParallel(config, 4).ValueOrDie();
+  ASSERT_GT(seq.pareto.size(), 0u);
+  ASSERT_GT(par.pareto.size(), 0u);
+  // Both archives ε-cover the full feasible space, so each must ε-cover
+  // the other whatever order the search explores in.
+  EXPECT_TRUE(EpsilonCovers(par.pareto, seq.pareto, config.epsilon));
+  EXPECT_TRUE(EpsilonCovers(seq.pareto, par.pareto, config.epsilon));
+}
+
 TEST(ParallelBiQGenTest, EpsilonCoversFullFeasibleSpace) {
   SmallScenario s;
   QGenConfig config = s.Config(0.05);
@@ -206,6 +219,47 @@ TEST(ParallelBiQGenTest, EqualsSequentialAtAnyThreadCount) {
     config.diversity.lambda = 0.5;
     ExpectEqualsRun(config);
   }
+}
+
+/// Two RunParallel runs at each of 2, 3 and 4 threads are bit-identical
+/// whatever the scheduling, the pool's own counters included.
+void ExpectDeterministicPerThreadCount(const QGenConfig& config) {
+  for (size_t threads : {2, 3, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    QGenResult a = BiQGen::RunParallel(config, threads).ValueOrDie();
+    QGenResult b = BiQGen::RunParallel(config, threads).ValueOrDie();
+    ASSERT_GT(a.pareto.size(), 0u);
+    ASSERT_EQ(a.pareto.size(), b.pareto.size());
+    for (size_t i = 0; i < a.pareto.size(); ++i) {
+      EXPECT_EQ(a.pareto[i]->inst, b.pareto[i]->inst);
+      EXPECT_EQ(a.pareto[i]->obj.diversity, b.pareto[i]->obj.diversity);
+      EXPECT_EQ(a.pareto[i]->obj.coverage, b.pareto[i]->obj.coverage);
+      EXPECT_EQ(a.pareto[i]->matches, b.pareto[i]->matches);
+    }
+    EXPECT_EQ(a.stats.generated, b.stats.generated);
+    EXPECT_EQ(a.stats.verified, b.stats.verified);
+    EXPECT_EQ(a.stats.pruned, b.stats.pruned);
+    EXPECT_EQ(a.stats.feasible, b.stats.feasible);
+    EXPECT_EQ(a.stats.enqueued, b.stats.enqueued);
+    EXPECT_EQ(a.stats.pruned_sandwich, b.stats.pruned_sandwich);
+    EXPECT_EQ(a.stats.pruned_subtree, b.stats.pruned_subtree);
+    EXPECT_EQ(a.stats.aborted_matches, b.stats.aborted_matches);
+    EXPECT_EQ(a.stats.timed_out_instances, b.stats.timed_out_instances);
+    EXPECT_EQ(a.stats.deadline_exceeded, b.stats.deadline_exceeded);
+    EXPECT_EQ(a.stats.per_worker_verify_seconds.size(),
+              b.stats.per_worker_verify_seconds.size());
+  }
+}
+
+TEST(ParallelBiQGenTest, DeterministicForFixedThreadCount) {
+  SmallScenario s;
+  ExpectDeterministicPerThreadCount(s.Config(0.05));
+
+  Scenario scenario =
+      MakeScenario(OracleScenarioOptions("dbp", 0.05, 117, 4)).ValueOrDie();
+  QGenConfig config = scenario.MakeConfig(0.01);
+  config.diversity.lambda = 0.5;
+  ExpectDeterministicPerThreadCount(config);
 }
 
 TEST(ParallelBiQGenTest, SingleThreadFallsBackToSequential) {
