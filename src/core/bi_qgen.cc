@@ -335,7 +335,7 @@ Result<QGenResult> BiQGen::RunParallel(const QGenConfig& config,
   if (cfg.diversity_index == nullptr) {
     cfg.diversity_index = DiversityEvaluator::BuildIndex(
         *cfg.graph, cfg.tmpl->node_label(cfg.tmpl->output_node()),
-        cfg.diversity.relevance);
+        cfg.diversity);
   }
   ThreadPool pool(num_threads);
   std::vector<std::unique_ptr<InstanceVerifier>> owned;

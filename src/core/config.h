@@ -62,9 +62,10 @@ struct QGenConfig {
   /// Optional shared diversity precompute (node attribute cells, categorical
   /// edit-distance matrices, per-node relevance) reused read-only across
   /// verifiers. Must have been built by DiversityEvaluator::BuildIndex for
-  /// this graph, the template's output label, and diversity.relevance.
-  /// Null makes each verifier build its own; parallel generators fill this
-  /// in once per run when unset.
+  /// this graph, the template's output label, and diversity.relevance, and
+  /// with attribute columns when diversity.lambda > 0 (CHECKed). Null makes
+  /// each verifier build its own; parallel generators fill this in once
+  /// per run when unset.
   std::shared_ptr<const DiversityEvaluator::Index> diversity_index;
 
   /// Optional shared match-set cache consulted before every matcher

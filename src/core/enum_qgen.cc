@@ -133,7 +133,7 @@ Result<QGenResult> RunEnum(const QGenConfig& config, ThreadPool* pool,
   if (pool != nullptr && cfg.diversity_index == nullptr) {
     cfg.diversity_index = DiversityEvaluator::BuildIndex(
         *cfg.graph, cfg.tmpl->node_label(cfg.tmpl->output_node()),
-        cfg.diversity.relevance);
+        cfg.diversity);
   }
   const size_t workers = pool != nullptr ? pool->num_workers() : 1;
   std::vector<WorkerState> states;

@@ -103,8 +103,9 @@ bool LatticeApplies(const QGenConfig& config) {
 void VerifyLattice(const QGenConfig& config, ThreadPool* pool,
                    std::span<InstanceVerifier* const> verifiers,
                    const LatticeSink& sink, GenStats* stats) {
-  Result<LatticeIndex> built = LatticeIndex::Build(
-      *config.graph, *config.tmpl, *config.domains, config.run_context);
+  Result<LatticeIndex> built =
+      LatticeIndex::Build(*config.graph, *config.tmpl, *config.domains,
+                          config.run_context, pool);
   RunContext* ctx = config.run_context;
   const bool homomorphism = config.semantics == MatchSemantics::kHomomorphism;
 

@@ -45,11 +45,11 @@ using LatticeSink = std::function<void(size_t worker, EvaluatedPtr)>;
 /// by Lemma 2). An instance whose match aborted counts as I = ∅, D = H,
 /// so its relaxations test every candidate it left open.
 ///
-/// With a pool, the walk is one ThreadPool::Run round: worker w claims
-/// the level's instances from a shared cursor and verifies them with
-/// verifiers[w], and the workers meet at a spinning barrier between
-/// levels, whose last arrival opens the next level; without a pool,
-/// verifiers[0] runs the levels inline. Every claim polls
+/// With a pool, the LatticeIndex pass is one ThreadPool::Run round and
+/// the walk another: worker w claims the level's instances from a shared
+/// cursor and verifies them with verifiers[w], and the workers meet at a
+/// spinning barrier between levels, whose last arrival opens the next
+/// level; without a pool, both run inline. Every claim polls
 /// the RunContext and config.max_verifications under the cursor's lock,
 /// so a budget cuts the run at an exact instance count, in this order.
 /// The sets do not depend on which worker verified what.

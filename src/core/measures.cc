@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "obs/trace.h"
 
 namespace fairsqg {
 
@@ -44,7 +45,8 @@ void CountRuns(std::vector<int32_t>* ids, size_t distinct,
 }  // namespace
 
 std::shared_ptr<const DiversityEvaluator::Index> DiversityEvaluator::BuildIndex(
-    const Graph& g, LabelId output_label, const RelevanceFn& relevance) {
+    const Graph& g, LabelId output_label, const DiversityConfig& config) {
+  FAIRSQG_TRACE_SPAN("diversity_index");
   auto index = std::make_shared<Index>();
   Index& idx = *index;
   idx.label = output_label;
@@ -54,6 +56,27 @@ std::shared_ptr<const DiversityEvaluator::Index> DiversityEvaluator::BuildIndex(
     idx.max_label_degree =
         std::max(idx.max_label_degree, static_cast<double>(g.degree(v)));
   }
+  idx.node_slot.assign(g.num_nodes(), -1);
+  for (size_t slot = 0; slot < nodes.size(); ++slot) {
+    idx.node_slot[nodes[slot]] = static_cast<int32_t>(slot);
+  }
+
+  // Precompute relevance per slot (degree centrality or the custom fn).
+  idx.relevance.resize(nodes.size());
+  for (NodeId v : nodes) {
+    double r;
+    if (config.relevance) {
+      r = config.relevance(g, v);
+    } else {
+      r = idx.max_label_degree > 0
+              ? static_cast<double>(g.degree(v)) / idx.max_label_degree
+              : 0.0;
+    }
+    idx.relevance[idx.node_slot[v]] = r;
+  }
+  // At λ ≤ 0 δ is the relevance sum: nothing reads the columns.
+  if (config.lambda <= 0) return index;
+  idx.columns = true;
 
   // Attribute universe of the label.
   std::set<AttrId> attr_set;
@@ -65,11 +88,6 @@ std::shared_ptr<const DiversityEvaluator::Index> DiversityEvaluator::BuildIndex(
   idx.attr_range.assign(na, 0.0);
   idx.attr_numbers.resize(na);
   idx.attr_values.resize(na);
-
-  idx.node_slot.assign(g.num_nodes(), -1);
-  for (size_t slot = 0; slot < nodes.size(); ++slot) {
-    idx.node_slot[nodes[slot]] = static_cast<int32_t>(slot);
-  }
 
   // One column of cells per attribute: strings are interned in order of
   // first appearance, numbers ranked among the attribute's distinct values.
@@ -126,32 +144,19 @@ std::shared_ptr<const DiversityEvaluator::Index> DiversityEvaluator::BuildIndex(
       }
     }
   }
-
-  // Precompute relevance per slot (degree centrality or the custom fn).
-  idx.relevance.resize(nodes.size());
-  for (NodeId v : nodes) {
-    double r;
-    if (relevance) {
-      r = relevance(g, v);
-    } else {
-      r = idx.max_label_degree > 0
-              ? static_cast<double>(g.degree(v)) / idx.max_label_degree
-              : 0.0;
-    }
-    idx.relevance[idx.node_slot[v]] = r;
-  }
   return index;
 }
 
 DiversityEvaluator::DiversityEvaluator(const Graph& g, LabelId output_label,
                                        DiversityConfig config)
-    : index_(BuildIndex(g, output_label, config.relevance)),
-      config_(std::move(config)) {}
+    : index_(BuildIndex(g, output_label, config)), config_(std::move(config)) {}
 
 DiversityEvaluator::DiversityEvaluator(std::shared_ptr<const Index> index,
                                        DiversityConfig config)
     : index_(std::move(index)), config_(std::move(config)) {
   FAIRSQG_CHECK(index_ != nullptr) << "shared diversity index must be built";
+  FAIRSQG_CHECK(index_->columns || config_.lambda <= 0)
+      << "diversity index built for lambda <= 0 has no attribute columns";
 }
 
 double DiversityEvaluator::Relevance(NodeId v) const {
@@ -187,6 +192,8 @@ double DiversityEvaluator::AttrDistance(size_t attr, int32_t slot_a,
 }
 
 double DiversityEvaluator::Distance(NodeId a, NodeId b) const {
+  FAIRSQG_CHECK(index_->columns)
+      << "Distance on a diversity index built for lambda <= 0";
   if (index_->attrs.empty()) return 0.0;
   int32_t sa = index_->node_slot[a];
   int32_t sb = index_->node_slot[b];

@@ -38,7 +38,8 @@ struct DiversityConfig {
 /// different. Per-node attribute cells are precomputed once per shared
 /// Index (see BuildIndex) and reused read-only by every evaluator holding
 /// it, so a distance evaluation is O(#attrs) and parallel workers skip the
-/// precompute.
+/// precompute. At λ ≤ 0 the pair term is zero, so BuildIndex skips the
+/// attribute columns and δ is the relevance sum alone.
 ///
 /// Because d is a mean over attributes, the pair sum of a set splits per
 /// attribute into closed forms — sorted-gap sums for numeric values, a
@@ -49,11 +50,17 @@ struct DiversityConfig {
 class DiversityEvaluator {
  public:
   /// \brief Immutable per-(graph, output label, relevance fn) precompute:
-  /// per-node attribute cells, ranked numeric values, interned categorical
-  /// values with dense normalized-edit-distance matrices, numeric ranges,
-  /// and per-slot relevance. Built once by BuildIndex and shared read-only
-  /// across evaluators — parallel workers reuse one index instead of
-  /// redoing the O(|V_label|·#attrs + Σk²) precompute per verifier.
+  /// per-slot relevance and, when `columns` is set, the attribute columns
+  /// (per-node attribute cells, ranked numeric values, interned categorical
+  /// values with dense normalized-edit-distance matrices, numeric ranges).
+  /// Built once by BuildIndex and shared read-only across evaluators —
+  /// parallel workers reuse one index instead of redoing the
+  /// O(|V_label|·#attrs + Σk²) precompute per verifier.
+  ///
+  /// An index built for λ ≤ 0 holds label, label_size, max_label_degree,
+  /// node_slot and relevance only: `columns` is false and every attribute
+  /// vector is empty. It scores relevance sums exactly as a full index
+  /// does; only evaluators at λ ≤ 0 may hold it.
   struct Index {
     /// How a node holds one attribute. kOther is a present value that is
     /// neither a number nor a string (a NaN number).
@@ -69,6 +76,8 @@ class DiversityEvaluator {
     LabelId label = 0;
     size_t label_size = 0;
     double max_label_degree = 0;
+    /// Whether attrs through cells below were built (λ > 0).
+    bool columns = false;
 
     std::vector<AttrId> attrs;       // Attributes of the label, sorted.
     std::vector<double> attr_range;  // Numeric value range per attr.
@@ -91,17 +100,21 @@ class DiversityEvaluator {
     }
   };
 
-  /// Builds the shared precompute for `output_label`. A null `relevance`
-  /// selects normalized degree centrality (the default measure).
+  /// Builds the shared precompute for `output_label` and `config`: the
+  /// relevance of `config.relevance` (null selects normalized degree
+  /// centrality, the default measure), and the attribute columns only when
+  /// config.lambda > 0. An index with columns serves evaluators at any λ,
+  /// one without only those at λ ≤ 0.
   static std::shared_ptr<const Index> BuildIndex(const Graph& g,
                                                  LabelId output_label,
-                                                 const RelevanceFn& relevance);
+                                                 const DiversityConfig& config);
 
   DiversityEvaluator(const Graph& g, LabelId output_label,
                      DiversityConfig config);
 
   /// Shares a prebuilt index. `config.relevance` is ignored — the index's
-  /// relevance function was baked in at BuildIndex time.
+  /// relevance function was baked in at BuildIndex time. CHECK-fails when
+  /// config.lambda > 0 and the index has no attribute columns.
   DiversityEvaluator(std::shared_ptr<const Index> index,
                      DiversityConfig config);
 
@@ -133,7 +146,10 @@ class DiversityEvaluator {
   /// Relevance r(u_o, v).
   double Relevance(NodeId v) const;
 
-  /// Pairwise distance d(a, b) in [0, 1].
+  /// Pairwise distance d(a, b) in [0, 1]. A checked error (CHECK-fail) on
+  /// an index built for λ ≤ 0, which has no attribute columns: it never
+  /// reads as 0. Callers at λ ≤ 0 need no distance, since the pair term is
+  /// zero.
   double Distance(NodeId a, NodeId b) const;
 
   /// Upper bound of δ over any match set: |V_uo| (paper Section III-A).

@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "common/run_context.h"
+#include "common/thread_pool.h"
 #include "graph/graph.h"
 #include "query/domains.h"
 #include "query/instantiation.h"
@@ -35,6 +36,13 @@ namespace fairsqg {
 /// and VerifyLattice (core/lattice_verify.h) certifies only the frontier
 /// nodes.
 ///
+/// On a pool the pass is data parallel (DESIGN.md §9, §14.1): workers
+/// claim ranges of u_o's candidates and share the memo of A(c, w), each
+/// slot published once by whichever worker computed it first. A(c, w)
+/// depends on c and w alone and the frontier entries are sorted at the
+/// end, so the index is the same at any worker count. Without a pool the
+/// same body runs inline, computing exactly the antichains it needs.
+///
 /// Instances are addressed by their rank in EnumQGen's odometer order:
 /// range variable 0 is the fastest digit, then the other range variables,
 /// then the edge variables. Digit k of a range variable is its binding + 1
@@ -47,12 +55,14 @@ class LatticeIndex {
   static bool Supports(const QueryTemplate& tmpl,
                        const VariableDomains& domains);
 
-  /// Runs the pass. Fails with FailedPrecondition when !Supports, and with
-  /// DeadlineExceeded when `ctx` hard-expires (token or deadline) mid-pass;
-  /// `ctx` may be null.
+  /// Runs the pass, as one round on `pool` when it is not null. Fails with
+  /// FailedPrecondition when !Supports, and with DeadlineExceeded when
+  /// `ctx` hard-expires (token or deadline) mid-pass; every worker polls
+  /// it, and none is still running when Build returns. `ctx` may be null.
   static Result<LatticeIndex> Build(const Graph& g, const QueryTemplate& tmpl,
                                     const VariableDomains& domains,
-                                    RunContext* ctx = nullptr);
+                                    RunContext* ctx = nullptr,
+                                    ThreadPool* pool = nullptr);
 
   /// Variables, range ones first: the odometer's digits.
   size_t num_vars() const { return radix_.size(); }

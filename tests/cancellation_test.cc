@@ -4,15 +4,20 @@
 // truncated run degrades to "the ε-Pareto set of the verified prefix",
 // never to a corrupted or partially-verified result.
 
+#include <atomic>
+#include <chrono>
 #include <functional>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "archive_oracle.h"
 #include "common/run_context.h"
+#include "common/thread_pool.h"
+#include "common/timer.h"
 #include "core/bi_qgen.h"
 #include "core/cbm.h"
 #include "core/enum_qgen.h"
@@ -23,6 +28,7 @@
 #include "core/online_qgen.h"
 #include "core/parallel_qgen.h"
 #include "core/rf_qgen.h"
+#include "matching/lattice_index.h"
 #include "scenario_fixture.h"
 
 namespace fairsqg {
@@ -273,6 +279,101 @@ TEST(CancellationTest, BiQGenCancelDuringLatticePassAbandonsUnsettled) {
   EXPECT_FALSE(r.stats.deadline_exceeded);
   EXPECT_EQ(r.stats.verified, whole.stats.verified);
   EXPECT_EQ(ArchiveFingerprint(r.pareto), ArchiveFingerprint(whole.pareto));
+}
+
+/// Expires `ctx` `delay_ms` from now: through its deadline, or by a
+/// thread that trips its token (at once when `delay_ms` is 0). The thread
+/// is joined on destruction.
+class Expiry {
+ public:
+  Expiry(RunContext* ctx, bool deadline, double delay_ms) {
+    if (deadline) {
+      ctx->SetDeadlineAfterMillis(delay_ms);
+      return;
+    }
+    if (delay_ms <= 0) {
+      ctx->RequestCancel();
+      return;
+    }
+    canceller_ = std::thread([ctx, delay_ms] {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(delay_ms));
+      ctx->RequestCancel();
+    });
+  }
+  ~Expiry() {
+    if (canceller_.joinable()) canceller_.join();
+  }
+
+ private:
+  std::thread canceller_;
+};
+
+TEST(CancellationTest, ExpiryDuringPooledLatticePassStopsEveryWorker) {
+  // A dbp template with some thousand output candidates, at λ = 0 as in
+  // the request stream's parallel workload.
+  Result<Scenario> s = MakeScenario(OracleScenarioOptions("dbp", 1.0, 1, 8));
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  QGenConfig config = s->MakeConfig(0.05);
+  config.diversity.lambda = 0;
+  ASSERT_TRUE(LatticeApplies(config));
+  const Graph& g = *config.graph;
+
+  for (size_t workers : {2, 4}) {
+    ThreadPool pool(workers);
+    Timer timer;
+    ASSERT_TRUE(
+        LatticeIndex::Build(g, *config.tmpl, *config.domains, nullptr, &pool)
+            .ok());
+    const double pass_ms = timer.ElapsedMillis();
+    for (bool deadline : {false, true}) {
+      const std::string label = std::string(deadline ? "deadline" : "token") +
+                                " workers=" + std::to_string(workers);
+      // Expire a quarter into the pass. Should the pass outrun the timer
+      // (a loaded machine may start the canceller late), a shorter delay
+      // expires it sooner, down to an expiry before the pass starts.
+      Status status;
+      for (double delay_ms = pass_ms / 4;; delay_ms /= 2) {
+        if (delay_ms < 1e-3) delay_ms = 0;
+        RunContext ctx;
+        {
+          Expiry expiry(&ctx, deadline, delay_ms);
+          status = LatticeIndex::Build(g, *config.tmpl, *config.domains, &ctx,
+                                       &pool)
+                       .status();
+        }
+        if (!status.ok() || delay_ms == 0) break;
+      }
+      EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << label;
+      // No worker is still in the pass: every one takes the next round.
+      std::atomic<size_t> ran{0};
+      pool.Run([&](size_t) { ran.fetch_add(1); });
+      EXPECT_EQ(ran.load(), workers) << label;
+
+      // ParallelQGen expired before its walk (in its prologue or its pass):
+      // the pass verifies nothing (DESIGN.md §14.3), so the archive is empty
+      // and the run reports deadline_exceeded. An expiry that lands in the
+      // walk, or after the run, is retried sooner.
+      QGenResult r;
+      for (double delay_ms = pass_ms / 4;; delay_ms /= 2) {
+        if (delay_ms < 1e-3) delay_ms = 0;
+        RunContext ctx;
+        config.run_context = &ctx;
+        {
+          Expiry expiry(&ctx, deadline, delay_ms);
+          r = ParallelQGen::Run(config, workers).ValueOrDie();
+        }
+        config.run_context = nullptr;
+        if ((r.stats.deadline_exceeded && r.stats.verified == 0) ||
+            delay_ms == 0) {
+          break;
+        }
+      }
+      EXPECT_TRUE(r.stats.deadline_exceeded) << label;
+      EXPECT_EQ(r.stats.verified, 0u) << label;
+      EXPECT_TRUE(r.pareto.empty()) << label;
+    }
+  }
 }
 
 TEST(CancellationTest, FailPolicyReturnsDeadlineExceeded) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 
 #include "common/random.h"
 #include "common/run_context.h"
+#include "common/thread_pool.h"
 #include "core/bi_qgen.h"
 #include "core/enum_qgen.h"
 #include "core/enumerate.h"
@@ -30,6 +32,7 @@
 #include "matching/lattice_index.h"
 #include "matching/subgraph_matcher.h"
 #include "query/instance.h"
+#include "scenario_fixture.h"
 
 namespace fairsqg {
 namespace {
@@ -302,6 +305,61 @@ TEST(LatticeIndexDeadlineTest, HardExpiredContextAbortsThePass) {
     EXPECT_EQ(r.stats.verified, 0u);
     EXPECT_TRUE(r.pareto.empty());
   }
+}
+
+/// Builds the index serially and on pools of 1 to 4 workers, and expects
+/// the same frontier at every rank. Returns the serial index's number of
+/// frontier entries.
+size_t ExpectSameFrontiersAtAnyWorkerCount(const Graph& g,
+                                           const QueryTemplate& tmpl,
+                                           const VariableDomains& domains,
+                                           const std::string& who) {
+  const LatticeIndex serial = LatticeIndex::Build(g, tmpl, domains).ValueOrDie();
+  size_t entries = 0;
+  for (uint64_t rank = 0; rank < serial.num_instances(); ++rank) {
+    entries += serial.Frontier(rank).size();
+  }
+  for (size_t workers : {1, 2, 3, 4}) {
+    ThreadPool pool(workers);
+    const LatticeIndex pooled =
+        LatticeIndex::Build(g, tmpl, domains, nullptr, &pool).ValueOrDie();
+    EXPECT_EQ(pooled.num_instances(), serial.num_instances()) << who;
+    for (uint64_t rank = 0; rank < serial.num_instances(); ++rank) {
+      const std::span<const NodeId> a = serial.Frontier(rank);
+      const std::span<const NodeId> b = pooled.Frontier(rank);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << who << " workers=" << workers << " rank=" << rank;
+    }
+  }
+  return entries;
+}
+
+TEST(LatticeIndexPoolTest, RandomTreesGiveSerialFrontiersAtAnyWorkerCount) {
+  for (int seed = 0; seed < 48; ++seed) {
+    Fixture f(static_cast<uint64_t>(seed));
+    ExpectSameFrontiersAtAnyWorkerCount(f.graph, *f.tmpl, *f.domains,
+                                        "seed " + std::to_string(seed));
+  }
+}
+
+TEST(LatticeIndexPoolTest, DbpTemplateGivesSerialFrontiersAtAnyWorkerCount) {
+  // A dbp template sized like the request stream's parallel workload: some
+  // thousand output candidates, so the workers share the claims and race
+  // on the memo.
+  size_t checked = 0;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Result<Scenario> s = MakeScenario(OracleScenarioOptions("dbp", 1.0, seed, 8));
+    if (!s.ok() || !LatticeIndex::Supports(*s->tmpl, *s->domains)) continue;
+    const Graph& g = s->dataset.graph;
+    ASSERT_GT(g.NodesWithLabel(s->tmpl->node_label(s->tmpl->output_node()))
+                  .size(),
+              1000u);
+    EXPECT_GT(ExpectSameFrontiersAtAnyWorkerCount(
+                  g, *s->tmpl, *s->domains, "dbp seed " + std::to_string(seed)),
+              0u);
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(LatticeIndexTest, RanksFollowTheOdometer) {

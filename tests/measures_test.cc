@@ -1,7 +1,9 @@
 #include "core/measures.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -9,7 +11,11 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
+#include "core/enumerate.h"
 #include "graph/graph_builder.h"
+#include "matching/subgraph_matcher.h"
+#include "query/instance.h"
+#include "scenario_fixture.h"
 #include "workload/datasets.h"
 
 namespace fairsqg {
@@ -177,11 +183,12 @@ DiversityEvaluator::Parts PairwiseParts(const DiversityEvaluator& eval,
   DiversityEvaluator::Parts parts;
   for (size_t i = 0; i < set.size(); ++i) {
     parts.relevance_sum += eval.Relevance(set[i]);
+    // Not computed at λ = 0, where the index has no attribute columns.
+    if (eval.lambda() <= 0) continue;
     for (size_t j = i + 1; j < set.size(); ++j) {
       parts.pair_sum += eval.Distance(set[i], set[j]);
     }
   }
-  if (eval.lambda() <= 0) parts.pair_sum = 0;  // Not computed at λ = 0.
   return parts;
 }
 
@@ -234,7 +241,7 @@ TEST_P(DiversityDifferentialTest, RandomSetsMatchPairwise) {
   const NodeSet& label = data.graph.NodesWithLabel(data.output_label);
   ASSERT_GT(label.size(), 40u);
   auto index = DiversityEvaluator::BuildIndex(data.graph, data.output_label,
-                                              nullptr);
+                                              DiversityConfig{});
   ASSERT_FALSE(index->attrs.empty());
   Rng rng(11);
   for (double lambda : {0.5, 0.2, 1.0}) {
@@ -396,8 +403,7 @@ TEST(DiversityTest, SharedIndexMatchesSelfBuiltEvaluator) {
   DiversityConfig cfg;
   cfg.lambda = 0.35;
   DiversityEvaluator own(g, movie, cfg);
-  DiversityEvaluator shared(DiversityEvaluator::BuildIndex(g, movie, nullptr),
-                            cfg);
+  DiversityEvaluator shared(DiversityEvaluator::BuildIndex(g, movie, cfg), cfg);
   Rng rng(3);
   for (int trial = 0; trial < 50; ++trial) {
     NodeSet set;
@@ -408,6 +414,86 @@ TEST(DiversityTest, SharedIndexMatchesSelfBuiltEvaluator) {
   }
   EXPECT_DOUBLE_EQ(own.MaxDiversity(), shared.MaxDiversity());
   EXPECT_EQ(own.output_label(), shared.output_label());
+}
+
+/// Every bit of `x`: the λ = 0 index must score exactly, not to rounding.
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+TEST(DiversityTest, LambdaZeroIndexHoldsRelevanceOnly) {
+  Fixture f;
+  DiversityConfig zero;
+  zero.lambda = 0;
+  const auto index = DiversityEvaluator::BuildIndex(f.graph, f.movie, zero);
+  EXPECT_FALSE(index->columns);
+  EXPECT_TRUE(index->attrs.empty());
+  EXPECT_TRUE(index->cells.empty());
+  EXPECT_TRUE(index->string_dist.empty());
+  EXPECT_EQ(index->relevance.size(), 4u);
+  EXPECT_TRUE(DiversityEvaluator::BuildIndex(f.graph, f.movie, DiversityConfig{})
+                  ->columns);
+}
+
+TEST(DiversityTest, LambdaZeroIndexScoresLikeFullIndexOnOracleScenarios) {
+  // On the archive oracle's scenarios at λ = 0, an index built without the
+  // attribute columns gives every instance's match set the same
+  // ComputeParts, Combine and MaxDiversity bits as a full index.
+  DiversityConfig zero;
+  zero.lambda = 0;
+  DiversityConfig full;  // λ 0.5: the columns are built.
+  size_t scenarios = 0;
+  size_t nonempty = 0;
+  for (const auto& [dataset, scale] :
+       {std::pair<const char*, double>{"dbp", 0.05}, {"lki", 0.1},
+        {"cite", 0.1}}) {
+    for (uint64_t seed = 0; seed < 3; ++seed) {
+      Result<Scenario> s =
+          MakeScenario(OracleScenarioOptions(dataset, scale, seed, 4));
+      if (!s.ok()) continue;
+      ++scenarios;
+      const Graph& g = s->dataset.graph;
+      const LabelId label = s->tmpl->node_label(s->tmpl->output_node());
+      DiversityEvaluator bare(DiversityEvaluator::BuildIndex(g, label, zero),
+                              zero);
+      DiversityEvaluator with(DiversityEvaluator::BuildIndex(g, label, full),
+                              zero);
+      ASSERT_FALSE(bare.index()->columns);
+      ASSERT_TRUE(with.index()->columns);
+      EXPECT_EQ(Bits(bare.MaxDiversity()), Bits(with.MaxDiversity()));
+      SubgraphMatcher matcher(g, MatchSemantics::kIsomorphism);
+      InstantiationEnumerator it(*s->tmpl, *s->domains);
+      Instantiation inst;
+      while (it.Next(&inst)) {
+        const NodeSet matches = matcher.MatchOutput(
+            QueryInstance::Materialize(*s->tmpl, *s->domains, inst));
+        nonempty += !matches.empty();
+        const DiversityEvaluator::Parts a = bare.ComputeParts(matches);
+        const DiversityEvaluator::Parts b = with.ComputeParts(matches);
+        const std::string who =
+            std::string(dataset) + " seed " + std::to_string(seed) + " " +
+            inst.ToString(*s->tmpl, *s->domains);
+        EXPECT_EQ(Bits(a.relevance_sum), Bits(b.relevance_sum)) << who;
+        EXPECT_EQ(Bits(a.pair_sum), Bits(b.pair_sum)) << who;
+        EXPECT_EQ(Bits(bare.Combine(a)), Bits(with.Combine(b))) << who;
+      }
+    }
+  }
+  EXPECT_GE(scenarios, 6u);
+  EXPECT_GT(nonempty, 0u);
+}
+
+TEST(DiversityDeathTest, DistanceOnLambdaZeroIndexIsACheckedError) {
+  // Without the attribute columns a distance cannot be computed; reading it
+  // as 0 would silently understate δ, so both uses fail loudly.
+  Fixture f;
+  DiversityConfig zero;
+  zero.lambda = 0;
+  DiversityEvaluator eval(f.graph, f.movie, zero);
+  EXPECT_DEATH(eval.Distance(0, 2), "lambda <= 0");
+  DiversityConfig half;
+  EXPECT_DEATH(
+      DiversityEvaluator(DiversityEvaluator::BuildIndex(f.graph, f.movie, zero),
+                         half),
+      "no attribute columns");
 }
 
 TEST(CoverageTest, ExactCoverageScoresMax) {

@@ -281,5 +281,32 @@ TEST(ObservabilityTest, PhaseDetailOmitsPerInstanceSpans) {
   }
 }
 
+TEST(ObservabilityTest, ParallelQGenRecordsDiversityIndexAndPassSpans) {
+  // The prologue of a pooled run is named at phase detail: the shared
+  // diversity precompute, and the lattice pass, whose span on the calling
+  // thread covers the whole pooled round.
+  SmallScenario s;
+  ObsGuard guard;
+  for (double lambda : {0.0, 0.5}) {
+    obs::Tracer::Global().Enable(obs::TraceDetail::kPhase);
+    QGenConfig config = s.Config(0.05);
+    config.diversity.lambda = lambda;
+    (void)ParallelQGen::Run(config, 2).ValueOrDie();
+    std::vector<obs::SpanRecord> spans = obs::Tracer::Global().Snapshot();
+    obs::Tracer::Global().Disable();
+    const std::string label = "lambda=" + std::to_string(lambda);
+    size_t diversity_index = 0;
+    size_t pass = 0;
+    for (const obs::SpanRecord& rec : spans) {
+      const std::string name = rec.name;
+      if (name != "diversity_index" && name != "lattice_index.build") continue;
+      EXPECT_EQ(rec.worker, -1) << label << ": " << name << " off the caller";
+      (name == "diversity_index" ? diversity_index : pass) += 1;
+    }
+    EXPECT_EQ(diversity_index, 1u) << label;
+    EXPECT_EQ(pass, 1u) << label;
+  }
+}
+
 }  // namespace
 }  // namespace fairsqg
