@@ -52,11 +52,9 @@ struct QGenConfig {
   /// literal scans. Off reproduces the reference scan path bit for bit.
   bool use_candidate_index = true;
 
-  /// Literal-sweep batch verification (DESIGN.md §12): verify a whole chain
-  /// of instances differing only in one range variable's bound in one
-  /// witness-annotated matcher pass, amortizing q(G) across the chain.
-  /// Archives are byte-identical on or off. Automatically disabled while a
-  /// per-match step budget (RunContext::match_step_limit) is active.
+  /// Read by nothing: the literal sweep it once switched on is deleted (the
+  /// lattice pass, DESIGN.md §14, replaced it). Kept only because reqbench
+  /// assigns it; the next benchmark change drops that line and this field.
   bool use_sweep_verify = false;
 
   /// Optional shared diversity precompute (node attribute cells, categorical

@@ -105,9 +105,6 @@ void FoldVerifierStats(const InstanceVerifier& verifier, GenStats* stats) {
   stats->cache_misses += verifier.cache_misses();
   stats->aborted_matches += verifier.aborted_matches();
   stats->timed_out_instances += verifier.timed_out_instances();
-  stats->sweep_chains += verifier.sweep_chains();
-  stats->sweep_instances += verifier.sweep_instances();
-  stats->sweep_fallbacks += verifier.sweep_fallbacks();
 }
 
 Status ApplyExpiryPolicy(const QGenConfig& config, const GenStats& stats) {

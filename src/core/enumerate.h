@@ -52,9 +52,8 @@ std::vector<EvaluatedPtr> FeasibleOnly(const std::vector<EvaluatedPtr>& all);
 
 /// The one path by which a verifier's numbers reach GenStats: adds its
 /// verify time (summed into verify_cpu_seconds, max'd into
-/// verify_wall_seconds), match-cache hits and misses, degraded-run
-/// counters (aborted matcher searches, instances dropped on abort) and
-/// literal-sweep counters (chains swept, members derived, fallbacks) into
+/// verify_wall_seconds), match-cache hits and misses and degraded-run
+/// counters (aborted matcher searches, instances dropped on abort) into
 /// `stats`. Every generator calls this once per verifier before returning,
 /// so a serial run reports cpu == wall and a parallel run the sum and max.
 void FoldVerifierStats(const InstanceVerifier& verifier, GenStats* stats);

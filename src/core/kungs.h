@@ -12,8 +12,8 @@ namespace fairsqg {
 /// algorithm (sort by one objective, sweep the other).
 ///
 /// On a tree template every evaluation comes from one lattice pass
-/// (VerifyInstanceSpace, DESIGN.md §14), which consults neither the
-/// match-set cache nor the literal sweep; other templates are verified
+/// (VerifyInstanceSpace, DESIGN.md §14), which does not consult the
+/// match-set cache; other templates are verified
 /// instance by instance (VerifyAllInstances).
 ///
 /// Returns the unique maximum Pareto set of Lemma 1 — the ground truth the

@@ -130,7 +130,7 @@ class ParetoArchive {
 /// sorted by instantiation, over each member's instantiation, the bit
 /// patterns of (δ, f) and its match set. Equal archives — whatever their
 /// order, thread count or verification path — give equal fingerprints.
-/// GenStats is left out: its sweep, cache and timing counters vary between
+/// GenStats is left out: its cache and timing counters vary between
 /// runs that produce the same archive.
 uint64_t ArchiveFingerprint(const std::vector<EvaluatedPtr>& archive);
 

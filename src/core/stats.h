@@ -9,7 +9,7 @@
 namespace fairsqg {
 
 /// Counters reported by every query-generation algorithm. They are 32-bit
-/// (no run verifies 4G instances), which keeps the record at 112 bytes for
+/// (no run verifies 4G instances), which keeps the record at 104 bytes for
 /// callers that keep one per request, such as reqbench. The pruning
 /// percentages of Section V (RfQGen ~40%, BiQGen ~60% fewer instances than
 /// EnumQGen) are computed from `verified` across algorithms.
@@ -28,10 +28,9 @@ namespace fairsqg {
 /// `verify_*_seconds`, `per_worker_verify_seconds`) depend on which worker
 /// verified what, and so, on ParallelQGen's per-instance odometer (a
 /// template without the lattice path), do `cache_hits`/`cache_misses`
-/// (one shared cache, filled by whichever worker gets there first) and the
-/// `sweep_*` counters (each worker's SweepVerifier serves only that
-/// worker). The lattice pass consults neither, and BiQGen::RunParallel
-/// runs only that pass on its pool, so its counters other than the times
+/// (one shared cache, filled by whichever worker gets there first). The
+/// lattice pass consults no cache, and BiQGen::RunParallel runs only that
+/// pass on its pool, so its counters other than the times
 /// and `enqueued` equal BiQGen::Run's.
 struct GenStats {
   uint32_t generated = 0;  ///< Instances spawned or enumerated.
@@ -64,12 +63,6 @@ struct GenStats {
   uint32_t aborted_matches = 0;      ///< Matcher searches cut off mid-flight.
   uint32_t timed_out_instances = 0;  ///< Instances whose verification aborted.
 
-  // Literal-sweep batch verification (QGenConfig::use_sweep_verify,
-  // DESIGN.md §12). Folded from per-verifier counts; scheduling-dependent.
-  uint32_t sweep_chains = 0;     ///< Range-variable chains verified in one pass.
-  uint32_t sweep_instances = 0;  ///< Member instances derived from a sweep.
-  uint32_t sweep_fallbacks = 0;  ///< Sweeps aborted mid-chain (fell back).
-
   double total_seconds = 0;
   double verify_cpu_seconds = 0;   ///< Verifier time summed across workers.
   double verify_wall_seconds = 0;  ///< Max per-worker verifier time.
@@ -95,11 +88,6 @@ struct GenStats {
     if (cache_hits > 0 || cache_misses > 0) {
       s += " cache_hits=" + std::to_string(cache_hits) +
            " cache_misses=" + std::to_string(cache_misses);
-    }
-    if (sweep_chains > 0 || sweep_instances > 0 || sweep_fallbacks > 0) {
-      s += " sweep_chains=" + std::to_string(sweep_chains) +
-           " sweep_instances=" + std::to_string(sweep_instances) +
-           " sweep_fallbacks=" + std::to_string(sweep_fallbacks);
     }
     if (deadline_exceeded || aborted_matches > 0 || timed_out_instances > 0) {
       s += std::string(" deadline_exceeded=") +

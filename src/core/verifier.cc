@@ -7,7 +7,6 @@
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/timer.h"
-#include "core/sweep_verifier.h"
 #include "obs/trace.h"
 
 namespace fairsqg {
@@ -33,53 +32,13 @@ enum class Direction {
   kRelax,   // The context refines the instance: matches ⊇ context's.
 };
 
-/// The one range variable whose binding differs between `a` and `b`, or -1
-/// when none or several do.
-int32_t SoleRangeDifference(const Instantiation& a, const Instantiation& b) {
-  int32_t var = -1;
-  for (RangeVarId x = 0; x < a.num_range_vars(); ++x) {
-    if (a.range_binding(x) == b.range_binding(x)) continue;
-    if (var >= 0) return -1;
-    var = static_cast<int32_t>(x);
-  }
-  return var;
-}
-
 }  // namespace
 
 InstanceVerifier::InstanceVerifier(const QGenConfig& config)
     : config_(&config),
       matcher_(*config.graph, config.semantics),
       diversity_(MakeDiversity(config)),
-      coverage_(*config.groups) {
-  if (config.use_sweep_verify) {
-    sweep_ = std::make_unique<SweepVerifier>(config);
-  }
-}
-
-InstanceVerifier::~InstanceVerifier() = default;
-
-bool InstanceVerifier::SweepAllowed() const {
-  return sweep_ != nullptr &&
-         (config_->run_context == nullptr ||
-          config_->run_context->match_step_limit() == 0);
-}
-
-bool InstanceVerifier::ServeSwept(const Instantiation& inst, NodeSet* matches) {
-  return sweep_ != nullptr && sweep_->Serve(inst, matches);
-}
-
-uint64_t InstanceVerifier::sweep_chains() const {
-  return sweep_ != nullptr ? sweep_->chains() : 0;
-}
-
-uint64_t InstanceVerifier::sweep_instances() const {
-  return sweep_ != nullptr ? sweep_->instances() : 0;
-}
-
-uint64_t InstanceVerifier::sweep_fallbacks() const {
-  return sweep_ != nullptr ? sweep_->fallbacks() : 0;
-}
+      coverage_(*config.groups) {}
 
 EvaluatedPtr InstanceVerifier::Finish(const Instantiation& inst, NodeSet matches) {
   FAIRSQG_TRACE_SPAN_FULL("evaluate");
@@ -132,103 +91,64 @@ EvaluatedPtr InstanceVerifier::Verify(const Instantiation& inst,
   }
   NodeSet matches;
   std::string key;
-  bool hit = ServeSwept(inst, &matches);
+  QueryInstance q =
+      QueryInstance::Materialize(*config_->tmpl, *config_->domains, inst);
+  const bool hit = LookupCached(q, &matches, &key);
   if (!hit || out_candidates != nullptr) {
-    QueryInstance q =
-        QueryInstance::Materialize(*config_->tmpl, *config_->domains, inst);
-    if (!hit) hit = LookupCached(q, &matches, &key);
-    if (!hit || out_candidates != nullptr) {
-      CandidateSpace candidates = [&] {
-        FAIRSQG_TRACE_SPAN_FULL("candidate_build");
-        if (dir == Direction::kRefine && ctx->cands != nullptr) {
-          return CandidateSpace::DeriveRefined(
-              *config_->graph, q, ctx->eval->inst, *ctx->cands,
-              config_->use_candidate_index, &matcher_.mutable_stats());
-        }
-        return CandidateSpace::Build(
-            *config_->graph, q,
-            /*degree_filter=*/config_->semantics ==
-                MatchSemantics::kIsomorphism,
+    CandidateSpace candidates = [&] {
+      FAIRSQG_TRACE_SPAN_FULL("candidate_build");
+      if (dir == Direction::kRefine && ctx->cands != nullptr) {
+        return CandidateSpace::DeriveRefined(
+            *config_->graph, q, ctx->eval->inst, *ctx->cands,
             config_->use_candidate_index, &matcher_.mutable_stats());
-      }();
-      if (!hit) {
-        // Output candidates to test (Lemma 2): a refinement's matches lie
-        // within the context's; a relaxation keeps every context match,
-        // so only the output candidates outside them need testing.
-        const NodeSet* restrict = nullptr;
-        NodeSet untested;
-        if (dir == Direction::kRefine) {
-          restrict = &ctx->eval->matches;
-        } else if (dir == Direction::kRelax) {
-          const NodeSet& base = candidates.of(q.output_node());
-          const NodeSet& known = ctx->eval->matches;
-          // Fault site: allocation throttling — a kFail here skips the
-          // reserve hints; the result must stay byte-identical, only
-          // reallocation behaviour changes.
-          if (!FAIRSQG_FAULT_POINT("verifier.reserve")) {
-            untested.reserve(base.size());
-          }
-          std::set_difference(base.begin(), base.end(), known.begin(),
-                              known.end(), std::back_inserter(untested));
-          restrict = &untested;
-        }
-        // Chain heads (DESIGN.md §12). Without a context: an instance
-        // wildcarded at variable 0 — the odometer's fastest axis, so
-        // VerifyAllInstances (and ParallelQGen chunks) hit it on every
-        // run, and Rf/Bi at the lattice root; the whole chain is
-        // enumerated, so no gate. With a
-        // refined context: an instance whose one differing range variable
-        // still has members below it; thresholds are probed only when the
-        // head is coverage-feasible, since the explorers abandon
-        // infeasible heads and would never be served their chains.
-        int32_t sweep_var = -1;
-        SweepVerifier::FeasibilityGate gate;
-        if (SweepAllowed() && dir == Direction::kFull &&
-            config_->tmpl->num_range_vars() > 0 && inst.is_wildcard(0) &&
-            config_->domains->size(0) > 0) {
-          sweep_var = 0;
-        } else if (SweepAllowed() && dir == Direction::kRefine) {
-          sweep_var = SoleRangeDifference(inst, ctx->eval->inst);
-          if (sweep_var >= 0 &&
-              inst.range_binding(sweep_var) + 1 >=
-                  static_cast<int32_t>(config_->domains->size(sweep_var))) {
-            sweep_var = -1;
-          }
-          gate = [this](const NodeSet& head) {
-            return coverage_.Evaluate(head).feasible;
-          };
-        }
-        // kSwept and kHeadOnly both deliver the head's exact set; kAborted
-        // falls through: the per-instance path observes the same hard
-        // expiry and records the abort.
-        const bool swept =
-            sweep_var >= 0 &&
-            sweep_->SweepChain(q, static_cast<RangeVarId>(sweep_var),
-                               candidates, restrict, &matcher_, gate,
-                               &matches) != SweepVerifier::Outcome::kAborted;
-        if (!swept) {
-          MatchResult res = matcher_.MatchOutputBounded(
-              q, candidates, config_->run_context, restrict);
-          if (res.outcome == MatchOutcome::kAborted) {
-            verify_seconds_ += timer.ElapsedSeconds();
-            return RecordAbort();  // Partial matches: never cached.
-          }
-          matches = std::move(res.matches);
-        }
-        if (dir == Direction::kRelax) {
-          const NodeSet& known = ctx->eval->matches;
-          NodeSet all;
-          if (!FAIRSQG_FAULT_POINT("verifier.reserve")) {
-            all.reserve(matches.size() + known.size());
-          }
-          std::set_union(matches.begin(), matches.end(), known.begin(),
-                         known.end(), std::back_inserter(all));
-          matches = std::move(all);
-        }
-        if (!key.empty()) config_->match_cache->Insert(key, matches);
       }
-      if (out_candidates != nullptr) *out_candidates = std::move(candidates);
+      return CandidateSpace::Build(
+          *config_->graph, q,
+          /*degree_filter=*/config_->semantics ==
+              MatchSemantics::kIsomorphism,
+          config_->use_candidate_index, &matcher_.mutable_stats());
+    }();
+    if (!hit) {
+      // Output candidates to test (Lemma 2): a refinement's matches lie
+      // within the context's; a relaxation keeps every context match,
+      // so only the output candidates outside them need testing.
+      const NodeSet* restrict = nullptr;
+      NodeSet untested;
+      if (dir == Direction::kRefine) {
+        restrict = &ctx->eval->matches;
+      } else if (dir == Direction::kRelax) {
+        const NodeSet& base = candidates.of(q.output_node());
+        const NodeSet& known = ctx->eval->matches;
+        // Fault site: allocation throttling — a kFail here skips the
+        // reserve hints; the result must stay byte-identical, only
+        // reallocation behaviour changes.
+        if (!FAIRSQG_FAULT_POINT("verifier.reserve")) {
+          untested.reserve(base.size());
+        }
+        std::set_difference(base.begin(), base.end(), known.begin(),
+                            known.end(), std::back_inserter(untested));
+        restrict = &untested;
+      }
+      MatchResult res = matcher_.MatchOutputBounded(
+          q, candidates, config_->run_context, restrict);
+      if (res.outcome == MatchOutcome::kAborted) {
+        verify_seconds_ += timer.ElapsedSeconds();
+        return RecordAbort();  // Partial matches: never cached.
+      }
+      matches = std::move(res.matches);
+      if (dir == Direction::kRelax) {
+        const NodeSet& known = ctx->eval->matches;
+        NodeSet all;
+        if (!FAIRSQG_FAULT_POINT("verifier.reserve")) {
+          all.reserve(matches.size() + known.size());
+        }
+        std::set_union(matches.begin(), matches.end(), known.begin(),
+                       known.end(), std::back_inserter(all));
+        matches = std::move(all);
+      }
+      if (!key.empty()) config_->match_cache->Insert(key, matches);
     }
+    if (out_candidates != nullptr) *out_candidates = std::move(candidates);
   }
   EvaluatedPtr out = Finish(inst, std::move(matches));
   verify_seconds_ += timer.ElapsedSeconds();

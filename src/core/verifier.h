@@ -11,8 +11,6 @@
 
 namespace fairsqg {
 
-class SweepVerifier;
-
 /// \brief An already verified instance that bounds another's verification
 /// (Lemma 2): its evaluation (whose `inst` is the context's instantiation)
 /// and, when the instance may be refined from it, its candidate space.
@@ -43,17 +41,9 @@ struct VerifyContext {
 /// the context (hard expiry) or the per-match step budget returns nullptr:
 /// the partial match set is discarded and never cached, and the abort is
 /// recorded in aborted_matches()/timed_out_instances() for GenStats folding.
-///
-/// With config.use_sweep_verify, chain heads (an instance wildcarded at
-/// range variable 0 without a context, or one refining its context at
-/// exactly one range variable) trigger a literal sweep: the whole chain's
-/// match sets are derived in one matcher pass and parked in a
-/// SweepVerifier, then served here exactly like cache hits — archives stay
-/// byte-identical with sweeping on or off (DESIGN.md §12).
 class InstanceVerifier {
  public:
   explicit InstanceVerifier(const QGenConfig& config);
-  ~InstanceVerifier();
 
   /// Verifies `inst`, incrementally from `ctx` when one is given (see the
   /// class comment). If `out_candidates` is non-null, the instance's
@@ -67,8 +57,8 @@ class InstanceVerifier {
   /// §14): `known` holds matches already established, and every other
   /// match lies in `untested`, sorted output candidates disjoint from
   /// `known`. Only `untested` is matched; the candidates that fail go to
-  /// `*rejected`. Consults neither the match-set cache nor the literal
-  /// sweep. Returns nullptr iff the bounded match aborted.
+  /// `*rejected`. Does not consult the match-set cache. Returns nullptr iff
+  /// the bounded match aborted.
   EvaluatedPtr VerifyPartial(const Instantiation& inst, NodeSet known,
                              const NodeSet& untested, NodeSet* rejected);
 
@@ -87,12 +77,6 @@ class InstanceVerifier {
   uint64_t aborted_matches() const { return aborted_matches_; }
   uint64_t timed_out_instances() const { return timed_out_instances_; }
 
-  /// Literal-sweep accounting of THIS verifier (all zero when
-  /// config.use_sweep_verify is off; DESIGN.md §12).
-  uint64_t sweep_chains() const;
-  uint64_t sweep_instances() const;
-  uint64_t sweep_fallbacks() const;
-
   const DiversityEvaluator& diversity() const { return diversity_; }
   const CoverageEvaluator& coverage() const { return coverage_; }
   const MatchStats& match_stats() const { return matcher_.stats(); }
@@ -108,20 +92,10 @@ class InstanceVerifier {
   /// Records an aborted bounded match and produces the nullptr result.
   EvaluatedPtr RecordAbort();
 
-  /// True when chains may be swept: use_sweep_verify is on and no per-match
-  /// step budget is configured (a pooled chain search would consume the
-  /// budget differently from per-instance searches, changing which
-  /// instances abort — so sweeping is disabled under one).
-  bool SweepAllowed() const;
-
-  /// Serves `inst`'s match set from the sweep store, if parked there.
-  bool ServeSwept(const Instantiation& inst, NodeSet* matches);
-
   const QGenConfig* config_;
   SubgraphMatcher matcher_;
   DiversityEvaluator diversity_;
   CoverageEvaluator coverage_;
-  std::unique_ptr<SweepVerifier> sweep_;  // Null unless use_sweep_verify.
   uint64_t verify_seq_ = 0;
   double verify_seconds_ = 0;
   uint64_t cache_hits_ = 0;

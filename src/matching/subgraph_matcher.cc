@@ -1,7 +1,6 @@
 #include "matching/subgraph_matcher.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
@@ -22,25 +21,11 @@ struct SubgraphMatcher::Plan {
   std::vector<std::vector<EdgeConstraint>> constraints;  // Per position.
 
   static Plan Build(const QueryInstance& q, const CandidateSpace& candidates,
-                    QNodeId anchor, const SweepSpec* sweep = nullptr,
-                    int32_t sweep_floor = 0) {
+                    QNodeId anchor) {
     Plan plan;
     const auto& active = q.active_nodes();
     std::vector<bool> placed(q.tmpl().num_nodes(), false);
     std::vector<int> position(q.tmpl().num_nodes(), -1);
-
-    // During a sweep probe the swept node's image is restricted to critical
-    // levels >= sweep_floor, so its *effective* candidate set can be far
-    // smaller than candidates.of() reports. Ordering by the effective size
-    // pulls the swept node forward, making failing probes prune as early as
-    // the per-instance path (whose rebuilt candidate space is genuinely
-    // that small) instead of exhausting deep subtrees first.
-    size_t sweep_node_size = 0;
-    if (sweep != nullptr) {
-      for (NodeId w : candidates.of(sweep->node)) {
-        if (sweep->level[w] >= sweep_floor) ++sweep_node_size;
-      }
-    }
 
     auto place = [&](QNodeId u) {
       position[u] = static_cast<int>(plan.order.size());
@@ -58,9 +43,7 @@ struct SubgraphMatcher::Plan {
         for (QNodeId u : {e.from, e.to}) {
           QNodeId other = (u == e.from) ? e.to : e.from;
           if (placed[u] || !placed[other]) continue;
-          size_t size = sweep != nullptr && u == sweep->node
-                            ? sweep_node_size
-                            : candidates.of(u).size();
+          size_t size = candidates.of(u).size();
           if (best == kInvalidNode || size < best_size) {
             best = u;
             best_size = size;
@@ -97,13 +80,9 @@ bool InSortedSet(const NodeSet& set, NodeId v) {
 
 }  // namespace
 
-bool SubgraphMatcher::ExistsEmbedding(const QueryInstance& /*q*/,
-                                      const CandidateSpace& candidates,
+bool SubgraphMatcher::ExistsEmbedding(const CandidateSpace& candidates,
                                       const Plan& plan, NodeId v,
-                                      SearchBudget* budget,
-                                      const SweepSpec* sweep,
-                                      int32_t sweep_floor,
-                                      NodeId* witness_out) {
+                                      SearchBudget* budget) {
   const size_t n = plan.order.size();
   std::vector<NodeId> assignment(n, kInvalidNode);
   assignment[0] = v;
@@ -139,11 +118,6 @@ bool SubgraphMatcher::ExistsEmbedding(const QueryInstance& /*q*/,
       NodeId w = e.neighbor;
       ++stats_.bitset_probes;
       if (!cand.Test(w)) continue;
-      // Literal-sweep restriction: the swept node's image must survive at
-      // least to `sweep_floor` (DESIGN.md §12). `level` is only written for
-      // candidate nodes, which the bitset probe above guarantees.
-      if (sweep != nullptr && u == sweep->node && sweep->level[w] < sweep_floor)
-        continue;
       // Injectivity (isomorphism semantics only).
       if (semantics_ == MatchSemantics::kIsomorphism) {
         bool used = false;
@@ -175,18 +149,7 @@ bool SubgraphMatcher::ExistsEmbedding(const QueryInstance& /*q*/,
     }
     return false;
   };
-  const bool found = extend(extend, 1);
-  if (found && sweep != nullptr && witness_out != nullptr) {
-    // On success the recursion unwound without clearing the assignment:
-    // report the swept node's image as the threshold witness.
-    for (size_t i = 0; i < n; ++i) {
-      if (plan.order[i] == sweep->node) {
-        *witness_out = assignment[i];
-        break;
-      }
-    }
-  }
-  return found;
+  return extend(extend, 1);
 }
 
 NodeSet SubgraphMatcher::MatchOutput(const QueryInstance& q,
@@ -252,7 +215,7 @@ MatchResult SubgraphMatcher::MatchNodeBounded(const QueryInstance& q,
       break;
     }
     if (plan.order.size() == 1 ||
-        ExistsEmbedding(q, candidates, plan, v, &budget)) {
+        ExistsEmbedding(candidates, plan, v, &budget)) {
       if (!budget.aborted) result.matches.push_back(v);
     }
   }
@@ -262,125 +225,6 @@ MatchResult SubgraphMatcher::MatchNodeBounded(const QueryInstance& q,
   }
   // `outer` iterations are ascending, so the result is sorted.
   return result;
-}
-
-SweepMatchResult SubgraphMatcher::MatchOutputWithWitness(
-    const QueryInstance& q, const CandidateSpace& candidates,
-    const SweepSpec& spec, RunContext* ctx, const NodeSet* output_restrict) {
-  // One chain, one instance count: every member set derives from this
-  // invocation (plus ResolveSweepThresholds, which counts none).
-  FAIRSQG_TRACE_SPAN_FULL("match_sweep");
-  ++stats_.instances_matched;
-  SweepMatchResult result;
-  const QNodeId anchor = q.output_node();
-  FAIRSQG_DCHECK(q.is_active(anchor) && q.is_active(spec.node));
-  if (candidates.HasEmptyActive(q)) return result;
-
-  SearchBudget budget;
-  budget.ctx = ctx;  // Sweeps run without a per-match step budget.
-  if (ctx != nullptr && ctx->HardExpired()) {
-    ++stats_.aborted_matches;
-    result.outcome = MatchOutcome::kAborted;
-    return result;
-  }
-
-  Plan plan = Plan::Build(q, candidates, anchor);
-  const bool self_sweep = spec.node == anchor;
-
-  const NodeSet& base = candidates.of(anchor);
-  const NodeSet* outer = &base;
-  const NodeSet* inner = nullptr;
-  if (output_restrict != nullptr) {
-    outer = output_restrict->size() < base.size() ? output_restrict : &base;
-    inner = outer == &base ? output_restrict : &base;
-  }
-  for (NodeId v : *outer) {
-    if (budget.aborted) break;
-    if (inner != nullptr && !InSortedSet(*inner, v)) continue;
-    ++stats_.output_candidates_tested;
-    if (ctx != nullptr && (stats_.output_candidates_tested & 255) == 0 &&
-        ctx->HardExpired()) {
-      budget.aborted = true;
-      break;
-    }
-    if (self_sweep) {
-      // The swept node IS the output node: v's own critical level is its
-      // exact threshold, no probing needed. (The level floor below never
-      // fires — candidates already satisfy the head's literal — it guards
-      // the contract, not the data.)
-      if (spec.level[v] < spec.min_level) continue;
-      if (plan.order.size() == 1 ||
-          ExistsEmbedding(q, candidates, plan, v, &budget)) {
-        if (!budget.aborted) {
-          result.matches.push_back(v);
-          result.thresholds.push_back(spec.level[v]);
-        }
-      }
-      continue;
-    }
-    NodeId witness = kInvalidNode;
-    if (ExistsEmbedding(q, candidates, plan, v, &budget, &spec, spec.min_level,
-                        &witness)) {
-      if (!budget.aborted) {
-        result.matches.push_back(v);
-        result.thresholds.push_back(spec.level[witness]);
-      }
-    }
-  }
-  if (budget.aborted) {
-    ++stats_.aborted_matches;
-    result.outcome = MatchOutcome::kAborted;
-    result.matches.clear();
-    result.thresholds.clear();
-  }
-  return result;
-}
-
-MatchOutcome SubgraphMatcher::ResolveSweepThresholds(
-    const QueryInstance& q, const CandidateSpace& candidates,
-    const SweepSpec& spec, const NodeSet& matches, RunContext* ctx,
-    std::vector<int32_t>* thresholds) {
-  if (spec.node == q.output_node()) return MatchOutcome::kComplete;
-  FAIRSQG_CHECK(thresholds->size() == matches.size());
-  SearchBudget budget;
-  budget.ctx = ctx;
-  // One plan per probe floor, built lazily: a floor shrinks the swept
-  // node's effective candidate set, and the plan must order by that
-  // effective size or failing probes explore deep subtrees before ever
-  // touching the restriction (see Plan::Build).
-  std::vector<std::unique_ptr<Plan>> plan_at_floor(
-      static_cast<size_t>(spec.num_levels));
-  auto plan_for = [&](int32_t floor) -> const Plan& {
-    auto& slot = plan_at_floor[static_cast<size_t>(floor)];
-    if (slot == nullptr) {
-      slot = std::make_unique<Plan>(
-          Plan::Build(q, candidates, q.output_node(), &spec, floor));
-    }
-    return *slot;
-  };
-  const int32_t last = spec.num_levels - 1;
-  for (size_t i = 0; i < matches.size(); ++i) {
-    const NodeId v = matches[i];
-    int32_t bound = (*thresholds)[i];
-    // Gallop: a successful probe above `bound` jumps to the new witness's
-    // level (strictly increasing, so this terminates in at most the number
-    // of distinct witness levels); a failed probe fixes the threshold.
-    while (bound < last) {
-      NodeId witness = kInvalidNode;
-      if (!ExistsEmbedding(q, candidates, plan_for(bound + 1), v, &budget,
-                           &spec, bound + 1, &witness)) {
-        break;
-      }
-      FAIRSQG_DCHECK(witness != kInvalidNode && spec.level[witness] > bound);
-      bound = spec.level[witness];
-    }
-    if (budget.aborted) {
-      ++stats_.aborted_matches;
-      return MatchOutcome::kAborted;
-    }
-    (*thresholds)[i] = bound;
-  }
-  return MatchOutcome::kComplete;
 }
 
 NodeSet SubgraphMatcher::MatchOutput(const QueryInstance& q) {

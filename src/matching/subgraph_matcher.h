@@ -32,30 +32,6 @@ struct MatchResult {
   MatchOutcome outcome = MatchOutcome::kComplete;
 };
 
-/// \brief Restriction threaded through a literal sweep (DESIGN.md §12).
-///
-/// `level[w]` is data node w's *critical level* of the swept literal: the
-/// deepest domain index (relaxed → refined order) whose bound w still
-/// satisfies, or -1 when only the wildcard admits it. A sweep-restricted
-/// search requires the image of `node` to sit at critical level >= the
-/// probe floor, which turns "does v survive chain member k?" into one
-/// existence search.
-struct SweepSpec {
-  QNodeId node = 0;                ///< The swept literal's query node.
-  const int32_t* level = nullptr;  ///< NodeId-indexed critical levels.
-  int32_t min_level = 0;           ///< The chain head's binding (-1: wildcard).
-  int32_t num_levels = 0;          ///< Domain size of the swept variable.
-};
-
-/// Result of the first sweep phase: the chain head's exact match set plus,
-/// per match, a lower bound on its critical threshold — the level of the
-/// witness embedding found (exact when the swept node is the output node).
-struct SweepMatchResult {
-  NodeSet matches;
-  std::vector<int32_t> thresholds;  ///< Parallel to `matches`.
-  MatchOutcome outcome = MatchOutcome::kComplete;
-};
-
 /// \brief Subgraph-isomorphism engine computing output-node match sets.
 ///
 /// For a query instance `q(u_o)`, MatchOutput returns `q(G)`: every data
@@ -107,32 +83,6 @@ class SubgraphMatcher {
                                RunContext* ctx,
                                const NodeSet* output_restrict = nullptr);
 
-  /// \brief First phase of a literal sweep (DESIGN.md §12): computes the
-  /// chain head's q(G) exactly like MatchOutputBounded while recording, per
-  /// output match, the critical level of the witness embedding found — a
-  /// free lower bound on the match's true threshold. `spec.node` must be
-  /// active. Counts ONE instances_matched for the whole chain (the derived
-  /// member sets cost no further searches); ResolveSweepThresholds counts
-  /// none. Runs without a per-match step budget (callers disable sweeping
-  /// under one); `ctx` hard expiry still aborts.
-  SweepMatchResult MatchOutputWithWitness(const QueryInstance& q,
-                                          const CandidateSpace& candidates,
-                                          const SweepSpec& spec, RunContext* ctx,
-                                          const NodeSet* output_restrict = nullptr);
-
-  /// \brief Second sweep phase: gallops each head match's witness bound up
-  /// to its exact critical threshold by re-searching with the swept node's
-  /// image restricted to levels above the bound; each successful probe
-  /// jumps the bound to the new witness's level (strictly increasing), each
-  /// failure fixes the threshold. No-op when the swept node is the output
-  /// node (phase one is already exact there). Returns kAborted on hard
-  /// expiry — thresholds are then partial and must be discarded.
-  MatchOutcome ResolveSweepThresholds(const QueryInstance& q,
-                                      const CandidateSpace& candidates,
-                                      const SweepSpec& spec,
-                                      const NodeSet& matches, RunContext* ctx,
-                                      std::vector<int32_t>* thresholds);
-
   /// Visitor over full embeddings: `assignment[u]` is the data node bound
   /// to query node u (kInvalidNode for nodes outside u_o's component).
   /// Return false from the visitor to stop the enumeration.
@@ -175,13 +125,9 @@ class SubgraphMatcher {
   };
 
   /// True if an embedding extending {u_o -> v} exists. Sets
-  /// `budget->aborted` (and returns false) when the budget trips. With a
-  /// sweep spec, the swept node's image is restricted to critical level
-  /// >= `sweep_floor` and, on success, reported through `witness_out`.
-  bool ExistsEmbedding(const QueryInstance& q, const CandidateSpace& candidates,
-                       const Plan& plan, NodeId v, SearchBudget* budget,
-                       const SweepSpec* sweep = nullptr,
-                       int32_t sweep_floor = 0, NodeId* witness_out = nullptr);
+  /// `budget->aborted` (and returns false) when the budget trips.
+  bool ExistsEmbedding(const CandidateSpace& candidates, const Plan& plan,
+                       NodeId v, SearchBudget* budget);
 
   const Graph* g_;
   MatchSemantics semantics_;

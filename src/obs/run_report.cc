@@ -100,9 +100,6 @@ Json RunReport::StatsJson(const GenStats& s) {
   j.Set("aborted_matches", Json(static_cast<uint64_t>(s.aborted_matches)));
   j.Set("timed_out_instances",
         Json(static_cast<uint64_t>(s.timed_out_instances)));
-  j.Set("sweep_chains", Json(static_cast<uint64_t>(s.sweep_chains)));
-  j.Set("sweep_instances", Json(static_cast<uint64_t>(s.sweep_instances)));
-  j.Set("sweep_fallbacks", Json(static_cast<uint64_t>(s.sweep_fallbacks)));
   j.Set("total_seconds", Json(s.total_seconds));
   j.Set("verify_cpu_seconds", Json(s.verify_cpu_seconds));
   j.Set("verify_wall_seconds", Json(s.verify_wall_seconds));

@@ -35,8 +35,8 @@ namespace fairsqg::obs {
 /// GenStats view stays byte-stable across repeats.
 class RunReport {
  public:
-  /// v3: the optional top-level "fingerprint".
-  static constexpr int kSchemaVersion = 3;
+  /// v3: the optional top-level "fingerprint". v4: no `sweep_*` stats.
+  static constexpr int kSchemaVersion = 4;
   static constexpr const char* kKind = "fairsqg.run_report";
 
   RunReport();

@@ -226,7 +226,6 @@ void ExpectPinnedDbpRun(uint64_t seed, const PinnedBiRun& want) {
       MakeScenario(OracleScenarioOptions("dbp", 0.05, seed, 4)).ValueOrDie();
   QGenConfig config = scenario.MakeConfig(0.01);
   config.diversity.lambda = 0.5;
-  config.use_sweep_verify = true;
   ExpectPinnedBiRun(config, *scenario.tmpl, *scenario.domains, want);
 }
 

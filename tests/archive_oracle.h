@@ -23,14 +23,12 @@
 namespace fairsqg {
 
 /// Every instance of I(Q) verified on its own by the per-instance odometer
-/// (VerifyAllInstances), in odometer order. Template refinement, incVerify
-/// and the literal sweep are off, and the LatticeIndex path is not
-/// involved, so these evaluations share none of the optimizations the
+/// (VerifyAllInstances), in odometer order. Template refinement and
+/// incVerify are off, and the LatticeIndex path is not involved, so these evaluations share none of the optimizations the
 /// generators under test rely on.
 inline std::vector<EvaluatedPtr> ReferenceEvaluations(QGenConfig config) {
   config.use_template_refinement = false;
   config.use_incremental_verify = false;
-  config.use_sweep_verify = false;
   InstanceVerifier verifier(config);
   return VerifyAllInstances(config, &verifier, nullptr).ValueOrDie();
 }
@@ -101,7 +99,7 @@ inline std::vector<EvaluatedPtr> ReplayRfQGen(
 /// Kungs's archive from the per-instance odometer (VerifyAllInstances)
 /// under `config` as given: the reference of Kungs's lattice path, and the
 /// generator for tests of what only per-instance verification consults
-/// (the match-set cache, the literal sweep, the per-match step budget).
+/// (the match-set cache, the per-match step budget).
 inline Result<QGenResult> PerInstanceKungs(const QGenConfig& config) {
   QGenResult result;
   InstanceVerifier verifier(config);

@@ -63,7 +63,6 @@ bool CheckScenario(const std::string& dataset, double scale, uint64_t seed,
   config.use_sandwich_pruning = true;
   config.use_subtree_pruning = true;
   config.use_candidate_index = true;
-  config.use_sweep_verify = true;
   const std::vector<EvaluatedPtr> evaluations = ReferenceEvaluations(config);
   const std::vector<EvaluatedPtr> reference =
       ArchiveOf(evaluations, config.epsilon);

@@ -2,7 +2,7 @@
 //
 // The contract under test: the tracer is a *write-only* side channel.
 // Enabling it — at any detail level, for any generator, serial or
-// parallel, with or without the match-set cache or sweep verification —
+// parallel, with or without the match-set cache —
 // must not change a single archive byte. The differential tests below
 // rerun every generator with tracing off and on and require exact
 // equality of the result (members, match sets, objective coordinates,
@@ -101,35 +101,26 @@ TEST(ObservabilityTest, ArchivesIdenticalAcrossDetailLevels) {
   }
 }
 
+// The name is older than the literal sweep's removal; only the match-set
+// cache is varied now.
 TEST(ObservabilityTest, ArchivesIdenticalWithCacheAndSweep) {
   SmallScenario s;
   ObsGuard guard;
-  struct Variant {
-    const char* name;
-    bool sweep;
-    bool cache;
-  };
-  for (const Variant& v : {Variant{"sweep", true, false},
-                           Variant{"cache", false, true},
-                           Variant{"sweep+cache", true, true}}) {
-    for (const NamedRunner& runner : AllRunners()) {
-      auto configure = [&](MatchSetCache* cache) {
-        QGenConfig c = s.Config(0.05);
-        c.use_sweep_verify = v.sweep;
-        if (v.cache) c.match_cache = cache;
-        return c;
-      };
-      obs::Tracer::Global().Disable();
-      MatchSetCache cold_cache;
-      QGenResult baseline = runner.run(configure(&cold_cache)).ValueOrDie();
+  for (const NamedRunner& runner : AllRunners()) {
+    auto configure = [&](MatchSetCache* cache) {
+      QGenConfig c = s.Config(0.05);
+      c.match_cache = cache;
+      return c;
+    };
+    obs::Tracer::Global().Disable();
+    MatchSetCache cold_cache;
+    QGenResult baseline = runner.run(configure(&cold_cache)).ValueOrDie();
 
-      obs::Tracer::Global().Enable(obs::TraceDetail::kFull);
-      MatchSetCache traced_cache;
-      QGenResult traced = runner.run(configure(&traced_cache)).ValueOrDie();
-      ExpectSameArchive(baseline, traced,
-                        std::string(runner.name) + " " + v.name);
-      obs::Tracer::Global().Disable();
-    }
+    obs::Tracer::Global().Enable(obs::TraceDetail::kFull);
+    MatchSetCache traced_cache;
+    QGenResult traced = runner.run(configure(&traced_cache)).ValueOrDie();
+    ExpectSameArchive(baseline, traced, std::string(runner.name) + " cache");
+    obs::Tracer::Global().Disable();
   }
 }
 
@@ -155,11 +146,10 @@ TEST(ObservabilityTest, VerifyCountersMatchGenStatsUnderCancellation) {
       const GenStats st = runner.run(config).ValueOrDie().stats;
 
       // Every cache consultation resolves to a hit or a miss, and lookups
-      // come only from verifications that completed or aborted (sweep
-      // members are served without one), so the cache traffic is bounded
-      // by the instances the verifiers saw.
+      // come only from verifications that completed or aborted, so the
+      // cache traffic is bounded by the instances the verifiers saw.
       EXPECT_LE(st.cache_hits + st.cache_misses,
-                st.verified + st.timed_out_instances + st.sweep_instances)
+                st.verified + st.timed_out_instances)
           << label;
       // FoldVerifierStats sums verify time into the cpu axis and takes the
       // max into the wall axis: equal for one verifier, sum/max for many.
@@ -179,37 +169,6 @@ TEST(ObservabilityTest, VerifyCountersMatchGenStatsUnderCancellation) {
   }
 }
 
-TEST(ObservabilityTest, SweepCountersMatchGenStats) {
-  SmallScenario s;
-  std::mt19937 rng(20260807);
-  std::uniform_int_distribution<uint64_t> pick(1, 60);
-  for (const NamedRunner& runner : AllRunners()) {
-    // One full run, then one cancelled at a seeded point with the cache on
-    // so sweep-served members and cache lookups mix.
-    for (uint64_t n : {uint64_t{0}, pick(rng)}) {
-      std::string label =
-          std::string(runner.name) + " cancel@" + std::to_string(n);
-      RunContext ctx;
-      ctx.CancelAfterVerifications(n);
-      ctx.set_on_expiry(ExpiryPolicy::kPartial);
-      MatchSetCache cache;
-      QGenConfig config = s.Config(0.05);
-      config.use_sweep_verify = true;
-      if (n > 0) {
-        config.run_context = &ctx;
-        config.match_cache = &cache;
-      }
-      const GenStats st = runner.run(config).ValueOrDie().stats;
-      // A chain sweeps at least one member beyond its head, so the instance
-      // counter dominates the chain counter whenever any chain completed.
-      EXPECT_GE(st.sweep_instances, st.sweep_chains) << label;
-      EXPECT_LE(st.cache_hits + st.cache_misses,
-                st.verified + st.timed_out_instances + st.sweep_instances)
-          << label;
-    }
-  }
-}
-
 // --- Trace well-formedness (also the TSan clock-regression test) ---
 
 TEST(ObservabilityTest, SpanDurationsNonNegativeAndTreeWellFormed) {
@@ -222,9 +181,7 @@ TEST(ObservabilityTest, SpanDurationsNonNegativeAndTreeWellFormed) {
   // after the steady_clock unification.
   for (const NamedRunner& runner : AllRunners()) {
     obs::Tracer::Global().Enable(obs::TraceDetail::kFull);
-    QGenConfig config = s.Config(0.05);
-    config.use_sweep_verify = true;
-    (void)runner.run(config).ValueOrDie();
+    (void)runner.run(s.Config(0.05)).ValueOrDie();
     std::vector<obs::SpanRecord> spans = obs::Tracer::Global().Snapshot();
     uint64_t dropped = obs::Tracer::Global().dropped();
     obs::Tracer::Global().Disable();

@@ -189,9 +189,6 @@ void ExpectEqualsRun(const QGenConfig& config) {
     EXPECT_EQ(a.deadline_exceeded, b.deadline_exceeded);
     EXPECT_EQ(a.aborted_matches, b.aborted_matches);
     EXPECT_EQ(a.timed_out_instances, b.timed_out_instances);
-    EXPECT_EQ(a.sweep_chains, b.sweep_chains);
-    EXPECT_EQ(a.sweep_instances, b.sweep_instances);
-    EXPECT_EQ(a.sweep_fallbacks, b.sweep_fallbacks);
     // The pool's own counters: one time per worker, and every instance of
     // the pass dispatched. One thread, or a template without the lattice
     // path, runs Run.

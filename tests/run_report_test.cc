@@ -64,9 +64,6 @@ obs::RunReport PinnedReport() {
   stats.deadline_exceeded = false;
   stats.aborted_matches = 3;
   stats.timed_out_instances = 1;
-  stats.sweep_chains = 8;
-  stats.sweep_instances = 64;
-  stats.sweep_fallbacks = 2;
   stats.total_seconds = 0.25;
   stats.verify_cpu_seconds = 0.125;
   stats.verify_wall_seconds = 0.0625;
@@ -147,8 +144,7 @@ TEST(RunReportTest, GoldenFileParsesWithExpectedSchema) {
        {"generated", "verified", "pruned", "feasible", "pruned_sandwich",
         "pruned_subtree", "enqueued", "stolen", "cache_hits", "cache_misses",
         "deadline_exceeded", "aborted_matches", "timed_out_instances",
-        "sweep_chains", "sweep_instances", "sweep_fallbacks", "total_seconds",
-        "verify_cpu_seconds", "verify_wall_seconds",
+        "total_seconds", "verify_cpu_seconds", "verify_wall_seconds",
         "per_worker_verify_seconds"}) {
     EXPECT_NE(stats->Find(key), nullptr) << "stats." << key;
   }

@@ -125,41 +125,6 @@ TEST(VerifierTest, Lemma2MonotonicityAcrossLattice) {
   }
 }
 
-TEST(VerifierTest, SweepCountsOneMatcherSearchPerChain) {
-  // A literal sweep derives the whole x0 chain from one matcher pass: the
-  // head search is the only instances_matched increment, and every member
-  // is afterwards served from the sweep store without a new search.
-  SmallScenario s;
-  QGenConfig config = s.Config();
-  config.use_sweep_verify = true;
-  InstanceVerifier sweep(config);
-  QGenConfig plain_config = s.Config();
-  InstanceVerifier plain(plain_config);
-
-  Instantiation root = Instantiation::MostRelaxed(*s.tmpl);
-  const uint64_t before = sweep.match_stats().instances_matched;
-  EvaluatedPtr head = sweep.Verify(root);
-  ASSERT_NE(head, nullptr);
-  const uint64_t after_head = sweep.match_stats().instances_matched;
-  EXPECT_EQ(after_head - before, 1u);
-  EXPECT_EQ(head->matches, plain.Verify(root)->matches);
-
-  Instantiation member = root;
-  for (size_t k = 0; k < s.domains->size(0); ++k) {
-    member.set_range_binding(0, static_cast<int32_t>(k));
-    EvaluatedPtr got = sweep.Verify(member);
-    EvaluatedPtr want = plain.Verify(member);
-    ASSERT_NE(got, nullptr);
-    EXPECT_EQ(got->matches, want->matches) << "x0=" << k;
-    EXPECT_DOUBLE_EQ(got->obj.diversity, want->obj.diversity);
-    EXPECT_DOUBLE_EQ(got->obj.coverage, want->obj.coverage);
-  }
-  // No member verification started another matcher search.
-  EXPECT_EQ(sweep.match_stats().instances_matched, after_head);
-  EXPECT_EQ(sweep.sweep_chains(), 1u);
-  EXPECT_EQ(sweep.sweep_instances(), s.domains->size(0));
-}
-
 TEST(VerifierTest, IncrementalDisabledFallsBackToFull) {
   SmallScenario s;
   QGenConfig config = s.Config();

@@ -143,8 +143,6 @@ int CmdGenerate(int argc, char** argv) {
   flags.DefineDouble("lambda", 0.5, "diversity relevance/dissimilarity balance");
   flags.DefineBool("candidate-index", true,
                    "resolve candidates via attribute range indexes");
-  flags.DefineBool("sweep-verify", false,
-                   "batch-verify range-variable chains in one matcher pass");
   flags.DefineInt64("match-cache-mb", 64,
                     "match-set cache budget in MiB (0 disables the cache)");
   flags.DefineInt64("match-cache-shards", 16,
@@ -212,7 +210,6 @@ int CmdGenerate(int argc, char** argv) {
   config.epsilon = flags.GetDouble("eps");
   config.diversity.lambda = flags.GetDouble("lambda");
   config.use_candidate_index = flags.GetBool("candidate-index");
-  config.use_sweep_verify = flags.GetBool("sweep-verify");
   std::unique_ptr<MatchSetCache> cache;
   if (flags.GetInt64("match-cache-mb") > 0) {
     MatchSetCache::Options cache_options;
