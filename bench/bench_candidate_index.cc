@@ -1,13 +1,11 @@
-// Perf harness for the attribute-range-index candidate pipeline and the
-// match-set cache (DESIGN.md §10): per pinned scenario,
+// Perf harness for the attribute-range-index candidate pipeline (DESIGN.md
+// §10): per pinned scenario,
 //  (a) candidate-space construction over an enumerated instance sample,
 //      reference label scan vs index slicing / bitmap filtering;
-//  (b) end-to-end Bi-QGen, scan path without a cache vs index path with a
-//      shared MatchSetCache, cold and then warm.
-// The pinned templates are cyclic, so Bi-QGen verifies instance by instance
-// and consults the cache (a tree template takes the lattice path, which
-// consults none). Emits the console table plus machine-readable
-// BENCH_candidate_index.json in the working directory.
+//  (b) end-to-end Bi-QGen, scan candidates vs index candidates.
+// Bi-QGen takes the lattice pass (DESIGN.md §14), whose certification
+// builds each instance's candidates. Emits the console table plus
+// machine-readable BENCH_candidate_index.json in the working directory.
 
 #include <cstdio>
 #include <string>
@@ -16,8 +14,6 @@
 #include "bench_common.h"
 #include "common/timer.h"
 #include "core/bi_qgen.h"
-#include "core/lattice_verify.h"
-#include "core/match_cache.h"
 #include "matching/candidate_space.h"
 
 namespace fairsqg::bench {
@@ -33,10 +29,9 @@ constexpr int kReps = 5;
 constexpr size_t kDomainValues = 10;
 
 /// One pinned scenario: a dataset at a scale with a template seed that
-/// draws a cyclic template. The scales put every compared timing above the
-/// 0.05 s noise floor of tools/check_bench_regression.py. lki is left out:
-/// its output sets stay so small that the warm rerun reads under 10 ms
-/// even at scale 3.
+/// draws a cyclic template, whose lattice walk certifies every frontier
+/// candidate. The scales put every compared timing above the 0.05 s noise
+/// floor of tools/check_bench_regression.py.
 struct Pinned {
   const char* dataset;
   double scale;
@@ -56,14 +51,10 @@ struct BuildTiming {
 };
 
 struct EndToEnd {
-  double baseline_s = 0;   // Scan candidates, no cache.
-  double optimized_s = 0;  // Index candidates + cold match-set cache.
-  double warm_s = 0;       // Index candidates + warm cache (rerun).
-  double speedup = 0;      // baseline / optimized (cold).
-  double warm_speedup = 0; // baseline / warm rerun.
-  size_t cache_hits = 0;   // Hits during the warm rerun.
-  size_t cache_misses = 0; // Misses during the cold run.
-  GenStats opt_stats;      // Full GenStats of the cold optimized run.
+  double baseline_s = 0;   // Scan candidates.
+  double optimized_s = 0;  // Index candidates.
+  double speedup = 0;      // baseline / optimized.
+  GenStats opt_stats;      // Full GenStats of the optimized run.
 };
 
 std::vector<QueryInstance> SampleInstances(const Scenario& s) {
@@ -113,27 +104,13 @@ EndToEnd BenchBiQGen(const Scenario& s) {
   e.baseline_s = baseline.ElapsedSeconds();
 
   config.use_candidate_index = true;
-  MatchSetCache cache;
-  config.match_cache = &cache;
   Timer optimized;
   QGenResult opt = BiQGen::Run(config).ValueOrDie();
   e.optimized_s = optimized.ElapsedSeconds();
   e.speedup = e.optimized_s > 0 ? e.baseline_s / e.optimized_s : 0;
-  e.cache_misses = opt.stats.cache_misses;
   e.opt_stats = opt.stats;
-
-  // Rerun against the warm cache: the amortized regime of repeated
-  // generation over one scenario (parameter sweeps, online re-generation),
-  // where every verification becomes a lookup.
-  Timer warm;
-  QGenResult rerun = BiQGen::Run(config).ValueOrDie();
-  e.warm_s = warm.ElapsedSeconds();
-  e.warm_speedup = e.warm_s > 0 ? e.baseline_s / e.warm_s : 0;
-  e.cache_hits = rerun.stats.cache_hits;
   FAIRSQG_CHECK(base.pareto.size() == opt.pareto.size())
       << "optimized path changed the Pareto front";
-  FAIRSQG_CHECK(rerun.pareto.size() == opt.pareto.size())
-      << "warm rerun changed the Pareto front";
   return e;
 }
 
@@ -144,7 +121,7 @@ struct Row {
   BuildTiming build;   // Median across --repeat runs.
   EndToEnd e2e;        // Median across --repeat runs.
   double scan_ms_min = 0, index_ms_min = 0;
-  double baseline_s_min = 0, optimized_s_min = 0, warm_s_min = 0;
+  double baseline_s_min = 0, optimized_s_min = 0;
 };
 
 void WriteJson(const std::vector<Row>& rows, int repeat,
@@ -171,15 +148,9 @@ void WriteJson(const std::vector<Row>& rows, int repeat,
     obs::Json biqgen = obs::Json::Object();
     biqgen.Set("baseline_s", obs::Json(r.e2e.baseline_s));
     biqgen.Set("optimized_s", obs::Json(r.e2e.optimized_s));
-    biqgen.Set("warm_s", obs::Json(r.e2e.warm_s));
     biqgen.Set("baseline_s_min", obs::Json(r.baseline_s_min));
     biqgen.Set("optimized_s_min", obs::Json(r.optimized_s_min));
-    biqgen.Set("warm_s_min", obs::Json(r.warm_s_min));
     biqgen.Set("speedup", obs::Json(r.e2e.speedup));
-    biqgen.Set("warm_speedup", obs::Json(r.e2e.warm_speedup));
-    biqgen.Set("cache_hits", obs::Json(static_cast<uint64_t>(r.e2e.cache_hits)));
-    biqgen.Set("cache_misses",
-               obs::Json(static_cast<uint64_t>(r.e2e.cache_misses)));
     biqgen.Set("stats", obs::RunReport::StatsJson(r.e2e.opt_stats));
     row.Set("biqgen", std::move(biqgen));
     datasets.Push(std::move(row));
@@ -194,8 +165,7 @@ void Run(int repeat) {
       "cyclic templates; candidate construction per instance sample; "
       "Bi-QGen end to end; median of " + std::to_string(repeat) + " run(s)");
   Table table({"dataset", "nodes", "insts", "scan ms", "index ms", "build x",
-               "biqgen base s", "biqgen opt s", "warm s", "cold x", "warm x",
-               "hits", "misses"});
+               "biqgen base s", "biqgen opt s", "biqgen x"});
   std::vector<Row> rows;
   for (const Pinned& pinned : kPinned) {
     ScenarioOptions options = DefaultOptions(pinned.dataset);
@@ -205,15 +175,11 @@ void Run(int repeat) {
     options.max_domain_values = kDomainValues;
     Result<Scenario> s = MakeScenario(options);
     FAIRSQG_CHECK(s.ok()) << s.status().ToString();
-    // A tree template would take the LatticeIndex path, which consults no
-    // match-set cache.
-    FAIRSQG_CHECK(!LatticeApplies(s->MakeConfig()))
-        << pinned.dataset << ": the pinned template must be cyclic";
     Row row;
     row.pinned = pinned;
     row.nodes = s->dataset.graph.num_nodes();
     row.edges = s->dataset.graph.num_edges();
-    std::vector<double> scan_ms, index_ms, base_s, opt_s, warm_s;
+    std::vector<double> scan_ms, index_ms, base_s, opt_s;
     for (int rep = 0; rep < repeat; ++rep) {
       BuildTiming b = BenchCandidateBuild(*s);
       EndToEnd e = BenchBiQGen(*s);
@@ -225,7 +191,6 @@ void Run(int repeat) {
       index_ms.push_back(b.index_ms);
       base_s.push_back(e.baseline_s);
       opt_s.push_back(e.optimized_s);
-      warm_s.push_back(e.warm_s);
     }
     row.build.scan_ms = Median(scan_ms);
     row.build.index_ms = Median(index_ms);
@@ -235,22 +200,15 @@ void Run(int repeat) {
     row.index_ms_min = MinOf(index_ms);
     row.e2e.baseline_s = Median(base_s);
     row.e2e.optimized_s = Median(opt_s);
-    row.e2e.warm_s = Median(warm_s);
     row.e2e.speedup =
         row.e2e.optimized_s > 0 ? row.e2e.baseline_s / row.e2e.optimized_s : 0;
-    row.e2e.warm_speedup =
-        row.e2e.warm_s > 0 ? row.e2e.baseline_s / row.e2e.warm_s : 0;
     row.baseline_s_min = MinOf(base_s);
     row.optimized_s_min = MinOf(opt_s);
-    row.warm_s_min = MinOf(warm_s);
     table.AddRow({pinned.dataset, std::to_string(row.nodes),
                   std::to_string(row.build.instances), Fmt(row.build.scan_ms, 2),
                   Fmt(row.build.index_ms, 2), Fmt(row.build.speedup, 2),
                   Fmt(row.e2e.baseline_s, 3), Fmt(row.e2e.optimized_s, 3),
-                  Fmt(row.e2e.warm_s, 3), Fmt(row.e2e.speedup, 2),
-                  Fmt(row.e2e.warm_speedup, 2),
-                  std::to_string(row.e2e.cache_hits),
-                  std::to_string(row.e2e.cache_misses)});
+                  Fmt(row.e2e.speedup, 2)});
     rows.push_back(std::move(row));
   }
   table.Print();

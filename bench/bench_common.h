@@ -24,7 +24,10 @@ namespace fairsqg::bench {
 /// v3: the file is a RunReport-shaped snapshot ("kind":
 /// "fairsqg.run_report") built with obs::Json, and each row embeds the
 /// full GenStats view of its representative run under "stats".
-constexpr int kBenchSchemaVersion = 3;
+/// v4: the embedded GenStats lost the literal sweep's counters;
+/// bench_cyclic_verify times total_s instead of verify_s, and
+/// bench_candidate_index has no warm-cache rerun.
+constexpr int kBenchSchemaVersion = 4;
 
 /// Root object of one BENCH_*.json: the RunReport discriminator ("kind")
 /// plus the bench id, this harness's schema stamp, and the repeat count.

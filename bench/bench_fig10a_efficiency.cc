@@ -1,7 +1,7 @@
 // Fig. 10(a): efficiency of Kungs, EnumQGen, RfQGen and BiQGen over the
 // three datasets (Fig. 9(a) setting), as google-benchmark timings, plus the
-// Section IV ablation rows (template refinement / incremental verification
-// / sandwich + subtree pruning toggled off).
+// Section IV ablation rows (template refinement / sandwich + subtree
+// pruning toggled off).
 
 #include <benchmark/benchmark.h>
 
@@ -34,12 +34,10 @@ const Scenario& GetScenario(const std::string& dataset) {
 using Runner = Result<QGenResult> (*)(const QGenConfig&);
 
 void BM_Generate(benchmark::State& state, const std::string& dataset,
-                 Runner runner, bool template_refinement, bool incremental,
-                 bool pruning) {
+                 Runner runner, bool template_refinement, bool pruning) {
   const Scenario& scenario = GetScenario(dataset);
   QGenConfig config = scenario.MakeConfig(0.01);
   config.use_template_refinement = template_refinement;
-  config.use_incremental_verify = incremental;
   config.use_sandwich_pruning = pruning;
   config.use_subtree_pruning = pruning;
   size_t verified = 0;
@@ -66,7 +64,7 @@ void RegisterAll() {
       benchmark::RegisterBenchmark(
           (std::string("Fig10a/") + dataset + "/" + algo.name).c_str(),
           [dataset, runner = algo.runner](benchmark::State& state) {
-            BM_Generate(state, dataset, runner, true, true, true);
+            BM_Generate(state, dataset, runner, true, true);
           })
           ->Unit(benchmark::kMillisecond)
           ->Iterations(3);
@@ -75,21 +73,14 @@ void RegisterAll() {
     benchmark::RegisterBenchmark(
         (std::string("Fig10a/") + dataset + "/RfQGen_no_template_refine").c_str(),
         [dataset](benchmark::State& state) {
-          BM_Generate(state, dataset, &RfQGen::Run, false, true, true);
-        })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(3);
-    benchmark::RegisterBenchmark(
-        (std::string("Fig10a/") + dataset + "/RfQGen_no_incverify").c_str(),
-        [dataset](benchmark::State& state) {
-          BM_Generate(state, dataset, &RfQGen::Run, true, false, true);
+          BM_Generate(state, dataset, &RfQGen::Run, false, true);
         })
         ->Unit(benchmark::kMillisecond)
         ->Iterations(3);
     benchmark::RegisterBenchmark(
         (std::string("Fig10a/") + dataset + "/BiQGen_no_pruning").c_str(),
         [dataset](benchmark::State& state) {
-          BM_Generate(state, dataset, &BiQGen::Run, true, true, false);
+          BM_Generate(state, dataset, &BiQGen::Run, true, false);
         })
         ->Unit(benchmark::kMillisecond)
         ->Iterations(3);

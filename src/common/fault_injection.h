@@ -22,7 +22,6 @@ namespace fairsqg::fault {
 ///   matcher.step      backtracking inner loop (stall → pathological match)
 ///   cache.lookup      MatchSetCache::Lookup (fail → forced miss)
 ///   cache.insert      MatchSetCache::Insert (fail → admission refused)
-///   verifier.reserve  match-set reserve hints (fail → allocation throttled)
 ///   cache.reserve     signature-buffer reserve (fail → allocation throttled)
 ///
 /// The registry itself always compiles (so tests link in either mode);

@@ -28,14 +28,6 @@ struct SandwichPair {
   Instantiation high;  // The more refined end (backward side).
 };
 
-/// A frontier instance and the verified instance it was spawned from (its
-/// incVerify context; null at the frontier seeds). Forward contexts carry
-/// their candidate space, backward ones only their evaluation.
-struct WorkItem {
-  Instantiation inst;
-  std::shared_ptr<const VerifyContext> ctx;
-};
-
 /// Beam width of the backward relaxation descent (DESIGN.md §4).
 constexpr size_t kBackwardBeam = 2;
 
@@ -46,15 +38,15 @@ struct BiExplorer {
   QGenResult* result;
   /// Verifies each instance on the per-instance path.
   InstanceVerifier* verifier;
-  /// On a tree template, every instance's evaluation by OdometerRank from
+  /// When LatticeApplies, every instance's evaluation by OdometerRank from
   /// one lattice pass (EvaluateLattice), which the search reads instead of
   /// verifying; empty on the per-instance path.
   std::vector<EvaluatedPtr> lattice;
   ParetoArchive archive;
   std::unordered_set<Instantiation, Instantiation::Hasher> visited;
   std::vector<SandwichPair> sbounds;
-  std::deque<WorkItem> forward;
-  std::deque<WorkItem> backward;
+  std::deque<Instantiation> forward;
+  std::deque<Instantiation> backward;
   double max_coverage;
 
   // Most recent feasible instances of each direction, paired for SBounds.
@@ -130,28 +122,23 @@ struct BiExplorer {
         static_cast<EdgeVarId>(step.var_index - config.tmpl->num_range_vars()));
   }
 
-  /// A sandwich-pruned forward item skips the expensive verification and
-  /// the archive update (Lemma 3 guarantees it is ε-dominated) but still
-  /// spawns its children with the *ancestor's* verification context —
-  /// otherwise instances beyond the sandwiched band, reachable only
-  /// through it, would never be explored. Any verified ancestor is a
-  /// sound context (Lemma 2; see VerifyContext).
-  void SpawnSandwichedForward(const WorkItem& item) {
+  /// A sandwich-pruned forward instance skips the evaluation and the
+  /// archive update (Lemma 3 guarantees it is ε-dominated) but still
+  /// spawns its children — otherwise instances beyond the sandwiched band,
+  /// reachable only through it, would never be explored.
+  void SpawnSandwichedForward(const Instantiation& inst) {
     std::vector<LatticeStep> children = LatticeNeighbors::RefineChildren(
-        *config.tmpl, *config.domains, item.inst,
+        *config.tmpl, *config.domains, inst,
         RefinementHints::None(*config.tmpl));
     result->stats.generated += children.size();
     for (LatticeStep& child : children) {
-      forward.push_back({std::move(child.inst), item.ctx});
+      forward.push_back(std::move(child.inst));
     }
   }
 
   /// Pushes the refinement children of a feasible verified instance onto
-  /// the forward frontier, with `eval` (and its candidate space, when
-  /// known) as their context — unless every refinement is already
-  /// ε-dominated.
-  void SpawnRefinements(const EvaluatedPtr& eval,
-                        std::shared_ptr<const CandidateSpace> cands) {
+  /// the forward frontier, unless every refinement is already ε-dominated.
+  void SpawnRefinements(const EvaluatedPtr& eval) {
     if (config.use_subtree_pruning &&
         archive.SubtreeCovered(eval->obj.diversity, max_coverage)) {
       ++result->stats.pruned_subtree;
@@ -165,10 +152,8 @@ struct BiExplorer {
     std::vector<LatticeStep> children = LatticeNeighbors::RefineChildren(
         *config.tmpl, *config.domains, eval->inst, hints);
     result->stats.generated += children.size();
-    auto ctx = std::make_shared<const VerifyContext>(
-        VerifyContext{eval, std::move(cands)});
     for (LatticeStep& child : children) {
-      forward.push_back({std::move(child.inst), ctx});
+      forward.push_back(std::move(child.inst));
     }
   }
 
@@ -190,10 +175,8 @@ struct BiExplorer {
       result->stats.pruned += children.size() - kBackwardBeam;
       children.resize(kBackwardBeam);
     }
-    auto ctx =
-        std::make_shared<const VerifyContext>(VerifyContext{eval, nullptr});
     for (size_t i = children.size(); i-- > 0;) {
-      backward.push_front({std::move(children[i].inst), ctx});
+      backward.push_front(std::move(children[i].inst));
     }
   }
 
@@ -201,25 +184,22 @@ struct BiExplorer {
     Instantiation root = Instantiation::MostRelaxed(*config.tmpl);
     Instantiation bottom =
         Instantiation::MostRefined(*config.tmpl, *config.domains);
-    forward.push_back({root, nullptr});
+    forward.push_back(root);
     ++result->stats.generated;
     if (bottom != root) {
-      backward.push_back({bottom, nullptr});
+      backward.push_back(std::move(bottom));
       ++result->stats.generated;
     }
   }
 
   /// The instance's evaluation: read from the lattice pass, or verified
-  /// from the item's context (forward items also keep their candidate
-  /// space, their refinements' context). Null when the match aborted or
-  /// a pass cut short did not settle the instance.
-  EvaluatedPtr Evaluate(const WorkItem& item, bool is_forward,
-                        std::shared_ptr<CandidateSpace>* cands) {
+  /// from scratch. Null when the match aborted or a pass cut short did not
+  /// settle the instance.
+  EvaluatedPtr Evaluate(const Instantiation& inst) {
     if (!lattice.empty()) {
-      return lattice[OdometerRank(*config.tmpl, *config.domains, item.inst)];
+      return lattice[OdometerRank(*config.tmpl, *config.domains, inst)];
     }
-    if (is_forward) *cands = std::make_shared<CandidateSpace>();
-    return verifier->Verify(item.inst, item.ctx.get(), cands->get());
+    return verifier->Verify(inst);
   }
 
   /// Folds one evaluated instance back into the exploration state (the
@@ -228,8 +208,7 @@ struct BiExplorer {
   /// belongs to the forward region, and since it is now `visited` the
   /// forward pass would drop it, so its refinements go to the forward
   /// frontier here.
-  void Fold(const EvaluatedPtr& eval, bool is_forward,
-            std::shared_ptr<CandidateSpace> cands) {
+  void Fold(const EvaluatedPtr& eval, bool is_forward) {
     if (eval == nullptr) return;  // Not evaluated: the branch is abandoned.
     ++result->stats.verified;
     if (!eval->feasible) {
@@ -242,7 +221,7 @@ struct BiExplorer {
     Trace();
     (is_forward ? last_forward : last_backward) = eval;
     UpdateSBounds(last_forward, last_backward);
-    SpawnRefinements(eval, std::move(cands));
+    SpawnRefinements(eval);
   }
 
   /// Takes turns between the two frontiers (lines 4 and 10 of Fig. 6);
@@ -256,29 +235,27 @@ struct BiExplorer {
     while ((!forward.empty() || !backward.empty()) && Budget()) {
       const bool is_forward = forward_turn;
       forward_turn = !forward_turn;
-      std::deque<WorkItem>& src = is_forward ? forward : backward;
+      std::deque<Instantiation>& src = is_forward ? forward : backward;
       if (src.empty()) continue;
-      WorkItem item = std::move(src.front());
+      Instantiation inst = std::move(src.front());
       src.pop_front();
-      if (!visited.insert(item.inst).second) {
+      if (!visited.insert(inst).second) {
         ++result->stats.pruned;
         continue;
       }
-      if (SPrune(item.inst)) {
+      if (SPrune(inst)) {
         ++result->stats.pruned;
         ++result->stats.pruned_sandwich;
-        if (is_forward) SpawnSandwichedForward(item);
+        if (is_forward) SpawnSandwichedForward(inst);
         continue;
       }
       if (ShouldStop()) break;
-      std::shared_ptr<CandidateSpace> cands;
-      EvaluatedPtr eval = Evaluate(item, is_forward, &cands);
-      Fold(eval, is_forward, std::move(cands));
+      Fold(Evaluate(inst), is_forward);
     }
   }
 };
 
-/// The part of Run and RunParallel after validation. On a tree template
+/// The part of Run and RunParallel after validation. When LatticeApplies,
 /// one lattice pass with `verifiers` (on `pool`, when there is one) first
 /// settles every instance, and the search reads them; otherwise the search
 /// verifies each instance it consumes with verifiers[0].

@@ -23,16 +23,17 @@ namespace fairsqg {
 /// consumed instance is folded back in (archive update, sandwich pairs,
 /// subtree pruning, refinement hints and children, the backward beam).
 ///
-/// On a tree template (LatticeApplies) the search verifies nothing
-/// itself: one lattice pass (EvaluateLattice, DESIGN.md §14) first
-/// settles every instance's exact evaluation, and the search reads each
-/// instance it consumes from there, as RfQGen does. The search is the
-/// same either way, so it consumes the same instances and builds the same
-/// archive as the per-instance path; GenStats::verified counts the
+/// When LatticeApplies (any template whose space has at most
+/// kMaxLatticeInstances instances) the search verifies nothing itself: one
+/// lattice pass (EvaluateLattice, DESIGN.md §14) first settles every
+/// instance's exact evaluation, and the search reads each instance it
+/// consumes from there, as RfQGen does. GenStats::verified counts the
 /// instances it consumed, not the pass's. The pass settles the most
 /// refined levels first: when the RunContext stops it, the unsettled
-/// instances count as aborted (DESIGN.md §14.3). Other templates keep the
-/// per-instance incVerify path.
+/// instances count as aborted (DESIGN.md §14.3). On a larger space the
+/// search verifies each instance it consumes from scratch
+/// (InstanceVerifier::Verify); the search itself, and so its archive, is
+/// the same on both paths.
 class BiQGen {
  public:
   /// Sequential exploration (the paper's Fig. 6).
@@ -41,8 +42,8 @@ class BiQGen {
   /// Run with the lattice pass on a `num_threads`-worker pool, followed
   /// by the same serial search: the archive and every counter but the
   /// pool's (`enqueued`, the per-worker and verify times) equal Run's.
-  /// `num_threads` 0 selects hardware concurrency; 1, or a template
-  /// without the lattice path, runs Run.
+  /// `num_threads` 0 selects hardware concurrency; 1, or a space without
+  /// the lattice path, runs Run.
   static Result<QGenResult> RunParallel(const QGenConfig& config,
                                         size_t num_threads = 0);
 };

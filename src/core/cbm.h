@@ -20,7 +20,7 @@ namespace fairsqg {
 /// procedure" the paper observes makes CBM ~1.2x slower than Kungs.
 ///
 /// The instance space is verified as Kungs verifies it
-/// (VerifyInstanceSpace): on a tree template, from one lattice pass.
+/// (VerifyInstanceSpace): when LatticeApplies, from one lattice pass.
 class Cbm {
  public:
   static Result<QGenResult> Run(const QGenConfig& config,

@@ -42,7 +42,10 @@ struct QGenConfig {
   bool use_template_refinement = true;
   /// BiQGen's "sandwich" pruning (Lemma 3).
   bool use_sandwich_pruning = true;
-  /// incVerify: candidate reuse + parent-match-set restriction (Lemma 2).
+  /// Read by nothing: the per-instance incVerify it once switched is
+  /// deleted (the lattice pass, DESIGN.md §14, applies Lemma 2 to every
+  /// instance at once). Kept only because reqbench assigns it; the next
+  /// benchmark change drops that line and this field.
   bool use_incremental_verify = true;
   /// Skip spawning a subtree all of whose instances are already ε-dominated
   /// by the archive (δ bounded by the parent's, f bounded by C).

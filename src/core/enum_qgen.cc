@@ -122,7 +122,7 @@ struct WorkerState {
 };
 
 /// The body of EnumQGen (no pool) and ParallelQGen: verifies I(Q) with
-/// one verifier per worker (VerifyLattice on a tree template, else
+/// one verifier per worker (VerifyLattice when LatticeApplies, else
 /// VerifyChunks) into per-worker archives, and merges them.
 Result<QGenResult> RunEnum(const QGenConfig& config, ThreadPool* pool,
                            const Timer& timer) {

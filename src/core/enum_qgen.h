@@ -12,9 +12,9 @@ namespace fairsqg {
 /// Update to obtain an ε-Pareto instance set.
 ///
 /// Exact on the enumerated space; the baseline that RfQGen and BiQGen are
-/// measured against. On a tree template the whole space is verified from
+/// measured against. When LatticeApplies the whole space is verified from
 /// one LatticeIndex pass (VerifyLattice, DESIGN.md §14), the matcher
-/// certifying only frontier candidates; other templates are verified one
+/// certifying only frontier candidates; a larger space is verified one
 /// instance at a time in odometer order. ParallelQGen is this body run on
 /// a thread pool.
 class EnumQGen {

@@ -18,8 +18,8 @@ struct EvaluatedInstance {
   Objectives obj;                // (δ(q), f(q)).
   // Diversity decomposition of `matches` as DiversityEvaluator::ComputeParts
   // returned it: δ = (1-λ)·relevance_sum + (2λ/(|V_uo|-1))·pair_sum.
-  // Recorded for inspection only; incVerify no longer reads a parent's
-  // parts, since rescoring a match set from scratch is sub-quadratic.
+  // Recorded for inspection only: rescoring a match set from scratch is
+  // sub-quadratic, so no verifier reads another instance's parts.
   double relevance_sum = 0;
   double pair_sum = 0;
   bool feasible = false;         // |q(G) ∩ P_i| >= c_i for all i.

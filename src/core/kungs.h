@@ -11,10 +11,10 @@ namespace fairsqg {
 /// *exact* Pareto-optimal non-dominated set with Kung's maximal-vector
 /// algorithm (sort by one objective, sweep the other).
 ///
-/// On a tree template every evaluation comes from one lattice pass
+/// When LatticeApplies every evaluation comes from one lattice pass
 /// (VerifyInstanceSpace, DESIGN.md §14), which does not consult the
-/// match-set cache; other templates are verified
-/// instance by instance (VerifyAllInstances).
+/// match-set cache; a larger space is verified instance by instance
+/// (VerifyAllInstances).
 ///
 /// Returns the unique maximum Pareto set of Lemma 1 — the ground truth the
 /// ε-indicator compares the approximate algorithms against.

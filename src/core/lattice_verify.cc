@@ -96,7 +96,7 @@ NodeSet Union(const NodeSet& a, std::span<const NodeId> b) {
 }  // namespace
 
 bool LatticeApplies(const QGenConfig& config) {
-  return LatticeIndex::Supports(*config.tmpl, *config.domains) &&
+  return LatticeIndex::Supports(*config.domains) &&
          config.domains->InstanceSpaceSize(*config.tmpl) <= kMaxLatticeInstances;
 }
 
@@ -107,7 +107,11 @@ void VerifyLattice(const QGenConfig& config, ThreadPool* pool,
       LatticeIndex::Build(*config.graph, *config.tmpl, *config.domains,
                           config.run_context, pool);
   RunContext* ctx = config.run_context;
-  const bool homomorphism = config.semantics == MatchSemantics::kHomomorphism;
+  // The frontier lists exact homomorphic matches only when the pass saw
+  // every template edge: a tree template (LatticeIndex).
+  const bool exact_frontier =
+      config.semantics == MatchSemantics::kHomomorphism &&
+      config.tmpl->num_edges() + 1 == config.tmpl->num_nodes();
 
   struct WorkerCounts {
     size_t verified = 0;
@@ -152,13 +156,16 @@ void VerifyLattice(const QGenConfig& config, ThreadPool* pool,
     };
     auto settle = [&](uint64_t rank, size_t w) -> Settled {
       NodeSet known, pending, untested;
-      gather(rank, &known, &pending);
-      std::set_difference(pending.begin(), pending.end(), known.begin(),
-                          known.end(), std::back_inserter(untested));
-      if (homomorphism) {
-        // Every frontier node is a homomorphic match by construction.
-        known = Union(known, untested);
-        untested.clear();
+      {
+        FAIRSQG_TRACE_SPAN_FULL("gather");
+        gather(rank, &known, &pending);
+        std::set_difference(pending.begin(), pending.end(), known.begin(),
+                            known.end(), std::back_inserter(untested));
+        if (exact_frontier) {
+          // Every frontier node is a match by construction.
+          known = Union(known, untested);
+          untested.clear();
+        }
       }
       Settled out;
       out.eval = verifiers[w]->VerifyPartial(

@@ -21,8 +21,9 @@ inline constexpr uint64_t kMaxLatticeInstances = uint64_t{1} << 20;
 
 /// True when the generators verify `config`'s instance space from one
 /// LatticeIndex (EnumQGen, ParallelQGen, RfQGen, BiQGen, Kungs and CBM):
-/// the template is a tree (LatticeIndex::Supports) and
-/// |I(Q)| <= kMaxLatticeInstances.
+/// the domain levels fit the index's coordinates (LatticeIndex::Supports)
+/// and |I(Q)| <= kMaxLatticeInstances. The template's shape does not
+/// matter: a cyclic one is evaluated over a spanning tree.
 bool LatticeApplies(const QGenConfig& config);
 
 /// Receives each verified instance on the worker (index into the
@@ -40,10 +41,12 @@ using LatticeSink = std::function<void(size_t worker, EvaluatedPtr)>;
 /// where c ranges over x's immediate refinements, known = ⋃ I_c, F_x is
 /// x's frontier and D_c = H_c \ I_c the candidates that failed at c. Only
 /// that remainder reaches the matcher (InstanceVerifier::VerifyPartial);
-/// under homomorphism the frontier needs no certification at all. The
-/// sets are exact under both semantics (I_x ⊆ H_x, and both are monotone
-/// by Lemma 2). An instance whose match aborted counts as I = ∅, D = H,
-/// so its relaxations test every candidate it left open.
+/// on a tree template under homomorphism the frontier needs no
+/// certification at all. The sets are exact under both semantics and for
+/// any template shape (I_x ⊆ H_x, and both are monotone by Lemma 2; a
+/// cyclic template's H_x comes from a spanning tree, a superset). An
+/// instance whose match aborted counts as I = ∅, D = H, so its
+/// relaxations test every candidate it left open.
 ///
 /// With a pool, the LatticeIndex pass is one ThreadPool::Run round and
 /// the walk another: worker w claims the level's instances from a shared

@@ -14,9 +14,10 @@ namespace fairsqg {
 /// Section VI), realized as a data-parallel EnumQGen.
 ///
 /// It is EnumQGen's body run on a ThreadPool (both are defined in
-/// enum_qgen.cc). On a tree template (LatticeApplies) VerifyLattice runs
-/// one ThreadPool::Run round whose workers claim each level's instances
-/// and meet at a barrier between levels (DESIGN.md §14). Otherwise the
+/// enum_qgen.cc). When LatticeApplies (any template whose space has at
+/// most kMaxLatticeInstances instances) VerifyLattice runs one
+/// ThreadPool::Run round whose workers claim each level's instances and
+/// meet at a barrier between levels (DESIGN.md §14). On a larger space the
 /// instance space I(Q) is *streamed* in chunks from the shared
 /// InstantiationEnumerator — never materialized, so there is no cap on
 /// |I(Q)| (config.max_verifications bounds unbounded spaces) — in one

@@ -21,7 +21,7 @@ struct Explorer {
   std::unordered_set<Instantiation, Instantiation::Hasher> visited;
   QGenResult* result;
   double max_coverage;
-  /// On a tree template, every instance's evaluation by OdometerRank from
+  /// When LatticeApplies, every instance's evaluation by OdometerRank from
   /// one lattice pass (EvaluateLattice), which the search reads instead of
   /// verifying; empty on the per-instance path.
   std::vector<EvaluatedPtr> lattice;
@@ -49,9 +49,8 @@ struct Explorer {
     return lattice.empty() ? ctx->PollVerification() : ctx->HardExpired();
   }
 
-  /// Procedure BFExplore (Fig. 3). `ctx` is the parent's verification
-  /// context, null at the lattice root; the lattice path ignores it.
-  void Explore(const Instantiation& inst, const VerifyContext* ctx) {
+  /// Procedure BFExplore (Fig. 3).
+  void Explore(const Instantiation& inst) {
     if (!Budget()) return;
     if (!visited.insert(inst).second) {
       ++result->stats.pruned;  // Reached via another lattice path already.
@@ -64,14 +63,10 @@ struct Explorer {
       return;
     }
 
-    std::shared_ptr<CandidateSpace> cands;
-    EvaluatedPtr eval;
-    if (lattice.empty()) {
-      cands = std::make_shared<CandidateSpace>();
-      eval = verifier.Verify(inst, ctx, cands.get());
-    } else {
-      eval = lattice[OdometerRank(*config.tmpl, *config.domains, inst)];
-    }
+    const EvaluatedPtr eval =
+        lattice.empty()
+            ? verifier.Verify(inst)
+            : lattice[OdometerRank(*config.tmpl, *config.domains, inst)];
     // Aborted mid-match, or not settled by a pass cut short: the subtree
     // is abandoned.
     if (eval == nullptr) return;
@@ -100,10 +95,7 @@ struct Explorer {
     std::vector<LatticeStep> children = LatticeNeighbors::RefineChildren(
         *config.tmpl, *config.domains, inst, hints);
     result->stats.generated += children.size();
-    const VerifyContext child_ctx{eval, std::move(cands)};
-    for (LatticeStep& child : children) {
-      Explore(child.inst, &child_ctx);
-    }
+    for (const LatticeStep& child : children) Explore(child.inst);
   }
 };
 
@@ -130,7 +122,7 @@ Result<QGenResult> RfQGen::Run(const QGenConfig& config) {
   }
   Instantiation root = Instantiation::MostRelaxed(*config.tmpl);
   ++result.stats.generated;
-  explorer.Explore(root, nullptr);
+  explorer.Explore(root);
   if (config.run_context != nullptr && config.run_context->Expired()) {
     result.stats.deadline_exceeded = true;
   }

@@ -11,24 +11,26 @@ namespace fairsqg {
 /// exploration of the instance lattice.
 ///
 /// Starting from the most relaxed instantiation q_r, procedure BFExplore
-/// verifies each instance incrementally (incVerify, Lemma 2), feeds the
-/// feasible ones through procedure Update, and spawns one-step refinements
-/// restricted by template refinement over G_q^d. Infeasible instances cut
-/// their whole subtree (a refinement can only shrink the match set, so
-/// feasibility is monotonically lost — Lemma 2 (2)). Early convergence
-/// favours high-diversity instances (Section V, Fig. 9(e)).
+/// evaluates each instance it reaches, feeds the feasible ones through
+/// procedure Update, and spawns one-step refinements restricted by
+/// template refinement over G_q^d. Infeasible instances cut their whole
+/// subtree (a refinement can only shrink the match set, so feasibility is
+/// monotonically lost — Lemma 2 (2)). Early convergence favours
+/// high-diversity instances (Section V, Fig. 9(e)).
 ///
-/// On a tree template (LatticeApplies) the search verifies nothing itself:
+/// When LatticeApplies (any template whose space has at most
+/// kMaxLatticeInstances instances) the search verifies nothing itself:
 /// one lattice pass (EvaluateLattice, DESIGN.md §14) first settles every
 /// instance's exact evaluation, and the search reads each instance it
-/// reaches from there instead of running incVerify. The visited set,
-/// infeasibility cut, subtree pruning, refinement hints and budget are
-/// unchanged, so the search visits the same instances and builds the same
-/// archive; GenStats::verified counts the instances it consumed, not the
-/// pass's. The pass settles the most refined levels first: when the
-/// RunContext stops it, the unsettled instances count as aborted (their
-/// subtrees are abandoned, the root's included) and the run reports
-/// deadline_exceeded. Other templates keep the per-instance incVerify path.
+/// reaches from there. The pass is the paper's incVerify (Lemma 2) applied
+/// to the whole lattice at once. GenStats::verified counts the instances
+/// the search consumed, not the pass's. The pass settles the most refined
+/// levels first: when the RunContext stops it, the unsettled instances
+/// count as aborted (their subtrees are abandoned, the root's included)
+/// and the run reports deadline_exceeded. On a larger space the search
+/// verifies each instance it reaches from scratch (InstanceVerifier::
+/// Verify); the visited set, infeasibility cut, subtree pruning,
+/// refinement hints and budget are the same on both paths.
 class RfQGen {
  public:
   static Result<QGenResult> Run(const QGenConfig& config);

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "obs/trace.h"
@@ -24,13 +23,6 @@ DiversityEvaluator MakeDiversity(const QGenConfig& config) {
   }
   return DiversityEvaluator(*config.graph, label, config.diversity);
 }
-
-/// How a verification context bounds the instance (Lemma 2).
-enum class Direction {
-  kFull,    // No comparable context: verify from scratch.
-  kRefine,  // The instance refines the context: matches ⊆ context's.
-  kRelax,   // The context refines the instance: matches ⊇ context's.
-};
 
 }  // namespace
 
@@ -76,79 +68,29 @@ bool InstanceVerifier::LookupCached(const QueryInstance& q, NodeSet* matches,
   return false;
 }
 
-EvaluatedPtr InstanceVerifier::Verify(const Instantiation& inst,
-                                      const VerifyContext* ctx,
-                                      CandidateSpace* out_candidates) {
+EvaluatedPtr InstanceVerifier::Verify(const Instantiation& inst) {
   FAIRSQG_TRACE_SPAN_FULL("verify");
   Timer timer;
-  Direction dir = Direction::kFull;
-  if (ctx != nullptr && config_->use_incremental_verify) {
-    if (inst.Refines(ctx->eval->inst)) {
-      dir = Direction::kRefine;
-    } else if (ctx->eval->inst.Refines(inst)) {
-      dir = Direction::kRelax;
-    }
-  }
   NodeSet matches;
   std::string key;
   QueryInstance q =
       QueryInstance::Materialize(*config_->tmpl, *config_->domains, inst);
-  const bool hit = LookupCached(q, &matches, &key);
-  if (!hit || out_candidates != nullptr) {
+  if (!LookupCached(q, &matches, &key)) {
     CandidateSpace candidates = [&] {
       FAIRSQG_TRACE_SPAN_FULL("candidate_build");
-      if (dir == Direction::kRefine && ctx->cands != nullptr) {
-        return CandidateSpace::DeriveRefined(
-            *config_->graph, q, ctx->eval->inst, *ctx->cands,
-            config_->use_candidate_index, &matcher_.mutable_stats());
-      }
       return CandidateSpace::Build(
           *config_->graph, q,
-          /*degree_filter=*/config_->semantics ==
-              MatchSemantics::kIsomorphism,
+          /*degree_filter=*/config_->semantics == MatchSemantics::kIsomorphism,
           config_->use_candidate_index, &matcher_.mutable_stats());
     }();
-    if (!hit) {
-      // Output candidates to test (Lemma 2): a refinement's matches lie
-      // within the context's; a relaxation keeps every context match,
-      // so only the output candidates outside them need testing.
-      const NodeSet* restrict = nullptr;
-      NodeSet untested;
-      if (dir == Direction::kRefine) {
-        restrict = &ctx->eval->matches;
-      } else if (dir == Direction::kRelax) {
-        const NodeSet& base = candidates.of(q.output_node());
-        const NodeSet& known = ctx->eval->matches;
-        // Fault site: allocation throttling — a kFail here skips the
-        // reserve hints; the result must stay byte-identical, only
-        // reallocation behaviour changes.
-        if (!FAIRSQG_FAULT_POINT("verifier.reserve")) {
-          untested.reserve(base.size());
-        }
-        std::set_difference(base.begin(), base.end(), known.begin(),
-                            known.end(), std::back_inserter(untested));
-        restrict = &untested;
-      }
-      MatchResult res = matcher_.MatchOutputBounded(
-          q, candidates, config_->run_context, restrict);
-      if (res.outcome == MatchOutcome::kAborted) {
-        verify_seconds_ += timer.ElapsedSeconds();
-        return RecordAbort();  // Partial matches: never cached.
-      }
-      matches = std::move(res.matches);
-      if (dir == Direction::kRelax) {
-        const NodeSet& known = ctx->eval->matches;
-        NodeSet all;
-        if (!FAIRSQG_FAULT_POINT("verifier.reserve")) {
-          all.reserve(matches.size() + known.size());
-        }
-        std::set_union(matches.begin(), matches.end(), known.begin(),
-                       known.end(), std::back_inserter(all));
-        matches = std::move(all);
-      }
-      if (!key.empty()) config_->match_cache->Insert(key, matches);
+    MatchResult res =
+        matcher_.MatchOutputBounded(q, candidates, config_->run_context);
+    if (res.outcome == MatchOutcome::kAborted) {
+      verify_seconds_ += timer.ElapsedSeconds();
+      return RecordAbort();  // Partial matches: never cached.
     }
-    if (out_candidates != nullptr) *out_candidates = std::move(candidates);
+    matches = std::move(res.matches);
+    if (!key.empty()) config_->match_cache->Insert(key, matches);
   }
   EvaluatedPtr out = Finish(inst, std::move(matches));
   verify_seconds_ += timer.ElapsedSeconds();

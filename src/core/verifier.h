@@ -2,7 +2,6 @@
 #define FAIRSQG_CORE_VERIFIER_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "core/config.h"
 #include "core/evaluated.h"
@@ -11,31 +10,18 @@
 
 namespace fairsqg {
 
-/// \brief An already verified instance that bounds another's verification
-/// (Lemma 2): its evaluation (whose `inst` is the context's instantiation)
-/// and, when the instance may be refined from it, its candidate space.
-///
-/// Any verified ancestor or descendant in the refinement order is a sound
-/// context, however many variables separate the two instances.
-struct VerifyContext {
-  EvaluatedPtr eval;
-  std::shared_ptr<const CandidateSpace> cands;
-};
-
 /// \brief The verification pipeline shared by all algorithms: materialize
 /// an instantiation, compute q(G), evaluate (δ, f), and decide feasibility.
 ///
-/// Implements the paper's incVerify (Section IV-A) through an optional
-/// VerifyContext. The direction comes from the instantiations: when the
-/// instance refines the context's, its candidates are derived from the
-/// context's and only the context's matches are tested (a refinement's
-/// matches are a subset, Lemma 2); when the context refines the instance,
-/// the context's matches are known matches and only the remaining output
-/// candidates are tested (a relaxation's matches are a superset). Without
-/// a comparable context, or with config.use_incremental_verify off, the
-/// instance is verified from scratch. Either way (δ, f) are scored from
-/// the instance's own match set, so the result does not depend on the
-/// context.
+/// Two entry points. Verify matches one instance from scratch, through the
+/// match-set cache when one is configured: the per-instance path of
+/// OnlineQGen, VerifyAllInstances, and every generator on a space the
+/// lattice pass does not take (LatticeApplies). VerifyPartial is the
+/// lattice path's (DESIGN.md §14): the pass already bounds the instance's
+/// answer, so only part of it reaches the matcher. The paper's incVerify
+/// (Section IV-A), one instance bounded by a verified neighbour, is what
+/// VerifyPartial does for the whole lattice at once. Either way (δ, f) are
+/// scored from the instance's own match set.
 ///
 /// When the configuration carries a RunContext, a match search that trips
 /// the context (hard expiry) or the per-match step budget returns nullptr:
@@ -45,13 +31,9 @@ class InstanceVerifier {
  public:
   explicit InstanceVerifier(const QGenConfig& config);
 
-  /// Verifies `inst`, incrementally from `ctx` when one is given (see the
-  /// class comment). If `out_candidates` is non-null, the instance's
-  /// candidate space is returned for the contexts of its refinements.
+  /// Verifies `inst` from scratch, consulting the match-set cache first.
   /// Returns nullptr iff the bounded match aborted (see class comment).
-  EvaluatedPtr Verify(const Instantiation& inst,
-                      const VerifyContext* ctx = nullptr,
-                      CandidateSpace* out_candidates = nullptr);
+  EvaluatedPtr Verify(const Instantiation& inst);
 
   /// Verifies `inst` from part of its answer (the lattice path, DESIGN.md
   /// §14): `known` holds matches already established, and every other

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-
 namespace fairsqg {
 
 namespace {
@@ -116,42 +114,6 @@ void IntersectSlices(const Graph& g, LabelId label,
   }
 }
 
-/// The members of `base` (a superset of the result, sorted) carrying
-/// `label` and satisfying every literal of `lits`. With `use_index` the
-/// literals are applied through index slices — the same result as the
-/// reference path, but against contiguous slices instead of per-node
-/// attribute probes.
-NodeSet Refilter(const Graph& g, LabelId label,
-                 const std::vector<BoundLiteral>& lits, const NodeSet& base,
-                 bool use_index, MatchStats* stats) {
-  NodeSet set;
-  if (!use_index) {
-    for (NodeId v : base) {
-      if (NodeSatisfies(g, v, label, lits)) set.push_back(v);
-    }
-    return set;
-  }
-  set = base;
-  NodeSet scratch, merged;
-  for (const BoundLiteral& bl : lits) {
-    if (set.empty()) break;
-    const AttrRangeIndex* idx = g.RangeIndex(label, bl.attr);
-    if (idx == nullptr) return {};
-    if (stats != nullptr) ++stats->index_slices;
-    std::span<const NodeId> s = idx->SliceFor(bl.op, bl.value);
-    if (s.empty()) return {};
-    if (s.size() <= kSliceSortBudget * set.size() + 64) {
-      scratch.assign(s.begin(), s.end());
-      std::sort(scratch.begin(), scratch.end());
-      IntersectSorted(set, scratch, &merged);
-      set.swap(merged);
-    } else {
-      FilterByLiteral(g, bl, &set);
-    }
-  }
-  return set;
-}
-
 }  // namespace
 
 bool NodeSatisfies(const Graph& g, NodeId v, LabelId label,
@@ -225,32 +187,6 @@ CandidateSpace CandidateSpace::Build(const Graph& g, const QueryInstance& q,
       }
     }
     space.per_node_[u] = MakeEntry(std::move(set), g.num_nodes());
-  }
-  return space;
-}
-
-CandidateSpace CandidateSpace::DeriveRefined(const Graph& g,
-                                             const QueryInstance& child,
-                                             const Instantiation& parent_inst,
-                                             const CandidateSpace& parent,
-                                             bool use_index, MatchStats* stats) {
-  const QueryTemplate& tmpl = child.tmpl();
-  const Instantiation& inst = child.instantiation();
-  FAIRSQG_CHECK(parent.per_node_.size() == tmpl.num_nodes())
-      << "candidate space arity mismatch";
-  FAIRSQG_DCHECK(inst.Refines(parent_inst));
-  CandidateSpace space;
-  space.per_node_ = parent.per_node_;  // Share every entry by pointer.
-  std::vector<bool> refiltered(tmpl.num_nodes(), false);
-  for (RangeVarId x = 0; x < tmpl.num_range_vars(); ++x) {
-    if (inst.range_binding(x) == parent_inst.range_binding(x)) continue;
-    const QNodeId u = tmpl.literals()[tmpl.literal_of_var(x)].node;
-    if (refiltered[u]) continue;
-    refiltered[u] = true;
-    space.per_node_[u] = MakeEntry(
-        Refilter(g, tmpl.node_label(u), child.literals_of(u), parent.of(u),
-                 use_index, stats),
-        g.num_nodes());
   }
   return space;
 }

@@ -15,11 +15,7 @@ namespace fairsqg {
 ///
 /// Each node stores the candidates twice: as a sorted id vector (for
 /// ordered iteration and merge-joins) and as a dense NodeBitset (for the
-/// matcher's O(1) membership probes). Both views are shared copy-on-write
-/// between an instance and its refinements, because a refinement only
-/// shrinks the candidates of the nodes whose literals it tightens
-/// (Lemma 2): DeriveRefined reuses every other node's entry by pointer,
-/// and an edge-variable step copies nothing at all.
+/// matcher's O(1) membership probes).
 ///
 /// Construction is selectivity-adaptive when `use_index` is set:
 ///  - a node with no bound literals (and no effective degree filter)
@@ -46,31 +42,11 @@ class CandidateSpace {
                               bool use_index = true,
                               MatchStats* stats = nullptr);
 
-  /// Derives the space of `child`, which refines `parent_inst`, from
-  /// that instance's space `parent`: every query node carrying a range
-  /// literal whose binding differs between the two is re-filtered from the
-  /// parent's (superset) candidates, at most one node per range variable.
-  /// Every other node shares the parent's entry by pointer; a child that
-  /// differs only in edge variables copies nothing at all. The parent may
-  /// be any verified ancestor, not just a one-step one.
-  static CandidateSpace DeriveRefined(const Graph& g, const QueryInstance& child,
-                                      const Instantiation& parent_inst,
-                                      const CandidateSpace& parent,
-                                      bool use_index = true,
-                                      MatchStats* stats = nullptr);
-
-  /// Candidates of query node `u`, ascending; never null after Build/Derive.
+  /// Candidates of query node `u`, ascending; never null after Build.
   const NodeSet& of(QNodeId u) const { return *per_node_[u].nodes; }
 
   /// Characteristic bitset of `of(u)` for O(1) membership probes.
   const NodeBitset& bits(QNodeId u) const { return *per_node_[u].bits; }
-
-  /// True iff this space and `other` share node `u`'s candidate storage by
-  /// pointer (the copy-on-write contract; used by tests).
-  bool SharesEntryWith(const CandidateSpace& other, QNodeId u) const {
-    return per_node_[u].nodes == other.per_node_[u].nodes &&
-           per_node_[u].bits == other.per_node_[u].bits;
-  }
 
   size_t num_nodes() const { return per_node_.size(); }
 

@@ -113,8 +113,8 @@ class LatticeIndex::Pass {
   }
 
  private:
-  /// A child of a query node in the tree rooted at u_o, reached over one
-  /// template edge.
+  /// A child of a query node in the spanning tree rooted at u_o, reached
+  /// over one template edge.
   struct Child {
     QNodeId node;
     LabelId edge_label;
@@ -131,8 +131,9 @@ class LatticeIndex::Pass {
     std::vector<RangeLiteral> ranges;
     std::vector<Child> children;
   };
-  /// Per query node working buffers. A tree puts each query node on a
-  /// worker's recursion stack at most once, so one set per node suffices.
+  /// Per query node working buffers. The spanning tree puts each query node
+  /// on a worker's recursion stack at most once, so one set per node
+  /// suffices.
   struct Scratch {
     std::vector<Coord> partial, next, options;
     size_t count = 0;
@@ -161,7 +162,9 @@ class LatticeIndex::Pass {
   /// some worker has computed it.
   using Memo = std::unique_ptr<std::atomic<const Coord*>[]>;
 
-  /// Roots the template at u_o and files each node's literals.
+  /// Roots a breadth-first spanning tree of the template at u_o and files
+  /// each node's literals. An edge outside the tree is left out, and its
+  /// edge variable, if any, stays at "present" (top_) in every element.
   Status Orient() {
     const size_t n = tmpl_->num_nodes();
     nodes_.assign(n, NodeInfo{});
@@ -198,9 +201,9 @@ class LatticeIndex::Pass {
             g_->num_nodes());
       }
     }
-    if (reached != n || tmpl_->num_edges() + 1 != n) {
+    if (reached != n) {
       return Status::FailedPrecondition(
-          "lattice index needs a tree-shaped template");
+          "lattice index needs a connected template");
     }
     return Status::OK();
   }
@@ -418,9 +421,7 @@ class LatticeIndex::Pass {
   std::atomic<bool> expired_{false};
 };
 
-bool LatticeIndex::Supports(const QueryTemplate& tmpl,
-                            const VariableDomains& domains) {
-  if (tmpl.num_edges() + 1 != tmpl.num_nodes()) return false;
+bool LatticeIndex::Supports(const VariableDomains& domains) {
   for (RangeVarId x = 0; x < domains.num_vars(); ++x) {
     if (domains.size(x) >
         static_cast<size_t>(std::numeric_limits<Coord>::max())) {
@@ -434,9 +435,9 @@ Result<LatticeIndex> LatticeIndex::Build(const Graph& g,
                                          const QueryTemplate& tmpl,
                                          const VariableDomains& domains,
                                          RunContext* ctx, ThreadPool* pool) {
-  if (!Supports(tmpl, domains)) {
+  if (!Supports(domains)) {
     return Status::FailedPrecondition(
-        "lattice index needs a tree-shaped template");
+        "lattice index coordinates are 16-bit: a range domain is too large");
   }
   FAIRSQG_TRACE_SPAN("lattice_index.build");
   LatticeIndex index;

@@ -17,24 +17,28 @@ namespace fairsqg {
 /// \brief Every instance's homomorphic match set from one bottom-up pass
 /// over the graph (DESIGN.md §14).
 ///
-/// For a tree-shaped template rooted at u_o, the pass computes, for each
-/// query node u and data node w carrying u's label, the antichain A(u, w) of
-/// the maximal variable bindings under which u's subtree embeds
-/// homomorphically with u at w. A binding is one coordinate per variable:
-/// a range variable's domain level (-1 for the wildcard; a node's
-/// coordinate is its VariableDomains::CriticalLevel), an edge variable's
-/// 0 or 1. An optional edge contributes two options: e = 1 with the child's
-/// antichain, or e = 0 with the child's subtree unconstrained. Children are
-/// memoised per data node, so a hub's neighbourhood is scanned once, not
-/// once per output candidate. This is a join-tree evaluation of the
-/// acyclic query (Yannakakis), annotated with the lattice coordinates.
+/// The pass roots a breadth-first spanning tree of the template at u_o and
+/// computes, for each query node u and data node w carrying u's label, the
+/// antichain A(u, w) of the maximal variable bindings under which u's
+/// subtree embeds homomorphically with u at w. A binding is one coordinate
+/// per variable: a range variable's domain level (-1 for the wildcard; a
+/// node's coordinate is its VariableDomains::CriticalLevel), an edge
+/// variable's 0 or 1. An optional edge contributes two options: e = 1 with
+/// the child's antichain, or e = 0 with the child's subtree unconstrained.
+/// Children are memoised per data node, so a hub's neighbourhood is
+/// scanned once, not once per output candidate. This is a join-tree
+/// evaluation of the acyclic query (Yannakakis), annotated with the
+/// lattice coordinates. An edge outside the spanning tree (a template with
+/// a cycle) is left out, and its edge variable, if any, stays at 1 in
+/// every element.
 ///
 /// Each element of an output node's antichain is itself an instantiation
 /// x; the node is listed in x's *frontier* F_x. Lemma 2 then gives every
 /// homomorphic match set: H_x is the union of F_y over the refinements y
-/// of x (y = x included). Under isomorphism H_x is a superset of q_x(G),
-/// and VerifyLattice (core/lattice_verify.h) certifies only the frontier
-/// nodes.
+/// of x (y = x included). H_x equals q_x(G) for a tree template under
+/// homomorphism. Under isomorphism, or when edges were left out, it is a
+/// superset, and VerifyLattice (core/lattice_verify.h) certifies only the
+/// frontier nodes.
 ///
 /// On a pool the pass is data parallel (DESIGN.md §9, §14.1): workers
 /// claim ranges of u_o's candidates and share the memo of A(c, w), each
@@ -49,11 +53,10 @@ namespace fairsqg {
 /// (0 is the wildcard), of an edge variable its binding.
 class LatticeIndex {
  public:
-  /// True when the template with every edge present is a tree — connected
-  /// (QueryTemplate::Validate), with one edge fewer than nodes — and every
-  /// range variable's domain level fits the index's 16-bit coordinates.
-  static bool Supports(const QueryTemplate& tmpl,
-                       const VariableDomains& domains);
+  /// True when every range variable's domain level fits the index's 16-bit
+  /// coordinates. The pass takes any connected template
+  /// (QueryTemplate::Validate), cyclic or not.
+  static bool Supports(const VariableDomains& domains);
 
   /// Runs the pass, as one round on `pool` when it is not null. Fails with
   /// FailedPrecondition when !Supports, and with DeadlineExceeded when

@@ -50,9 +50,9 @@ class SubgraphMatcher {
   MatchSemantics semantics() const { return semantics_; }
 
   /// Computes q(G) given prebuilt candidates. If `output_restrict` is
-  /// non-null, only those nodes are considered as images of u_o — this is
-  /// the incVerify path: a refined child's match set is a subset of its
-  /// parent's (Lemma 2), so the parent's q(G) bounds the search.
+  /// non-null, only those nodes are considered as images of u_o — the
+  /// lattice path's: the pass bounds the instance's answer (Lemma 2), so
+  /// only the candidates it leaves open are tested.
   NodeSet MatchOutput(const QueryInstance& q, const CandidateSpace& candidates,
                       const NodeSet* output_restrict = nullptr);
 

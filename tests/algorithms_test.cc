@@ -113,46 +113,43 @@ TEST(RfQGenTest, ProducesEpsilonParetoSetWithFewerVerifications) {
 TEST(RfQGenTest, OptimizationsPreserveResultQuality) {
   SmallScenario s;
   for (bool tmpl_ref : {true, false}) {
-    for (bool inc : {true, false}) {
-      for (bool subtree : {true, false}) {
-        QGenConfig config = s.Config(0.05);
-        config.use_template_refinement = tmpl_ref;
-        config.use_incremental_verify = inc;
-        config.use_subtree_pruning = subtree;
-        GroundTruth truth(config);
-        QGenResult result = RfQGen::Run(config).ValueOrDie();
-        ExpectEpsilonCoverage(result.pareto, truth.feasible, config.epsilon,
-                              "RfQGen(ablated)");
-      }
+    for (bool subtree : {true, false}) {
+      QGenConfig config = s.Config(0.05);
+      config.use_template_refinement = tmpl_ref;
+      config.use_subtree_pruning = subtree;
+      GroundTruth truth(config);
+      QGenResult result = RfQGen::Run(config).ValueOrDie();
+      ExpectEpsilonCoverage(result.pareto, truth.feasible, config.epsilon,
+                            "RfQGen(ablated)");
     }
   }
 }
 
-// incVerify changes how match sets are found, never how they are scored:
-// archives agree member for member, objectives bit for bit. RfQGen and
-// BiQGen run incVerify only on templates without the lattice path, so the
-// template here has a cycle.
-TEST(IncrementalVerifyTest, ArchivesIdenticalOnAndOff) {
+// A template with a cycle takes the lattice pass too: the pass evaluates it
+// over a spanning tree and certifies every frontier candidate, so every
+// archive member carries its instance's exact match set and the archives
+// cover the per-instance ground truth.
+TEST(CyclicTemplateTest, GeneratorsTakeThePassAndCoverTheGroundTruth) {
   SmallScenario s;
   s.CloseCycle();
-  ASSERT_FALSE(LatticeApplies(s.Config(0.05)));
+  const QGenConfig config = s.Config(0.05);
+  ASSERT_TRUE(LatticeApplies(config));
+  GroundTruth truth(config);
   using Runner = Result<QGenResult> (*)(const QGenConfig&);
   const std::pair<const char*, Runner> generators[] = {
-      {"RfQGen", &RfQGen::Run}, {"BiQGen", &BiQGen::Run}};
+      {"EnumQGen", &EnumQGen::Run},
+      {"RfQGen", &RfQGen::Run},
+      {"BiQGen", &BiQGen::Run}};
   for (const auto& [name, run] : generators) {
     SCOPED_TRACE(name);
-    QGenConfig on = s.Config(0.05);
-    on.use_incremental_verify = true;
-    QGenConfig off = s.Config(0.05);
-    off.use_incremental_verify = false;
-    QGenResult a = run(on).ValueOrDie();
-    QGenResult b = run(off).ValueOrDie();
-    ASSERT_FALSE(a.pareto.empty());
-    ASSERT_EQ(a.pareto.size(), b.pareto.size());
-    for (size_t i = 0; i < a.pareto.size(); ++i) {
-      EXPECT_EQ(a.pareto[i]->inst, b.pareto[i]->inst);
-      EXPECT_EQ(a.pareto[i]->obj.diversity, b.pareto[i]->obj.diversity);
-      EXPECT_EQ(a.pareto[i]->obj.coverage, b.pareto[i]->obj.coverage);
+    QGenResult r = run(config).ValueOrDie();
+    ExpectEpsilonCoverage(r.pareto, truth.feasible, config.epsilon, name);
+    for (const EvaluatedPtr& m : r.pareto) {
+      const auto it = std::find_if(
+          truth.all.begin(), truth.all.end(),
+          [&](const EvaluatedPtr& t) { return t->inst == m->inst; });
+      ASSERT_NE(it, truth.all.end());
+      EXPECT_EQ(m->matches, (*it)->matches);
     }
   }
 }
@@ -186,30 +183,25 @@ struct PinnedBiRun {
   std::vector<std::string> archive;  // Instantiation::ToString, sorted order.
 };
 
-void ExpectPinnedBiRun(const QGenConfig& base, const QueryTemplate& tmpl,
+void ExpectPinnedBiRun(const QGenConfig& config, const QueryTemplate& tmpl,
                        const VariableDomains& domains,
                        const PinnedBiRun& want) {
-  for (bool incremental : {true, false}) {
-    SCOPED_TRACE(incremental ? "incVerify on" : "incVerify off");
-    QGenConfig config = base;
-    config.use_incremental_verify = incremental;
-    QGenResult r = BiQGen::Run(config).ValueOrDie();
-    std::vector<std::string> archive;
-    for (const EvaluatedPtr& q : r.pareto) {
-      archive.push_back(q->inst.ToString(tmpl, domains));
-    }
-    EXPECT_EQ(archive, want.archive);
-    EXPECT_EQ(r.stats.generated, want.generated);
-    EXPECT_EQ(r.stats.verified, want.verified);
-    EXPECT_EQ(r.stats.pruned, want.pruned);
-    EXPECT_EQ(r.stats.pruned_sandwich, want.pruned_sandwich);
-    EXPECT_EQ(r.stats.pruned_subtree, want.pruned_subtree);
-    EXPECT_EQ(r.stats.feasible, want.feasible);
-    // Serial runs dispatch nothing to a pool.
-    EXPECT_EQ(r.stats.enqueued, 0u);
-    EXPECT_EQ(r.stats.stolen, 0u);
-    EXPECT_TRUE(r.stats.per_worker_verify_seconds.empty());
+  QGenResult r = BiQGen::Run(config).ValueOrDie();
+  std::vector<std::string> archive;
+  for (const EvaluatedPtr& q : r.pareto) {
+    archive.push_back(q->inst.ToString(tmpl, domains));
   }
+  EXPECT_EQ(archive, want.archive);
+  EXPECT_EQ(r.stats.generated, want.generated);
+  EXPECT_EQ(r.stats.verified, want.verified);
+  EXPECT_EQ(r.stats.pruned, want.pruned);
+  EXPECT_EQ(r.stats.pruned_sandwich, want.pruned_sandwich);
+  EXPECT_EQ(r.stats.pruned_subtree, want.pruned_subtree);
+  EXPECT_EQ(r.stats.feasible, want.feasible);
+  // Serial runs dispatch nothing to a pool.
+  EXPECT_EQ(r.stats.enqueued, 0u);
+  EXPECT_EQ(r.stats.stolen, 0u);
+  EXPECT_TRUE(r.stats.per_worker_verify_seconds.empty());
 }
 
 TEST(BiQGenTest, SerialExplorationOrderIsPinnedOnSmallScenario) {

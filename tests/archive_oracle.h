@@ -23,12 +23,11 @@
 namespace fairsqg {
 
 /// Every instance of I(Q) verified on its own by the per-instance odometer
-/// (VerifyAllInstances), in odometer order. Template refinement and
-/// incVerify are off, and the LatticeIndex path is not involved, so these evaluations share none of the optimizations the
-/// generators under test rely on.
+/// (VerifyAllInstances), in odometer order. Template refinement is off,
+/// and the LatticeIndex path is not involved, so these evaluations share
+/// none of the optimizations the generators under test rely on.
 inline std::vector<EvaluatedPtr> ReferenceEvaluations(QGenConfig config) {
   config.use_template_refinement = false;
-  config.use_incremental_verify = false;
   InstanceVerifier verifier(config);
   return VerifyAllInstances(config, &verifier, nullptr).ValueOrDie();
 }

@@ -1,6 +1,6 @@
 // Archive oracle: on many small seeded scenarios, the archives of RfQGen,
 // BiQGen and BiQGen::RunParallel at 2 and 4 threads — every pruning and
-// verification toggle on, incVerify on and off — are checked from scratch
+// verification toggle on — are checked from scratch
 // against a per-instance reference (archive_oracle.h). A generator that
 // misses a feasible instance's box, or reports a match set or objective
 // its instantiation does not have, fails here. RunParallel, which runs
@@ -117,32 +117,27 @@ bool CheckScenario(const std::string& dataset, double scale, uint64_t seed,
   size_t replay_verified = 0;
   const std::vector<EvaluatedPtr> replay =
       ReplayRfQGen(config, evaluations, &replay_verified);
-  for (bool incremental : {true, false}) {
-    config.use_incremental_verify = incremental;
-    std::vector<EvaluatedPtr> bi_archive;  // BiQGen::Run's, for RunParallel.
-    for (const auto& [name, run] : generators) {
-      Result<QGenResult> result = run(config);
-      EXPECT_TRUE(result.ok()) << result.status().ToString();
-      if (!result.ok()) continue;
-      EXPECT_EQ(CheckArchive(config, result->pareto, reference), "")
-          << name << " incVerify=" << incremental << where;
-      if (std::string_view(name) == "BiQGen") bi_archive = result->pareto;
-      if (std::string_view(name).starts_with("BiQGen::RunParallel")) {
-        EXPECT_EQ(CompareArchives(*config.tmpl, *config.domains,
-                                  result->pareto, bi_archive),
-                  "")
-            << name << " against BiQGen::Run, incVerify=" << incremental
-            << where;
-      }
-      if (std::string_view(name) == "RfQGen") {
-        EXPECT_EQ(CompareArchives(*config.tmpl, *config.domains,
-                                  result->pareto, replay),
-                  "")
-            << "RfQGen against the Fig. 3 replay, incVerify=" << incremental
-            << where;
-        EXPECT_EQ(result->stats.verified, replay_verified)
-            << "RfQGen incVerify=" << incremental << where;
-      }
+  std::vector<EvaluatedPtr> bi_archive;  // BiQGen::Run's, for RunParallel.
+  for (const auto& [name, run] : generators) {
+    Result<QGenResult> result = run(config);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) continue;
+    EXPECT_EQ(CheckArchive(config, result->pareto, reference), "")
+        << name << where;
+    if (std::string_view(name) == "BiQGen") bi_archive = result->pareto;
+    if (std::string_view(name).starts_with("BiQGen::RunParallel")) {
+      EXPECT_EQ(CompareArchives(*config.tmpl, *config.domains,
+                                result->pareto, bi_archive),
+                "")
+          << name << " against BiQGen::Run" << where;
+    }
+    if (std::string_view(name) == "RfQGen") {
+      EXPECT_EQ(CompareArchives(*config.tmpl, *config.domains,
+                                result->pareto, replay),
+                "")
+          << "RfQGen against the Fig. 3 replay" << where;
+      EXPECT_EQ(result->stats.verified, replay_verified)
+          << "RfQGen" << where;
     }
   }
   return true;

@@ -10,7 +10,6 @@
 #include "matching/candidate_space.h"
 #include "query/domains.h"
 #include "query/instance.h"
-#include "query/refinement.h"
 
 namespace fairsqg {
 namespace {
@@ -286,114 +285,13 @@ TEST_F(CandidateBuildPropertyTest, IndexedBuildEqualsScanBuild) {
   }
 }
 
-TEST_F(CandidateBuildPropertyTest, IndexedDeriveRefinedEqualsScanDerive) {
-  Rng rng(7);
-  for (int trial = 0; trial < 25; ++trial) {
-    size_t n = 30 + rng.NextBounded(200);
-    Graph g = RandomGraph(&rng, n);
-    QueryTemplate tmpl(g.schema_ptr());
-    QNodeId u0 = tmpl.AddNode("user");
-    QNodeId u1 = tmpl.AddNode("director");
-    tmpl.SetOutputNode(u1);
-    RangeVarId x0 = tmpl.AddRangeLiteral(u0, "a", CompareOp::kGe);
-    if (rng.NextBernoulli(0.5)) {
-      tmpl.AddLiteral(u0, "b", RandomOp(&rng), RandomConstant(&rng));
-    }
-    tmpl.AddEdge(u0, u1, "rec");
-    VariableDomains domains = VariableDomains::Build(g, tmpl).ValueOrDie();
-    if (domains.size(x0) < 2) continue;  // Need a refinement step.
-
-    QueryInstance parent_q = QueryInstance::Materialize(
-        tmpl, domains, Instantiation({kWildcardBinding}, {}));
-    QueryInstance child_q =
-        QueryInstance::Materialize(tmpl, domains, Instantiation({1}, {}));
-    CandidateSpace parent = CandidateSpace::Build(g, parent_q);
-    CandidateSpace indexed = CandidateSpace::DeriveRefined(
-        g, child_q, parent_q.instantiation(), parent, /*use_index=*/true);
-    CandidateSpace scanned = CandidateSpace::DeriveRefined(
-        g, child_q, parent_q.instantiation(), parent, /*use_index=*/false);
-    for (QNodeId u = 0; u < tmpl.num_nodes(); ++u) {
-      EXPECT_EQ(indexed.of(u), scanned.of(u)) << "trial=" << trial << " u=" << u;
-      EXPECT_EQ(indexed.bits(u).Count(), indexed.of(u).size());
-    }
-  }
-
-  // Contexts two or more lattice steps stale: range steps on different
-  // query nodes mixed with edge steps. Every node must equal a fresh Build
-  // of the child, and every node whose range bindings did not change must
-  // still share the context's entry.
-  size_t mixed = 0;
-  for (int trial = 0; trial < 40; ++trial) {
-    Graph g = RandomGraph(&rng, 30 + rng.NextBounded(200));
-    QueryTemplate tmpl(g.schema_ptr());
-    QNodeId u0 = tmpl.AddNode("user");
-    QNodeId u1 = tmpl.AddNode("director");
-    QNodeId u2 = tmpl.AddNode("user");
-    tmpl.SetOutputNode(u1);
-    tmpl.AddRangeLiteral(u0, "a", CompareOp::kGe);  // x0
-    tmpl.AddRangeLiteral(u1, "a", CompareOp::kLe);  // x1
-    tmpl.AddRangeLiteral(u2, "b", CompareOp::kGt);  // x2
-    tmpl.AddRangeLiteral(u0, "b", CompareOp::kLt);  // x3, u0's second literal
-    tmpl.AddEdge(u0, u1, "rec");
-    tmpl.AddVariableEdge(u2, u1, "rec");            // e0
-    tmpl.AddVariableEdge(u0, u2, "rec");            // e1
-    VariableDomains domains = VariableDomains::Build(g, tmpl).ValueOrDie();
-    auto walk = [&](Instantiation inst, size_t steps) {
-      for (size_t i = 0; i < steps; ++i) {
-        auto children = LatticeNeighbors::RefineChildren(
-            tmpl, domains, inst, RefinementHints::None(tmpl));
-        if (children.empty()) break;
-        inst = children[rng.NextBounded(children.size())].inst;
-      }
-      return inst;
-    };
-    const Instantiation ctx_inst =
-        walk(Instantiation::MostRelaxed(tmpl), rng.NextBounded(3));
-    const Instantiation child_inst = walk(ctx_inst, 2 + rng.NextBounded(4));
-    QueryInstance ctx_q = QueryInstance::Materialize(tmpl, domains, ctx_inst);
-    QueryInstance child_q =
-        QueryInstance::Materialize(tmpl, domains, child_inst);
-
-    std::vector<bool> changed(tmpl.num_nodes(), false);
-    for (RangeVarId x = 0; x < tmpl.num_range_vars(); ++x) {
-      if (child_inst.range_binding(x) != ctx_inst.range_binding(x)) {
-        changed[tmpl.literals()[tmpl.literal_of_var(x)].node] = true;
-      }
-    }
-    bool edge_step = false;
-    for (EdgeVarId x = 0; x < tmpl.num_edge_vars(); ++x) {
-      edge_step |= child_inst.edge_binding(x) != ctx_inst.edge_binding(x);
-    }
-    if (edge_step && std::count(changed.begin(), changed.end(), true) >= 2) {
-      ++mixed;
-    }
-
-    CandidateSpace context = CandidateSpace::Build(g, ctx_q);
-    CandidateSpace fresh = CandidateSpace::Build(g, child_q);
-    for (bool use_index : {true, false}) {
-      CandidateSpace derived = CandidateSpace::DeriveRefined(
-          g, child_q, ctx_inst, context, use_index);
-      for (QNodeId u = 0; u < tmpl.num_nodes(); ++u) {
-        EXPECT_EQ(derived.of(u), fresh.of(u))
-            << "trial=" << trial << " u=" << u << " use_index=" << use_index;
-        EXPECT_EQ(derived.bits(u).Count(), derived.of(u).size());
-        if (!changed[u]) {
-          EXPECT_TRUE(derived.SharesEntryWith(context, u))
-              << "trial=" << trial << " u=" << u;
-        }
-      }
-    }
-  }
-  EXPECT_GT(mixed, 0u) << "no trial mixed an edge step with two range nodes";
-}
-
-struct CowFixture {
+struct AliasFixture {
   std::shared_ptr<Schema> schema = std::make_shared<Schema>();
   Graph graph;
   QueryTemplate tmpl;
   std::unique_ptr<VariableDomains> domains;
 
-  CowFixture() : graph(Make(schema)), tmpl(schema) {
+  AliasFixture() : graph(Make(schema)), tmpl(schema) {
     QNodeId u0 = tmpl.AddNode("user");
     QNodeId u1 = tmpl.AddNode("director");
     QNodeId u2 = tmpl.AddNode("user");
@@ -422,39 +320,8 @@ struct CowFixture {
   }
 };
 
-TEST(CandidateSpaceCowTest, RefinementSharesUnchangedNodesByPointer) {
-  CowFixture f;
-  QueryInstance parent_q = f.Materialize(kWildcardBinding, 0);
-  QueryInstance child_q = f.Materialize(0, 0);
-  CandidateSpace parent = CandidateSpace::Build(f.graph, parent_q);
-  CandidateSpace child = CandidateSpace::DeriveRefined(
-      f.graph, child_q, parent_q.instantiation(), parent);
-  // u0 carries the changed literal: fresh storage. u1, u2 untouched: the
-  // exact same heap objects, not equal copies.
-  EXPECT_FALSE(child.SharesEntryWith(parent, 0));
-  EXPECT_TRUE(child.SharesEntryWith(parent, 1));
-  EXPECT_TRUE(child.SharesEntryWith(parent, 2));
-  EXPECT_NE(&child.of(0), &parent.of(0));
-  EXPECT_EQ(&child.of(1), &parent.of(1));
-  EXPECT_EQ(&child.of(2), &parent.of(2));
-}
-
-TEST(CandidateSpaceCowTest, EdgeVariableStepCopiesNothing) {
-  CowFixture f;
-  QueryInstance parent_q = f.Materialize(0, 0);
-  QueryInstance child_q = f.Materialize(0, 1);
-  CandidateSpace parent = CandidateSpace::Build(f.graph, parent_q);
-  CandidateSpace child = CandidateSpace::DeriveRefined(
-      f.graph, child_q, parent_q.instantiation(), parent);
-  for (QNodeId u = 0; u < 3; ++u) {
-    EXPECT_TRUE(child.SharesEntryWith(parent, u)) << "u=" << u;
-    EXPECT_EQ(&child.of(u), &parent.of(u)) << "u=" << u;
-    EXPECT_EQ(&child.bits(u), &parent.bits(u)) << "u=" << u;
-  }
-}
-
 TEST(CandidateSpaceTest, UnconstrainedNodeAliasesGraphLabelSet) {
-  CowFixture f;
+  AliasFixture f;
   QueryInstance q = f.Materialize(kWildcardBinding, 0);
   CandidateSpace space = CandidateSpace::Build(f.graph, q);
   LabelId user = f.graph.schema().NodeLabelId("user");

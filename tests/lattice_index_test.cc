@@ -4,7 +4,9 @@
 // isomorphism — must equal SubgraphMatcher::MatchOutput and the brute-force
 // oracle, under both matching semantics. The templates mix 1–4 range
 // variables (>= and <=), fixed literals, empty domains, up to two optional
-// edges (one of them above a subtree), and repeated labels.
+// edges (one of them above a subtree), and repeated labels. The same trees
+// with one closing edge, fixed or optional, give cyclic templates, which
+// the pass evaluates over a spanning tree.
 
 #include <algorithm>
 #include <memory>
@@ -24,7 +26,6 @@
 #include "core/groups.h"
 #include "core/kungs.h"
 #include "core/lattice_verify.h"
-#include "core/match_cache.h"
 #include "core/rf_qgen.h"
 #include "core/verifier.h"
 #include "graph/graph_builder.h"
@@ -133,16 +134,61 @@ std::unique_ptr<QueryTemplate> MakeTreeTemplate(
   return t;
 }
 
+/// Adds one edge between two nodes of `t` that the graph's labels allow
+/// (movie–movie sequel either way, a person to a movie), closing a cycle.
+/// Returns false when the drawn pairs allow no new edge.
+bool AddClosingEdge(Rng* rng, QueryTemplate* t) {
+  const size_t n = t->num_nodes();
+  const LabelId movie = t->schema().NodeLabelId("movie");
+  const LabelId director = t->schema().NodeLabelId("director");
+  for (int attempt = 0; attempt < 4; ++attempt) {
+    QNodeId from = static_cast<QNodeId>(rng->NextBounded(n));
+    QNodeId to = static_cast<QNodeId>(rng->NextBounded(n));
+    if (from == to) continue;
+    std::string edge = "sequel";
+    if (t->node_label(from) == movie && t->node_label(to) == movie) {
+      // Either direction; a reverse sequel closes a 2-cycle.
+    } else if (t->node_label(from) == movie || t->node_label(to) == movie) {
+      if (t->node_label(from) == movie) std::swap(from, to);  // Person first.
+      edge = t->node_label(from) == director ? "directs" : "stars";
+    } else {
+      continue;  // Two people: no edge label joins them.
+    }
+    const LabelId label = t->schema().EdgeLabelId(edge);
+    const bool duplicate = std::any_of(
+        t->edges().begin(), t->edges().end(), [&](const QueryEdge& e) {
+          return e.from == from && e.to == to && e.label == label;
+        });
+    if (duplicate) continue;
+    if (rng->NextBernoulli(0.5)) {
+      t->AddVariableEdge(from, to, edge);
+    } else {
+      t->AddEdge(from, to, edge);
+    }
+    return true;
+  }
+  return false;
+}
+
 struct Fixture {
   std::shared_ptr<Schema> schema = std::make_shared<Schema>();
   Graph graph;
   std::unique_ptr<QueryTemplate> tmpl;
   std::unique_ptr<VariableDomains> domains;
   std::unique_ptr<GroupSet> groups;
+  /// Whether a closing edge was added (only when asked for).
+  bool cyclic = false;
 
-  explicit Fixture(uint64_t seed) : graph(MakeMovieGraph(seed, schema)) {
+  /// The seed's random tree template, plus one closing edge when
+  /// `close_cycle` and the drawn pairs allow one.
+  explicit Fixture(uint64_t seed, bool close_cycle = false)
+      : graph(MakeMovieGraph(seed, schema)) {
     Rng rng(seed * 7919 + 3);
     tmpl = MakeTreeTemplate(&rng, schema);
+    if (close_cycle) {
+      Rng closing(seed * 104729 + 11);
+      cyclic = AddClosingEdge(&closing, tmpl.get());
+    }
     domains = std::make_unique<VariableDomains>(
         VariableDomains::Build(graph, *tmpl).ValueOrDie().Coarsened(3));
     groups = std::make_unique<GroupSet>(
@@ -164,10 +210,9 @@ struct Fixture {
   }
 };
 
-class LatticeIndexTest : public testing::TestWithParam<int> {};
-
-TEST_P(LatticeIndexTest, DerivedSetsMatchMatcherAndBruteForce) {
-  Fixture f(static_cast<uint64_t>(GetParam()));
+/// Every instance's set from one VerifyLattice run equals MatchOutput and
+/// the brute-force oracle, under both semantics.
+void ExpectDerivedSetsExact(const Fixture& f) {
   ASSERT_TRUE(f.tmpl->Validate().ok()) << f.tmpl->ToString();
   ASSERT_TRUE(LatticeApplies(f.Config(MatchSemantics::kIsomorphism)));
   for (MatchSemantics semantics :
@@ -201,7 +246,59 @@ TEST_P(LatticeIndexTest, DerivedSetsMatchMatcherAndBruteForce) {
   }
 }
 
+class LatticeIndexTest : public testing::TestWithParam<int> {};
+
+TEST_P(LatticeIndexTest, DerivedSetsMatchMatcherAndBruteForce) {
+  ExpectDerivedSetsExact(Fixture(static_cast<uint64_t>(GetParam())));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, LatticeIndexTest, testing::Range(0, 48));
+
+TEST(LatticeIndexCyclicTest, DerivedSetsMatchMatcherAndBruteForce) {
+  // The spanning tree leaves the closing edge out; certification under
+  // both semantics must make every set exact again.
+  constexpr int kSeeds = 300;
+  size_t cyclic = 0, optional = 0;
+  // Instances whose homomorphic answer the closing edge shrinks: there the
+  // spanning tree's frontier is a strict superset, and only certification
+  // gets the set right.
+  size_t shrunk = 0;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    Fixture f(static_cast<uint64_t>(seed), /*close_cycle=*/true);
+    if (!f.cyclic) continue;
+    ++cyclic;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectDerivedSetsExact(f);
+    if (HasFatalFailure()) return;
+    if (f.tmpl->edges().back().is_variable()) {
+      ++optional;
+      continue;
+    }
+    // A fixed closing edge adds no variable: the tree template has the
+    // same instances.
+    const Fixture tree(static_cast<uint64_t>(seed));
+    InstantiationEnumerator it(*f.tmpl, *f.domains);
+    Instantiation inst;
+    while (it.Next(&inst)) {
+      shrunk += BruteForceMatchOutput(
+                    f.graph,
+                    QueryInstance::Materialize(*f.tmpl, *f.domains, inst),
+                    MatchSemantics::kHomomorphism) !=
+                BruteForceMatchOutput(
+                    tree.graph,
+                    QueryInstance::Materialize(*tree.tmpl, *tree.domains, inst),
+                    MatchSemantics::kHomomorphism);
+    }
+  }
+  // Most seeds draw a pair that admits a closing edge, of either kind.
+  RecordProperty("cyclic_templates", static_cast<int>(cyclic));
+  RecordProperty("optional_closing_edges", static_cast<int>(optional));
+  RecordProperty("shrunk_instances", static_cast<int>(shrunk));
+  EXPECT_GE(cyclic, 150u);
+  EXPECT_GT(optional, 0u);
+  EXPECT_LT(optional, cyclic);
+  EXPECT_GT(shrunk, 0u);
+}
 
 TEST(LatticeIndexCoverageTest, SeedsExerciseTheFeatures) {
   // The seeds above must reach every feature the test claims: optional
@@ -254,8 +351,9 @@ TEST(LatticeIndexCoverageTest, SeedsExerciseTheFeatures) {
 }
 
 /// movie -sequel-> movie -sequel-> movie -sequel-> back to the first: a
-/// cycle, which the pass does not cover.
-TEST(LatticeIndexFallbackTest, CyclicTemplateTakesPerInstancePath) {
+/// cycle, which the pass evaluates over a spanning tree. Only a space over
+/// kMaxLatticeInstances keeps the per-instance path.
+TEST(LatticeIndexFallbackTest, OnlyOversizedSpacesTakePerInstancePath) {
   Fixture f(5);
   QueryTemplate cyclic(f.schema);
   QNodeId a = cyclic.AddNode("movie");
@@ -268,21 +366,47 @@ TEST(LatticeIndexFallbackTest, CyclicTemplateTakesPerInstancePath) {
   cyclic.AddVariableEdge(c, a, "sequel");
   VariableDomains domains =
       VariableDomains::Build(f.graph, cyclic).ValueOrDie().Coarsened(3);
-  EXPECT_FALSE(LatticeIndex::Supports(cyclic, domains));
-  EXPECT_EQ(LatticeIndex::Build(f.graph, cyclic, domains).status().code(),
-            StatusCode::kFailedPrecondition);
-
+  ASSERT_TRUE(LatticeIndex::Supports(domains));
   QGenConfig config = f.Config(MatchSemantics::kIsomorphism);
   config.tmpl = &cyclic;
   config.domains = &domains;
+  ASSERT_TRUE(LatticeApplies(config));
+  for (MatchSemantics semantics :
+       {MatchSemantics::kIsomorphism, MatchSemantics::kHomomorphism}) {
+    config.semantics = semantics;
+    InstanceVerifier verifier(config);
+    InstanceVerifier* const verifiers[] = {&verifier};
+    GenStats stats;
+    const std::vector<EvaluatedPtr> sets =
+        EvaluateLattice(config, /*pool=*/nullptr, verifiers, &stats);
+    ASSERT_EQ(sets.size(), domains.InstanceSpaceSize(cyclic));
+    for (const EvaluatedPtr& e : sets) {
+      ASSERT_NE(e, nullptr);
+      QueryInstance q = QueryInstance::Materialize(cyclic, domains, e->inst);
+      EXPECT_EQ(e->matches, BruteForceMatchOutput(f.graph, q, semantics))
+          << e->inst.ToString(cyclic, domains);
+    }
+  }
+
+  // Ten range variables over the year and rating domains: millions of
+  // instances, past the level list's cap. Only LatticeApplies is checked;
+  // the space is never run.
+  QueryTemplate wide(f.schema);
+  QNodeId m = wide.AddNode("movie");
+  QNodeId n = wide.AddNode("movie");
+  wide.SetOutputNode(m);
+  wide.AddEdge(m, n, "sequel");
+  for (int i = 0; i < 10; ++i) {
+    wide.AddRangeLiteral(i % 2 == 0 ? m : n, i % 3 == 0 ? "year" : "rating",
+                         i % 2 == 0 ? CompareOp::kGe : CompareOp::kLe);
+  }
+  VariableDomains wide_domains =
+      VariableDomains::Build(f.graph, wide).ValueOrDie();
+  ASSERT_GT(wide_domains.InstanceSpaceSize(wide), kMaxLatticeInstances);
+  EXPECT_TRUE(LatticeIndex::Supports(wide_domains));
+  config.tmpl = &wide;
+  config.domains = &wide_domains;
   EXPECT_FALSE(LatticeApplies(config));
-  // The per-instance path consults the match-set cache for every
-  // instance; the lattice path never does.
-  MatchSetCache cache;
-  config.match_cache = &cache;
-  QGenResult r = EnumQGen::Run(config).ValueOrDie();
-  EXPECT_EQ(r.stats.verified, domains.InstanceSpaceSize(cyclic));
-  EXPECT_EQ(r.stats.cache_hits + r.stats.cache_misses, r.stats.verified);
 }
 
 TEST(LatticeIndexDeadlineTest, HardExpiredContextAbortsThePass) {
@@ -349,7 +473,7 @@ TEST(LatticeIndexPoolTest, DbpTemplateGivesSerialFrontiersAtAnyWorkerCount) {
   size_t checked = 0;
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     Result<Scenario> s = MakeScenario(OracleScenarioOptions("dbp", 1.0, seed, 8));
-    if (!s.ok() || !LatticeIndex::Supports(*s->tmpl, *s->domains)) continue;
+    if (!s.ok() || !LatticeIndex::Supports(*s->domains)) continue;
     const Graph& g = s->dataset.graph;
     ASSERT_GT(g.NodesWithLabel(s->tmpl->node_label(s->tmpl->output_node()))
                   .size(),

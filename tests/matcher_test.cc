@@ -136,20 +136,6 @@ TEST(SubgraphMatcherTest, OutputRestrictLimitsResults) {
   EXPECT_TRUE(m.MatchOutput(q, cands, &empty).empty());
 }
 
-TEST(SubgraphMatcherTest, DerivedCandidatesMatchFreshBuild) {
-  TalentFixture f;
-  QueryInstance parent = f.Materialize(1);
-  QueryInstance child = f.Materialize(2);
-  CandidateSpace parent_cands = CandidateSpace::Build(f.graph, parent);
-  CandidateSpace derived =
-      CandidateSpace::DeriveRefined(f.graph, child, parent.instantiation(),
-                                    parent_cands);
-  CandidateSpace fresh = CandidateSpace::Build(f.graph, child);
-  for (QNodeId u = 0; u < f.tmpl.num_nodes(); ++u) {
-    EXPECT_EQ(derived.of(u), fresh.of(u)) << "node " << u;
-  }
-}
-
 TEST(SubgraphMatcherTest, StatsAccumulate) {
   TalentFixture f;
   SubgraphMatcher m(f.graph);

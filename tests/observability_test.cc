@@ -17,6 +17,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -230,12 +231,38 @@ TEST(ObservabilityTest, PhaseDetailOmitsPerInstanceSpans) {
   obs::Tracer::Global().Disable();
   ASSERT_FALSE(spans.empty());
   for (const obs::SpanRecord& rec : spans) {
-    // "verify" / "match" / "evaluate" spans are kFull-only; at kPhase the
-    // buffer holds only coarse phases, keeping overhead near zero.
+    // "verify" / "match" / "evaluate" / "gather" spans are kFull-only; at
+    // kPhase the buffer holds only coarse phases, keeping overhead near zero.
     EXPECT_STRNE(rec.name, "verify") << "per-instance span at phase detail";
+    EXPECT_STRNE(rec.name, "gather") << "per-instance span at phase detail";
     EXPECT_STRNE(rec.name, "match") << "per-instance span at phase detail";
     EXPECT_STRNE(rec.name, "evaluate") << "per-instance span at phase detail";
   }
+}
+
+TEST(ObservabilityTest, LatticeCertifyNamesItsGatherWork) {
+  // At full detail each instance's set unions (its refinements' sets and
+  // the candidates left to test) are one "gather" span under the level
+  // walk's "lattice.certify", beside the instance's "verify".
+  SmallScenario s;
+  ObsGuard guard;
+  obs::Tracer::Global().Enable(obs::TraceDetail::kFull);
+  QGenResult r = EnumQGen::Run(s.Config(0.05)).ValueOrDie();
+  std::vector<obs::SpanRecord> spans = obs::Tracer::Global().Snapshot();
+  obs::Tracer::Global().Disable();
+  ASSERT_EQ(obs::Tracer::Global().dropped(), 0u);
+  uint64_t certify = 0;
+  for (const obs::SpanRecord& rec : spans) {
+    if (std::string_view(rec.name) == "lattice.certify") certify = rec.id;
+  }
+  ASSERT_NE(certify, 0u);
+  size_t gathers = 0;
+  for (const obs::SpanRecord& rec : spans) {
+    if (std::string_view(rec.name) != "gather") continue;
+    ++gathers;
+    EXPECT_EQ(rec.parent, certify);
+  }
+  EXPECT_EQ(gathers, r.stats.verified);
 }
 
 TEST(ObservabilityTest, ParallelQGenRecordsDiversityIndexAndPassSpans) {

@@ -66,8 +66,8 @@ struct SmallScenario {
   }
 
   /// Adds the template edge u2 -worksAt-> org, which closes the cycle
-  /// director - u1 - org - u2. The lattice pass needs a tree, so the
-  /// generators then take their per-instance incVerify paths.
+  /// director - u1 - org - u2. The lattice pass then runs over a spanning
+  /// tree and certifies every frontier candidate (DESIGN.md §14).
   void CloseCycle() { tmpl->AddEdge(2, 3, "worksAt"); }
 
   QGenConfig Config(double epsilon = 0.05) const {

@@ -1,5 +1,8 @@
 #include "core/verifier.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 #include "core/enumerate.h"
@@ -29,27 +32,34 @@ TEST(VerifierTest, VerifySequenceNumbersIncrease) {
   EXPECT_EQ(verifier.num_verified(), 2u);
 }
 
+// VerifyPartial, the lattice walk's entry point, bounded by a verified
+// neighbour in either direction of Lemma 2: a refinement's matches lie
+// within the neighbour's, and a relaxation keeps every neighbour match.
 TEST(VerifierTest, RefinedVerificationMatchesFull) {
   SmallScenario s;
   QGenConfig config = s.Config();
   InstanceVerifier verifier(config);
 
   Instantiation root = Instantiation::MostRelaxed(*s.tmpl);
-  auto root_cands = std::make_shared<CandidateSpace>();
-  EvaluatedPtr root_eval = verifier.Verify(root, nullptr, root_cands.get());
-  const VerifyContext root_ctx{root_eval, root_cands};
+  EvaluatedPtr root_eval = verifier.Verify(root);
 
-  // Walk every one-step refinement and compare incremental vs full.
   auto children = LatticeNeighbors::RefineChildren(
       *s.tmpl, *s.domains, root, RefinementHints::None(*s.tmpl));
   ASSERT_FALSE(children.empty());
   for (const LatticeStep& step : children) {
-    EvaluatedPtr inc = verifier.Verify(step.inst, &root_ctx);
+    NodeSet rejected;
+    EvaluatedPtr partial =
+        verifier.VerifyPartial(step.inst, {}, root_eval->matches, &rejected);
     EvaluatedPtr full = verifier.Verify(step.inst);
-    EXPECT_EQ(inc->matches, full->matches);
-    EXPECT_EQ(inc->obj.diversity, full->obj.diversity);  // Same set, same δ.
-    EXPECT_DOUBLE_EQ(inc->obj.coverage, full->obj.coverage);
-    EXPECT_EQ(inc->feasible, full->feasible);
+    EXPECT_EQ(partial->matches, full->matches);
+    EXPECT_EQ(partial->obj.diversity, full->obj.diversity);  // Same set.
+    EXPECT_DOUBLE_EQ(partial->obj.coverage, full->obj.coverage);
+    EXPECT_EQ(partial->feasible, full->feasible);
+    NodeSet failed;
+    std::set_difference(root_eval->matches.begin(), root_eval->matches.end(),
+                        full->matches.begin(), full->matches.end(),
+                        std::back_inserter(failed));
+    EXPECT_EQ(rejected, failed);
   }
 }
 
@@ -59,19 +69,16 @@ TEST(VerifierTest, RefinedChainTwoLevels) {
   InstanceVerifier verifier(config);
 
   Instantiation root = Instantiation::MostRelaxed(*s.tmpl);
-  auto c0 = std::make_shared<CandidateSpace>();
-  EvaluatedPtr e0 = verifier.Verify(root, nullptr, c0.get());
+  EvaluatedPtr e0 = verifier.Verify(root);
 
   Instantiation mid = root;
   mid.set_range_binding(0, 1);
-  auto c1 = std::make_shared<CandidateSpace>();
-  const VerifyContext ctx0{e0, c0};
-  EvaluatedPtr e1 = verifier.Verify(mid, &ctx0, c1.get());
+  NodeSet rejected;
+  EvaluatedPtr e1 = verifier.VerifyPartial(mid, {}, e0->matches, &rejected);
 
   Instantiation leaf = mid;
   leaf.set_edge_binding(0, 1);
-  const VerifyContext ctx1{e1, c1};
-  EvaluatedPtr e2 = verifier.Verify(leaf, &ctx1);
+  EvaluatedPtr e2 = verifier.VerifyPartial(leaf, {}, e1->matches, &rejected);
   EvaluatedPtr full = verifier.Verify(leaf);
   EXPECT_EQ(e2->matches, full->matches);
 }
@@ -83,16 +90,24 @@ TEST(VerifierTest, RelaxedVerificationMatchesFull) {
 
   Instantiation bottom = Instantiation::MostRefined(*s.tmpl, *s.domains);
   EvaluatedPtr bottom_eval = verifier.Verify(bottom);
-  const VerifyContext bottom_ctx{bottom_eval, nullptr};
+  // Every output candidate the bottom's matches leave open.
+  const NodeSet& directors =
+      s.graph.NodesWithLabel(s.tmpl->node_label(s.tmpl->output_node()));
+  NodeSet open;
+  std::set_difference(directors.begin(), directors.end(),
+                      bottom_eval->matches.begin(), bottom_eval->matches.end(),
+                      std::back_inserter(open));
 
   auto children = LatticeNeighbors::RelaxChildren(*s.tmpl, *s.domains, bottom);
   ASSERT_FALSE(children.empty());
   for (const LatticeStep& step : children) {
-    EvaluatedPtr inc = verifier.Verify(step.inst, &bottom_ctx);
+    NodeSet rejected;
+    EvaluatedPtr partial = verifier.VerifyPartial(
+        step.inst, bottom_eval->matches, open, &rejected);
     EvaluatedPtr full = verifier.Verify(step.inst);
-    EXPECT_EQ(inc->matches, full->matches);
-    EXPECT_EQ(inc->obj.diversity, full->obj.diversity);  // Same set, same δ.
-    EXPECT_DOUBLE_EQ(inc->obj.coverage, full->obj.coverage);
+    EXPECT_EQ(partial->matches, full->matches);
+    EXPECT_EQ(partial->obj.diversity, full->obj.diversity);  // Same set.
+    EXPECT_DOUBLE_EQ(partial->obj.coverage, full->obj.coverage);
   }
 }
 
@@ -123,22 +138,6 @@ TEST(VerifierTest, Lemma2MonotonicityAcrossLattice) {
       }
     }
   }
-}
-
-TEST(VerifierTest, IncrementalDisabledFallsBackToFull) {
-  SmallScenario s;
-  QGenConfig config = s.Config();
-  config.use_incremental_verify = false;
-  InstanceVerifier verifier(config);
-  Instantiation root = Instantiation::MostRelaxed(*s.tmpl);
-  auto cands = std::make_shared<CandidateSpace>();
-  EvaluatedPtr root_eval = verifier.Verify(root, nullptr, cands.get());
-  Instantiation child = root;
-  child.set_range_binding(0, 0);
-  const VerifyContext ctx{root_eval, cands};
-  EvaluatedPtr inc = verifier.Verify(child, &ctx);
-  EvaluatedPtr full = verifier.Verify(child);
-  EXPECT_EQ(inc->matches, full->matches);
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 // match counts, diversity, coverage, and per-group coverage.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,7 +21,6 @@
 #include "core/bi_qgen.h"
 #include "core/enum_qgen.h"
 #include "core/kungs.h"
-#include "core/match_cache.h"
 #include "core/parallel_qgen.h"
 #include "core/pareto_archive.h"
 #include "core/rf_qgen.h"
@@ -143,10 +141,6 @@ int CmdGenerate(int argc, char** argv) {
   flags.DefineDouble("lambda", 0.5, "diversity relevance/dissimilarity balance");
   flags.DefineBool("candidate-index", true,
                    "resolve candidates via attribute range indexes");
-  flags.DefineInt64("match-cache-mb", 64,
-                    "match-set cache budget in MiB (0 disables the cache)");
-  flags.DefineInt64("match-cache-shards", 16,
-                    "lock shards of the match-set cache");
   flags.DefineInt64("deadline-ms", 0,
                     "wall-clock budget in milliseconds (0 = unlimited)");
   flags.DefineInt64("match-step-limit", 0,
@@ -210,19 +204,6 @@ int CmdGenerate(int argc, char** argv) {
   config.epsilon = flags.GetDouble("eps");
   config.diversity.lambda = flags.GetDouble("lambda");
   config.use_candidate_index = flags.GetBool("candidate-index");
-  std::unique_ptr<MatchSetCache> cache;
-  if (flags.GetInt64("match-cache-mb") > 0) {
-    MatchSetCache::Options cache_options;
-    cache_options.capacity_bytes =
-        static_cast<size_t>(flags.GetInt64("match-cache-mb")) << 20;
-    cache_options.num_shards =
-        static_cast<size_t>(flags.GetInt64("match-cache-shards"));
-    Result<std::unique_ptr<MatchSetCache>> made =
-        MatchSetCache::Create(cache_options);
-    if (!made.ok()) return Fail(made.status());
-    cache = std::move(*made);
-    config.match_cache = cache.get();
-  }
 
   RunContext run_context;
   if (flags.GetInt64("deadline-ms") > 0 ||
@@ -307,12 +288,6 @@ int CmdGenerate(int argc, char** argv) {
                  result->stats.deadline_exceeded ? "true" : "false",
                  result->stats.aborted_matches,
                  result->stats.timed_out_instances);
-  }
-  if (cache != nullptr) {
-    MatchSetCache::CacheStats cs = cache->GetStats();
-    std::printf("match cache: %u hits, %u misses, %zu entries (%.1f MiB)\n",
-                result->stats.cache_hits, result->stats.cache_misses,
-                cs.entries, static_cast<double>(cs.bytes) / (1 << 20));
   }
   for (const EvaluatedPtr& q : result->pareto) {
     std::printf("  %s -> %zu matches, delta=%.3f, f=%.1f (",
