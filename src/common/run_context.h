@@ -35,7 +35,7 @@ enum class ExpiryPolicy {
 ///    cannot outlive the deadline by more than one poll interval;
 ///  - `Expired()` additionally reports the verification-budget trip, and is
 ///    consulted only at scheduling sites (the sequential step loop, the
-///    lattice pass's level cursor, the odometer's chunk dispatcher). A
+///    lattice pass's level cursor, the odometer's enumerator). A
 ///    budget trip therefore never aborts a match midway:
 ///    already-scheduled work completes, so the verified set is exactly the
 ///    first N instances of the deterministic schedule.

@@ -36,12 +36,8 @@ constexpr size_t kBackwardBeam = 2;
 struct BiExplorer {
   const QGenConfig& config;
   QGenResult* result;
-  /// Verifies each instance on the per-instance path.
-  InstanceVerifier* verifier;
-  /// When LatticeApplies, every instance's evaluation by OdometerRank from
-  /// one lattice pass (EvaluateLattice), which the search reads instead of
-  /// verifying; empty on the per-instance path.
-  std::vector<EvaluatedPtr> lattice;
+  /// Every instance's evaluation, from one lattice pass or per instance.
+  SearchEvaluations& evaluations;
   ParetoArchive archive;
   std::unordered_set<Instantiation, Instantiation::Hasher> visited;
   std::vector<SandwichPair> sbounds;
@@ -53,32 +49,12 @@ struct BiExplorer {
   EvaluatedPtr last_forward;
   EvaluatedPtr last_backward;
 
-  BiExplorer(const QGenConfig& cfg, QGenResult* res, InstanceVerifier* v)
+  BiExplorer(const QGenConfig& cfg, QGenResult* res, SearchEvaluations& e)
       : config(cfg),
         result(res),
-        verifier(v),
+        evaluations(e),
         archive(cfg.epsilon),
         max_coverage(static_cast<double>(cfg.groups->total_constraint())) {}
-
-  bool Budget() const {
-    return config.max_verifications == 0 ||
-           result->stats.verified < config.max_verifications;
-  }
-
-  /// The RunContext check before an instance is consumed; true once
-  /// expired. The per-instance path polls a verification; the lattice pass
-  /// polled already, so the search only checks the deadline and the
-  /// cancellation token.
-  bool ShouldStop() {
-    RunContext* ctx = config.run_context;
-    if (ctx == nullptr) return false;
-    if (!(lattice.empty() ? ctx->PollVerification() : ctx->HardExpired())) {
-      return false;
-    }
-    FAIRSQG_TRACE_INSTANT("run_context.stop");
-    result->stats.deadline_exceeded = true;
-    return true;
-  }
 
   /// Procedure SPrune: q lies strictly inside a recorded sandwich pair.
   bool SPrune(const Instantiation& inst) const {
@@ -164,8 +140,8 @@ struct BiExplorer {
   /// high-coverage border instead of sweeping the whole infeasible upper
   /// set (DESIGN.md §4).
   void SpawnRelaxations(const EvaluatedPtr& eval) {
-    std::vector<LatticeStep> children = LatticeNeighbors::RelaxChildren(
-        *config.tmpl, *config.domains, eval->inst);
+    std::vector<LatticeStep> children =
+        LatticeNeighbors::RelaxChildren(*config.tmpl, eval->inst);
     result->stats.generated += children.size();
     std::sort(children.begin(), children.end(),
               [&](const LatticeStep& a, const LatticeStep& b) {
@@ -190,16 +166,6 @@ struct BiExplorer {
       backward.push_back(std::move(bottom));
       ++result->stats.generated;
     }
-  }
-
-  /// The instance's evaluation: read from the lattice pass, or verified
-  /// from scratch. Null when the match aborted or a pass cut short did not
-  /// settle the instance.
-  EvaluatedPtr Evaluate(const Instantiation& inst) {
-    if (!lattice.empty()) {
-      return lattice[OdometerRank(*config.tmpl, *config.domains, inst)];
-    }
-    return verifier->Verify(inst);
   }
 
   /// Folds one evaluated instance back into the exploration state (the
@@ -232,7 +198,7 @@ struct BiExplorer {
     FAIRSQG_TRACE_SPAN("bi_qgen.explore");
     SeedFrontiers();
     bool forward_turn = true;
-    while ((!forward.empty() || !backward.empty()) && Budget()) {
+    while (!forward.empty() || !backward.empty()) {
       const bool is_forward = forward_turn;
       forward_turn = !forward_turn;
       std::deque<Instantiation>& src = is_forward ? forward : backward;
@@ -249,36 +215,22 @@ struct BiExplorer {
         if (is_forward) SpawnSandwichedForward(inst);
         continue;
       }
-      if (ShouldStop()) break;
-      Fold(Evaluate(inst), is_forward);
+      if (evaluations.ShouldStop()) break;
+      Fold(evaluations.Evaluate(inst), is_forward);
     }
   }
 };
 
-/// The part of Run and RunParallel after validation. When LatticeApplies,
-/// one lattice pass with `verifiers` (on `pool`, when there is one) first
-/// settles every instance, and the search reads them; otherwise the search
-/// verifies each instance it consumes with verifiers[0].
+/// The part of Run and RunParallel after validation: the search reads
+/// SearchEvaluations over `verifiers`, whose pass runs on `pool`, if any.
 Result<QGenResult> Explore(const QGenConfig& config, ThreadPool* pool,
                            std::span<InstanceVerifier* const> verifiers,
                            const Timer& timer) {
   QGenResult result;
-  BiExplorer explorer(config, &result, verifiers[0]);
-  if (LatticeApplies(config)) {
-    // As in RfQGen: the search spends the verification budget, so the pass
-    // runs without one, and GenStats counts the instances the search
-    // consumes, so of the pass's counts only its expiry, its verifiers'
-    // folds and its pool counters are kept.
-    QGenConfig whole = config;
-    whole.max_verifications = 0;
-    explorer.lattice = EvaluateLattice(whole, pool, verifiers, &result.stats);
-    result.stats.generated = result.stats.verified = result.stats.feasible = 0;
-  }
+  SearchEvaluations evaluations(config, pool, verifiers);
+  BiExplorer explorer(config, &result, evaluations);
   explorer.Run();
-  if (explorer.lattice.empty()) FoldVerifierStats(*verifiers[0], &result.stats);
-  if (config.run_context != nullptr && config.run_context->Expired()) {
-    result.stats.deadline_exceeded = true;
-  }
+  evaluations.FoldInto(&result.stats);
   result.pareto = explorer.archive.SortedEntries();
   result.stats.total_seconds = timer.ElapsedSeconds();
   FAIRSQG_RETURN_NOT_OK(ApplyExpiryPolicy(config, result.stats));
@@ -302,8 +254,8 @@ Result<QGenResult> BiQGen::RunParallel(const QGenConfig& config,
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  // Only the lattice pass runs on the pool.
-  if (num_threads == 1 || !LatticeApplies(config)) return Run(config);
+  // Only a lattice pass runs on the pool.
+  if (num_threads == 1) return Run(config);
   FAIRSQG_TRACE_SPAN("bi_qgen.run_parallel");
   Timer timer;
   // Build the diversity precompute once and share it read-only across the

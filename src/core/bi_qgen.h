@@ -23,17 +23,11 @@ namespace fairsqg {
 /// consumed instance is folded back in (archive update, sandwich pairs,
 /// subtree pruning, refinement hints and children, the backward beam).
 ///
-/// When LatticeApplies (any template whose space has at most
-/// kMaxLatticeInstances instances) the search verifies nothing itself: one
-/// lattice pass (EvaluateLattice, DESIGN.md §14) first settles every
-/// instance's exact evaluation, and the search reads each instance it
-/// consumes from there, as RfQGen does. GenStats::verified counts the
-/// instances it consumed, not the pass's. The pass settles the most
-/// refined levels first: when the RunContext stops it, the unsettled
-/// instances count as aborted (DESIGN.md §14.3). On a larger space the
-/// search verifies each instance it consumes from scratch
-/// (InstanceVerifier::Verify); the search itself, and so its archive, is
-/// the same on both paths.
+/// The search reads each instance it consumes from SearchEvaluations, as
+/// RfQGen does: one lattice pass's, or, on a space the lattice cannot
+/// list, verified from scratch. GenStats::verified counts the instances
+/// the search consumed; a pass cut by the RunContext leaves the unsettled
+/// instances aborted (DESIGN.md §14.3).
 class BiQGen {
  public:
   /// Sequential exploration (the paper's Fig. 6).
@@ -42,8 +36,8 @@ class BiQGen {
   /// Run with the lattice pass on a `num_threads`-worker pool, followed
   /// by the same serial search: the archive and every counter but the
   /// pool's (`enqueued`, the per-worker and verify times) equal Run's.
-  /// `num_threads` 0 selects hardware concurrency; 1, or a space without
-  /// the lattice path, runs Run.
+  /// `num_threads` 0 selects hardware concurrency; 1 runs Run. Without a
+  /// lattice pass the pool stays idle.
   static Result<QGenResult> RunParallel(const QGenConfig& config,
                                         size_t num_threads = 0);
 };

@@ -75,12 +75,11 @@ struct QGenConfig {
   /// caching. Results are byte-identical with the cache on or off.
   MatchSetCache* match_cache = nullptr;
 
-  /// Safety cap on verifications; 0 means unlimited.
-  size_t max_verifications = 0;
-
   /// Optional cancellation / deadline / step-budget context (non-owning;
-  /// null = unbounded run). Generators poll it between verifications and
-  /// stop cleanly on expiry, returning the best-so-far archive with
+  /// null = unbounded run); the one bound on a run's verifications
+  /// (RunContext::CancelAfterVerifications). Generators poll it between
+  /// verifications and stop cleanly on expiry, returning the best-so-far
+  /// archive with
   /// GenStats::deadline_exceeded set; the matcher additionally polls its
   /// hard-expiry axis inside the backtracking loop (DESIGN.md §11). With
   /// ExpiryPolicy::kFail the generator returns Status::DeadlineExceeded

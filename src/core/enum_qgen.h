@@ -12,11 +12,10 @@ namespace fairsqg {
 /// Update to obtain an ε-Pareto instance set.
 ///
 /// Exact on the enumerated space; the baseline that RfQGen and BiQGen are
-/// measured against. When LatticeApplies the whole space is verified from
-/// one LatticeIndex pass (VerifyLattice, DESIGN.md §14), the matcher
-/// certifying only frontier candidates; a larger space is verified one
-/// instance at a time in odometer order. ParallelQGen is this body run on
-/// a thread pool.
+/// measured against. VerifyEveryInstance verifies the whole space from one
+/// LatticeIndex pass (DESIGN.md §14), or, on a space the lattice cannot
+/// list, one instance at a time in odometer order. ParallelQGen is this
+/// body run on a thread pool.
 class EnumQGen {
  public:
   static Result<QGenResult> Run(const QGenConfig& config);

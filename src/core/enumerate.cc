@@ -1,6 +1,9 @@
 #include "core/enumerate.h"
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
+#include <utility>
 
 #include "common/timer.h"
 #include "obs/trace.h"
@@ -53,47 +56,82 @@ bool InstantiationEnumerator::Next(Instantiation* out) {
   return false;
 }
 
+void VerifyOdometer(const QGenConfig& config, ThreadPool* pool,
+                    std::span<InstanceVerifier* const> verifiers,
+                    const InstanceSink& sink, GenStats* stats) {
+  FAIRSQG_TRACE_SPAN("enumerate_verify");
+  InstantiationEnumerator it(*config.tmpl, *config.domains);
+  RunContext* ctx = config.run_context;
+  // Workers claim one instance at a time under this mutex and always
+  // verify what they claimed, so a stop drains the pool deterministically.
+  std::mutex enum_mutex;
+  size_t dispatched = 0;  // Guarded by enum_mutex.
+  bool stopped = false;   // Guarded by enum_mutex.
+  std::atomic<size_t> verified{0};
+  std::atomic<size_t> feasible{0};
+  auto work = [&](size_t w) {
+    Instantiation inst;
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lock(enum_mutex);
+        if (stopped || !it.Next(&inst)) {
+          stopped = true;
+          return;
+        }
+        if (ctx != nullptr && ctx->PollVerification()) {
+          FAIRSQG_TRACE_INSTANT("run_context.stop");
+          stopped = true;
+          return;
+        }
+        ++dispatched;
+      }
+      EvaluatedPtr e = verifiers[w]->Verify(inst);
+      if (e == nullptr) continue;  // Aborted mid-match; instance dropped.
+      ++verified;
+      if (e->feasible) ++feasible;
+      sink(w, std::move(e));
+    }
+  };
+  if (pool == nullptr) {
+    work(0);
+  } else {
+    pool->Run(work);
+  }
+
+  stats->generated += dispatched;
+  stats->verified += verified.load();
+  stats->feasible += feasible.load();
+  if (pool != nullptr) stats->enqueued += dispatched;
+  for (InstanceVerifier* verifier : verifiers) {
+    FoldVerifierStats(*verifier, stats);
+    if (pool != nullptr) {
+      stats->per_worker_verify_seconds.push_back(verifier->verify_seconds());
+    }
+  }
+  // A stop comes from the RunContext, whose expiry is sticky.
+  if (ctx != nullptr && ctx->Expired()) stats->deadline_exceeded = true;
+}
+
 Result<std::vector<EvaluatedPtr>> VerifyAllInstances(const QGenConfig& config,
                                                      InstanceVerifier* verifier,
-                                                     GenStats* stats, size_t cap) {
+                                                     GenStats* stats) {
   FAIRSQG_RETURN_NOT_OK(config.Validate());
-  if (cap == 0) cap = 1000000;
-  InstantiationEnumerator it(*config.tmpl, *config.domains);
-  if (it.SpaceSize() > cap) {
+  const size_t space = config.domains->InstanceSpaceSize(*config.tmpl);
+  if (space > kMaxEnumeratedInstances) {
     return Status::FailedPrecondition(
-        "instance space too large to enumerate: " + std::to_string(it.SpaceSize()) +
-        " > " + std::to_string(cap) + "; coarsen the variable domains");
+        "instance space too large to enumerate: " + std::to_string(space) +
+        " > " + std::to_string(kMaxEnumeratedInstances) +
+        "; coarsen the variable domains");
   }
   Timer timer;
-  FAIRSQG_TRACE_SPAN("enumerate_verify");
-  RunContext* ctx = config.run_context;
   std::vector<EvaluatedPtr> all;
-  all.reserve(it.SpaceSize());
-  Instantiation inst;
-  while (it.Next(&inst)) {
-    if (ctx != nullptr && ctx->PollVerification()) {
-      FAIRSQG_TRACE_INSTANT("run_context.stop");
-      if (stats != nullptr) stats->deadline_exceeded = true;
-      break;
-    }
-    if (stats != nullptr) ++stats->generated;
-    EvaluatedPtr e = verifier->Verify(inst);
-    if (e == nullptr) continue;  // Aborted mid-match; instance dropped.
-    if (stats != nullptr) {
-      ++stats->verified;
-      if (e->feasible) ++stats->feasible;
-    }
-    all.push_back(std::move(e));
-    if (config.max_verifications > 0 && all.size() >= config.max_verifications) {
-      break;
-    }
-  }
-  if (stats != nullptr) {
-    if (ctx != nullptr && ctx->Expired()) stats->deadline_exceeded = true;
-    stats->total_seconds += timer.ElapsedSeconds();
-    FoldVerifierStats(*verifier, stats);
-    FAIRSQG_RETURN_NOT_OK(ApplyExpiryPolicy(config, *stats));
-  }
+  all.reserve(space);
+  InstanceVerifier* const verifiers[] = {verifier};
+  VerifyOdometer(
+      config, /*pool=*/nullptr, verifiers,
+      [&](size_t, EvaluatedPtr e) { all.push_back(std::move(e)); }, stats);
+  stats->total_seconds += timer.ElapsedSeconds();
+  FAIRSQG_RETURN_NOT_OK(ApplyExpiryPolicy(config, *stats));
   return all;
 }
 

@@ -1,9 +1,12 @@
 #ifndef FAIRSQG_CORE_ENUMERATE_H_
 #define FAIRSQG_CORE_ENUMERATE_H_
 
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "core/config.h"
 #include "core/evaluated.h"
 #include "core/stats.h"
@@ -36,16 +39,35 @@ class InstantiationEnumerator {
   bool exhausted_ = false;
 };
 
+/// Largest space VerifyAllInstances and MultiOutputEnumQGen enumerate.
+inline constexpr size_t kMaxEnumeratedInstances = 1000000;
+
+/// Receives each verified instance on the worker (index into the
+/// verifiers) that verified it.
+using InstanceSink = std::function<void(size_t worker, EvaluatedPtr)>;
+
+/// \brief The per-instance odometer, under VerifyLattice's contract: worker
+/// w claims instances of I(Q) one at a time from one shared
+/// InstantiationEnumerator, verifies them with verifiers[w] and offers each
+/// to `sink`, on every worker of `pool` in one ThreadPool::Run round, or
+/// inline as worker 0 without a pool. Nothing is materialized, so |I(Q)|
+/// is not capped. Every claim polls the RunContext under the enumerator's
+/// lock, so a budget of n dispatches exactly the first n instances,
+/// whatever the pool. Fills `stats` as VerifyLattice does.
+void VerifyOdometer(const QGenConfig& config, ThreadPool* pool,
+                    std::span<InstanceVerifier* const> verifiers,
+                    const InstanceSink& sink, GenStats* stats);
+
 /// \brief Verifies the entire instance space (the Δ2p algorithm of Theorem
-/// 1 without the archive step). Returns every evaluated instance —
-/// infeasible ones included — in enumeration order.
+/// 1 without the archive step): VerifyOdometer's serial form. Returns every
+/// evaluated instance — infeasible ones included — in enumeration order,
+/// and applies the expiry policy.
 ///
-/// Fails with FailedPrecondition when |I(Q)| exceeds `cap` (guard against
-/// accidental exponential blow-ups); cap 0 means 1e6.
+/// Fails with FailedPrecondition when |I(Q)| exceeds
+/// kMaxEnumeratedInstances (guard against accidental exponential blow-ups).
 Result<std::vector<EvaluatedPtr>> VerifyAllInstances(const QGenConfig& config,
                                                      InstanceVerifier* verifier,
-                                                     GenStats* stats,
-                                                     size_t cap = 0);
+                                                     GenStats* stats);
 
 /// Convenience: feasible subset of `all`.
 std::vector<EvaluatedPtr> FeasibleOnly(const std::vector<EvaluatedPtr>& all);

@@ -102,7 +102,7 @@ bool LatticeApplies(const QGenConfig& config) {
 
 void VerifyLattice(const QGenConfig& config, ThreadPool* pool,
                    std::span<InstanceVerifier* const> verifiers,
-                   const LatticeSink& sink, GenStats* stats) {
+                   const InstanceSink& sink, GenStats* stats) {
   Result<LatticeIndex> built =
       LatticeIndex::Build(*config.graph, *config.tmpl, *config.domains,
                           config.run_context, pool);
@@ -188,11 +188,6 @@ void VerifyLattice(const QGenConfig& config, ThreadPool* pool,
         {
           std::lock_guard<std::mutex> lock(cursor_mutex);
           if (stopped || cursor == ranks.size()) return;
-          if (config.max_verifications > 0 &&
-              dispatched >= config.max_verifications) {
-            stopped = true;
-            return;
-          }
           if (ctx != nullptr && ctx->PollVerification()) {
             FAIRSQG_TRACE_INSTANT("run_context.stop");
             stopped = true;
@@ -263,6 +258,13 @@ void VerifyLattice(const QGenConfig& config, ThreadPool* pool,
   }
 }
 
+void VerifyEveryInstance(const QGenConfig& config, ThreadPool* pool,
+                         std::span<InstanceVerifier* const> verifiers,
+                         const InstanceSink& sink, GenStats* stats) {
+  const auto verify = LatticeApplies(config) ? VerifyLattice : VerifyOdometer;
+  verify(config, pool, verifiers, sink, stats);
+}
+
 uint64_t OdometerRank(const QueryTemplate& tmpl, const VariableDomains& domains,
                       const Instantiation& inst) {
   uint64_t rank = 0;
@@ -306,6 +308,42 @@ Result<std::vector<EvaluatedPtr>> VerifyInstanceSpace(const QGenConfig& config,
   std::erase(all, nullptr);
   FAIRSQG_RETURN_NOT_OK(ApplyExpiryPolicy(config, *stats));
   return all;
+}
+
+SearchEvaluations::SearchEvaluations(
+    const QGenConfig& config, ThreadPool* pool,
+    std::span<InstanceVerifier* const> verifiers)
+    : config_(config), verifiers_(verifiers) {
+  if (LatticeApplies(config)) {
+    lattice_ = EvaluateLattice(config, pool, verifiers, &pass_);
+  }
+}
+
+bool SearchEvaluations::ShouldStop() const {
+  RunContext* ctx = config_.run_context;
+  if (ctx == nullptr) return false;
+  if (!(lattice_.empty() ? ctx->PollVerification() : ctx->HardExpired())) {
+    return false;
+  }
+  FAIRSQG_TRACE_INSTANT("run_context.stop");
+  return true;
+}
+
+EvaluatedPtr SearchEvaluations::Evaluate(const Instantiation& inst) {
+  if (lattice_.empty()) return verifiers_[0]->Verify(inst);
+  return lattice_[OdometerRank(*config_.tmpl, *config_.domains, inst)];
+}
+
+void SearchEvaluations::FoldInto(GenStats* stats) const {
+  for (InstanceVerifier* verifier : verifiers_) {
+    FoldVerifierStats(*verifier, stats);
+  }
+  stats->per_worker_verify_seconds = pass_.per_worker_verify_seconds;
+  stats->enqueued += pass_.enqueued;
+  RunContext* ctx = config_.run_context;
+  if (pass_.deadline_exceeded || (ctx != nullptr && ctx->Expired())) {
+    stats->deadline_exceeded = true;
+  }
 }
 
 }  // namespace fairsqg

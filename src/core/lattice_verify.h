@@ -2,13 +2,13 @@
 #define FAIRSQG_CORE_LATTICE_VERIFY_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "core/config.h"
+#include "core/enumerate.h"
 #include "core/evaluated.h"
 #include "core/stats.h"
 #include "core/verifier.h"
@@ -23,12 +23,10 @@ inline constexpr uint64_t kMaxLatticeInstances = uint64_t{1} << 20;
 /// LatticeIndex (EnumQGen, ParallelQGen, RfQGen, BiQGen, Kungs and CBM):
 /// the domain levels fit the index's coordinates (LatticeIndex::Supports)
 /// and |I(Q)| <= kMaxLatticeInstances. The template's shape does not
-/// matter: a cyclic one is evaluated over a spanning tree.
+/// matter: a cyclic one is evaluated over a spanning tree. Otherwise they
+/// fall back to per-instance verification. This file's drivers make the
+/// choice; no generator does.
 bool LatticeApplies(const QGenConfig& config);
-
-/// Receives each verified instance on the worker (index into the
-/// verifiers) that verified it.
-using LatticeSink = std::function<void(size_t worker, EvaluatedPtr)>;
 
 /// \brief Verifies the whole instance space from one LatticeIndex pass
 /// (DESIGN.md §14); the one driver of EnumQGen and ParallelQGen, and,
@@ -52,9 +50,9 @@ using LatticeSink = std::function<void(size_t worker, EvaluatedPtr)>;
 /// the walk another: worker w claims the level's instances from a shared
 /// cursor and verifies them with verifiers[w], and the workers meet at a
 /// spinning barrier between levels, whose last arrival opens the next
-/// level; without a pool, both run inline. Every claim polls
-/// the RunContext and config.max_verifications under the cursor's lock,
-/// so a budget cuts the run at an exact instance count, in this order.
+/// level; without a pool, both run inline. Every claim polls the
+/// RunContext under the cursor's lock, so a budget cuts the run at an
+/// exact instance count, in this order.
 /// The sets do not depend on which worker verified what.
 ///
 /// Fills stats->generated, verified, feasible and deadline_exceeded, and
@@ -65,7 +63,14 @@ using LatticeSink = std::function<void(size_t worker, EvaluatedPtr)>;
 /// expiry verifies nothing.
 void VerifyLattice(const QGenConfig& config, ThreadPool* pool,
                    std::span<InstanceVerifier* const> verifiers,
-                   const LatticeSink& sink, GenStats* stats);
+                   const InstanceSink& sink, GenStats* stats);
+
+/// The one driver of EnumQGen and ParallelQGen: VerifyLattice when
+/// LatticeApplies(config), else the per-instance odometer (VerifyOdometer),
+/// under their shared contract.
+void VerifyEveryInstance(const QGenConfig& config, ThreadPool* pool,
+                         std::span<InstanceVerifier* const> verifiers,
+                         const InstanceSink& sink, GenStats* stats);
 
 /// The rank of `inst` in the odometer order of InstantiationEnumerator and
 /// LatticeIndex: range variable 0 is the fastest digit, a range digit is
@@ -91,6 +96,37 @@ std::vector<EvaluatedPtr> EvaluateLattice(
 Result<std::vector<EvaluatedPtr>> VerifyInstanceSpace(const QGenConfig& config,
                                                       InstanceVerifier* verifier,
                                                       GenStats* stats);
+
+/// \brief The evaluations RfQGen's and BiQGen's searches read (DESIGN.md
+/// §14.3): when LatticeApplies(config), one EvaluateLattice pass with
+/// `verifiers` on `pool` (which may be null), run by the constructor;
+/// otherwise a verification from scratch by verifiers[0] per instance.
+class SearchEvaluations {
+ public:
+  SearchEvaluations(const QGenConfig& config, ThreadPool* pool,
+                    std::span<InstanceVerifier* const> verifiers);
+
+  /// The RunContext check before the search consumes an instance: polls a
+  /// verification per instance, or, after a pass (which polled already),
+  /// checks hard expiry. True when the search must stop.
+  bool ShouldStop() const;
+
+  /// Null when the match aborted, or a pass cut short did not settle it.
+  EvaluatedPtr Evaluate(const Instantiation& inst);
+
+  /// Folds the verifiers into `stats` once, after the search, with the
+  /// pass's per-worker seconds and `enqueued`; sets deadline_exceeded when
+  /// the pass or the RunContext expired. The search counts `generated`,
+  /// `verified` and `feasible` itself.
+  void FoldInto(GenStats* stats) const;
+
+ private:
+  const QGenConfig& config_;
+  std::span<InstanceVerifier* const> verifiers_;
+  /// By OdometerRank after a pass; empty on the per-instance path.
+  std::vector<EvaluatedPtr> lattice_;
+  GenStats pass_;  // The pass's own; its counts are not the search's.
+};
 
 }  // namespace fairsqg
 

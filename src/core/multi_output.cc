@@ -76,12 +76,17 @@ Result<QGenResult> MultiOutputEnumQGen(const QGenConfig& config,
   Timer timer;
   QGenResult result;
   InstantiationEnumerator it(*config.tmpl, *config.domains);
-  if (it.SpaceSize() > 1000000) {
+  if (it.SpaceSize() > kMaxEnumeratedInstances) {
     return Status::FailedPrecondition("instance space too large to enumerate");
   }
   ParetoArchive archive(config.epsilon);
+  RunContext* ctx = config.run_context;
   Instantiation inst;
   while (it.Next(&inst)) {
+    if (ctx != nullptr && ctx->PollVerification()) {
+      result.stats.deadline_exceeded = true;
+      break;
+    }
     EvaluatedPtr e = verifier.Verify(inst);
     ++result.stats.generated;
     ++result.stats.verified;
@@ -89,13 +94,10 @@ Result<QGenResult> MultiOutputEnumQGen(const QGenConfig& config,
       ++result.stats.feasible;
       archive.Update(std::move(e));
     }
-    if (config.max_verifications > 0 &&
-        result.stats.verified >= config.max_verifications) {
-      break;
-    }
   }
   result.pareto = archive.SortedEntries();
   result.stats.total_seconds = timer.ElapsedSeconds();
+  FAIRSQG_RETURN_NOT_OK(ApplyExpiryPolicy(config, result.stats));
   return result;
 }
 

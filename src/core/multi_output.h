@@ -49,7 +49,9 @@ class MultiOutputVerifier {
 };
 
 /// \brief EnumQGen under multi-output union semantics: enumerate I(Q),
-/// verify with MultiOutputVerifier, archive with procedure Update.
+/// verify with MultiOutputVerifier, archive with procedure Update. Polls
+/// config.run_context before each instance; a run it stops sets
+/// deadline_exceeded and follows the expiry policy.
 Result<QGenResult> MultiOutputEnumQGen(const QGenConfig& config,
                                        std::vector<QNodeId> outputs);
 

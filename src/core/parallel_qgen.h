@@ -14,14 +14,11 @@ namespace fairsqg {
 /// Section VI), realized as a data-parallel EnumQGen.
 ///
 /// It is EnumQGen's body run on a ThreadPool (both are defined in
-/// enum_qgen.cc). When LatticeApplies (any template whose space has at
-/// most kMaxLatticeInstances instances) VerifyLattice runs one
-/// ThreadPool::Run round whose workers claim each level's instances and
-/// meet at a barrier between levels (DESIGN.md §14). On a larger space the
-/// instance space I(Q) is *streamed* in chunks from the shared
-/// InstantiationEnumerator — never materialized, so there is no cap on
-/// |I(Q)| (config.max_verifications bounds unbounded spaces) — in one
-/// ThreadPool::Run round whose workers pull chunks. Either way each worker
+/// enum_qgen.cc), through VerifyEveryInstance: the lattice walk, whose
+/// workers claim each level's instances and meet at a barrier between
+/// levels (DESIGN.md §14), or, on a space the lattice cannot list, the
+/// odometer, whose workers claim instances of I(Q) from one enumerator
+/// (VerifyOdometer; nothing is materialized). Each worker
 /// verifies with a private InstanceVerifier (the graph is shared
 /// read-only) into a private ParetoArchive, and the per-worker archives
 /// are folded by ParetoArchive::Merge. Merging is sound: each archive

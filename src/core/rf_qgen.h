@@ -18,19 +18,13 @@ namespace fairsqg {
 /// monotonically lost — Lemma 2 (2)). Early convergence favours
 /// high-diversity instances (Section V, Fig. 9(e)).
 ///
-/// When LatticeApplies (any template whose space has at most
-/// kMaxLatticeInstances instances) the search verifies nothing itself:
-/// one lattice pass (EvaluateLattice, DESIGN.md §14) first settles every
-/// instance's exact evaluation, and the search reads each instance it
-/// reaches from there. The pass is the paper's incVerify (Lemma 2) applied
-/// to the whole lattice at once. GenStats::verified counts the instances
-/// the search consumed, not the pass's. The pass settles the most refined
-/// levels first: when the RunContext stops it, the unsettled instances
-/// count as aborted (their subtrees are abandoned, the root's included)
-/// and the run reports deadline_exceeded. On a larger space the search
-/// verifies each instance it reaches from scratch (InstanceVerifier::
-/// Verify); the visited set, infeasibility cut, subtree pruning,
-/// refinement hints and budget are the same on both paths.
+/// The search reads each instance it reaches from SearchEvaluations: one
+/// lattice pass's evaluation (the paper's incVerify, Lemma 2, applied to
+/// the whole lattice at once), or, on a space the lattice cannot list, a
+/// verification from scratch. GenStats::verified counts the instances the
+/// search consumed. A pass cut by the RunContext settles the most refined
+/// levels first, so the unsettled instances, the root's included, count as
+/// aborted and their subtrees are abandoned (DESIGN.md §14.3).
 class RfQGen {
  public:
   static Result<QGenResult> Run(const QGenConfig& config);

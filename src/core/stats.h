@@ -43,8 +43,8 @@ struct GenStats {
   uint32_t pruned_subtree = 0;   ///< Subtree cuts by the archive-cover check.
 
   // Parallel-execution counters (zero for sequential runs).
-  /// Work items dispatched to the thread pool: the lattice pass's
-  /// instances, or the per-instance odometer's chunks.
+  /// Instances dispatched to the thread pool, by the lattice walk or the
+  /// per-instance odometer.
   uint32_t enqueued = 0;
   /// Always 0: workers claim shared work from a cursor, and nothing is
   /// stolen. Kept, and written nowhere, until reqbench drops its

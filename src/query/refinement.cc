@@ -40,9 +40,7 @@ std::vector<LatticeStep> LatticeNeighbors::RefineChildren(
 }
 
 std::vector<LatticeStep> LatticeNeighbors::RelaxChildren(
-    const QueryTemplate& tmpl, const VariableDomains& domains,
-    const Instantiation& inst) {
-  (void)domains;
+    const QueryTemplate& tmpl, const Instantiation& inst) {
   std::vector<LatticeStep> out;
   for (RangeVarId x = 0; x < tmpl.num_range_vars(); ++x) {
     int32_t cur = inst.range_binding(x);

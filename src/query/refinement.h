@@ -61,7 +61,6 @@ class LatticeNeighbors {
   /// Children in the relaxation direction (procedure SpawnB): for each
   /// variable, step it back once (index k -> k-1, 0 -> wildcard, edge 1->0).
   static std::vector<LatticeStep> RelaxChildren(const QueryTemplate& tmpl,
-                                                const VariableDomains& domains,
                                                 const Instantiation& inst);
 };
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/run_context.h"
 #include "core/bi_qgen.h"
 #include "core/cbm.h"
 #include "core/enum_qgen.h"
@@ -319,13 +320,16 @@ TEST(AlgorithmsTest, TraceRecordsMonotoneBestObjectives) {
   }
 }
 
-TEST(AlgorithmsTest, MaxVerificationsCapRespected) {
+TEST(AlgorithmsTest, VerificationBudgetRespected) {
   SmallScenario s;
-  QGenConfig config = s.Config(0.05);
-  config.max_verifications = 5;
   for (auto run : {&EnumQGen::Run, &RfQGen::Run, &BiQGen::Run}) {
+    RunContext ctx;
+    ctx.CancelAfterVerifications(5);
+    QGenConfig config = s.Config(0.05);
+    config.run_context = &ctx;
     QGenResult r = run(config).ValueOrDie();
     EXPECT_LE(r.stats.verified, 5u);
+    EXPECT_TRUE(r.stats.deadline_exceeded);
   }
 }
 

@@ -29,7 +29,8 @@ namespace fairsqg {
 inline std::vector<EvaluatedPtr> ReferenceEvaluations(QGenConfig config) {
   config.use_template_refinement = false;
   InstanceVerifier verifier(config);
-  return VerifyAllInstances(config, &verifier, nullptr).ValueOrDie();
+  GenStats stats;
+  return VerifyAllInstances(config, &verifier, &stats).ValueOrDie();
 }
 
 /// The feasible members of `all` folded through a ParetoArchive.
@@ -50,9 +51,9 @@ inline std::vector<EvaluatedPtr> ReferenceArchive(const QGenConfig& config) {
 
 /// RfQGen's search (Fig. 3) replayed over `all`, the per-instance
 /// evaluations in odometer order: depth first from the most relaxed
-/// instance, with the visited set, the infeasibility cut, subtree pruning,
-/// refinement hints and the verification budget as `config` sets them, but
-/// every evaluation read from `all`. Returns the archive, and in
+/// instance, with the visited set, the infeasibility cut, subtree pruning
+/// and refinement hints as `config` sets them, but every evaluation read
+/// from `all`. Returns the archive, and in
 /// `*verified` the number of instances the search consumed.
 inline std::vector<EvaluatedPtr> ReplayRfQGen(
     const QGenConfig& config, const std::vector<EvaluatedPtr>& all,
@@ -68,10 +69,6 @@ inline std::vector<EvaluatedPtr> ReplayRfQGen(
   *verified = 0;
   std::function<void(const Instantiation&)> explore =
       [&](const Instantiation& inst) {
-        if (config.max_verifications > 0 &&
-            *verified >= config.max_verifications) {
-          return;
-        }
         if (!visited.insert(inst).second) return;
         const EvaluatedPtr& e = by_inst.at(inst);
         ++*verified;

@@ -137,7 +137,7 @@ TEST_P(IncrementalPartsTest, RefineAndRelaxPartsMatchFull) {
     EvaluatedPtr e = settled(inst);
     ASSERT_NE(e, nullptr);
     ExpectSameScores(*e, *full_verifier.Verify(inst), diversity);
-    auto children = LatticeNeighbors::RelaxChildren(*s.tmpl, *s.domains, inst);
+    auto children = LatticeNeighbors::RelaxChildren(*s.tmpl, inst);
     if (children.empty()) break;
     inst = children[rng.NextBounded(children.size())].inst;
   }

@@ -9,6 +9,7 @@
 // the pass evaluates over a spanning tree.
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -21,11 +22,13 @@
 #include "common/run_context.h"
 #include "common/thread_pool.h"
 #include "core/bi_qgen.h"
+#include "core/cbm.h"
 #include "core/enum_qgen.h"
 #include "core/enumerate.h"
 #include "core/groups.h"
 #include "core/kungs.h"
 #include "core/lattice_verify.h"
+#include "core/parallel_qgen.h"
 #include "core/rf_qgen.h"
 #include "core/verifier.h"
 #include "graph/graph_builder.h"
@@ -350,6 +353,21 @@ TEST(LatticeIndexCoverageTest, SeedsExerciseTheFeatures) {
   EXPECT_GT(nonempty, 0u);
 }
 
+/// Two movies over a sequel edge with ten range variables over the year
+/// and rating domains: millions of instances, past the level list's cap.
+QueryTemplate MakeWideTemplate(const std::shared_ptr<Schema>& schema) {
+  QueryTemplate wide(schema);
+  QNodeId m = wide.AddNode("movie");
+  QNodeId n = wide.AddNode("movie");
+  wide.SetOutputNode(m);
+  wide.AddEdge(m, n, "sequel");
+  for (int i = 0; i < 10; ++i) {
+    wide.AddRangeLiteral(i % 2 == 0 ? m : n, i % 3 == 0 ? "year" : "rating",
+                         i % 2 == 0 ? CompareOp::kGe : CompareOp::kLe);
+  }
+  return wide;
+}
+
 /// movie -sequel-> movie -sequel-> movie -sequel-> back to the first: a
 /// cycle, which the pass evaluates over a spanning tree. Only a space over
 /// kMaxLatticeInstances keeps the per-instance path.
@@ -388,18 +406,9 @@ TEST(LatticeIndexFallbackTest, OnlyOversizedSpacesTakePerInstancePath) {
     }
   }
 
-  // Ten range variables over the year and rating domains: millions of
-  // instances, past the level list's cap. Only LatticeApplies is checked;
-  // the space is never run.
-  QueryTemplate wide(f.schema);
-  QNodeId m = wide.AddNode("movie");
-  QNodeId n = wide.AddNode("movie");
-  wide.SetOutputNode(m);
-  wide.AddEdge(m, n, "sequel");
-  for (int i = 0; i < 10; ++i) {
-    wide.AddRangeLiteral(i % 2 == 0 ? m : n, i % 3 == 0 ? "year" : "rating",
-                         i % 2 == 0 ? CompareOp::kGe : CompareOp::kLe);
-  }
+  // The ten-variable space is past the level list's cap
+  // (OdometerFallbackTest runs it).
+  const QueryTemplate wide = MakeWideTemplate(f.schema);
   VariableDomains wide_domains =
       VariableDomains::Build(f.graph, wide).ValueOrDie();
   ASSERT_GT(wide_domains.InstanceSpaceSize(wide), kMaxLatticeInstances);
@@ -407,6 +416,94 @@ TEST(LatticeIndexFallbackTest, OnlyOversizedSpacesTakePerInstancePath) {
   config.tmpl = &wide;
   config.domains = &wide_domains;
   EXPECT_FALSE(LatticeApplies(config));
+}
+
+/// The per-instance fallback, on the ten-variable space the lattice cannot
+/// list, cut by a RunContext budget of n. EnumQGen and ParallelQGen verify
+/// exactly the first n instances, on one odometer serial or pooled, and
+/// give one archive; RfQGen's and BiQGen's searches, which would consume
+/// far more, verify at most n; every member's set is exact. Kungs and CBM
+/// refuse a space over the enumeration cap.
+TEST(OdometerFallbackTest, RunContextBudgetBoundsEveryGenerator) {
+  Fixture f(5);
+  const QueryTemplate wide = MakeWideTemplate(f.schema);
+  const VariableDomains domains =
+      VariableDomains::Build(f.graph, wide).ValueOrDie();
+  ASSERT_GT(domains.InstanceSpaceSize(wide), kMaxEnumeratedInstances);
+  // Enough claims for every worker of a 4-worker pool to take several.
+  constexpr uint32_t kBudget = 150;
+
+  using Generator = std::function<Result<QGenResult>(const QGenConfig&)>;
+  const std::pair<const char*, Generator> exact[] = {
+      {"EnumQGen", EnumQGen::Run},
+      {"ParallelQGen(1)",
+       [](const QGenConfig& c) { return ParallelQGen::Run(c, 1); }},
+      {"ParallelQGen(2)",
+       [](const QGenConfig& c) { return ParallelQGen::Run(c, 2); }},
+      {"ParallelQGen(4)",
+       [](const QGenConfig& c) { return ParallelQGen::Run(c, 4); }},
+  };
+  const std::pair<const char*, Generator> searches[] = {
+      {"RfQGen", RfQGen::Run},
+      {"BiQGen", BiQGen::Run},
+      {"BiQGen::RunParallel(2)",
+       [](const QGenConfig& c) { return BiQGen::RunParallel(c, 2); }},
+  };
+  for (MatchSemantics semantics :
+       {MatchSemantics::kIsomorphism, MatchSemantics::kHomomorphism}) {
+    QGenConfig config = f.Config(semantics);
+    config.tmpl = &wide;
+    config.domains = &domains;
+    ASSERT_FALSE(LatticeApplies(config));
+    SubgraphMatcher matcher(f.graph, semantics);
+    auto expect_exact = [&](const std::vector<EvaluatedPtr>& pareto,
+                            const std::string& who) {
+      for (const EvaluatedPtr& e : pareto) {
+        QueryInstance q = QueryInstance::Materialize(wide, domains, e->inst);
+        EXPECT_EQ(e->matches, matcher.MatchOutput(q))
+            << who << " " << e->inst.ToString(wide, domains);
+      }
+    };
+    auto run = [&](const Generator& generator) {
+      RunContext ctx;
+      ctx.CancelAfterVerifications(kBudget);
+      QGenConfig bounded = config;
+      bounded.run_context = &ctx;
+      return generator(bounded);
+    };
+
+    std::vector<EvaluatedPtr> enum_archive;
+    for (const auto& [name, generator] : exact) {
+      SCOPED_TRACE(name);
+      const QGenResult r = run(generator).ValueOrDie();
+      EXPECT_EQ(r.stats.generated, kBudget);
+      EXPECT_EQ(r.stats.verified, kBudget);
+      EXPECT_TRUE(r.stats.deadline_exceeded);
+      ASSERT_FALSE(r.pareto.empty());
+      expect_exact(r.pareto, name);
+      if (enum_archive.empty()) {
+        enum_archive = r.pareto;
+        continue;
+      }
+      ASSERT_EQ(r.pareto.size(), enum_archive.size());
+      for (size_t i = 0; i < r.pareto.size(); ++i) {
+        EXPECT_EQ(r.pareto[i]->inst, enum_archive[i]->inst);
+        EXPECT_EQ(r.pareto[i]->matches, enum_archive[i]->matches);
+      }
+    }
+    for (const auto& [name, generator] : searches) {
+      SCOPED_TRACE(name);
+      const QGenResult r = run(generator).ValueOrDie();
+      EXPECT_GT(r.stats.verified, 0u);
+      EXPECT_LE(r.stats.verified, kBudget);
+      EXPECT_TRUE(r.stats.deadline_exceeded);
+      expect_exact(r.pareto, name);
+    }
+    EXPECT_TRUE(run(Kungs::Run).status().IsFailedPrecondition());
+    EXPECT_TRUE(run([](const QGenConfig& c) { return Cbm::Run(c, 6); })
+                    .status()
+                    .IsFailedPrecondition());
+  }
 }
 
 TEST(LatticeIndexDeadlineTest, HardExpiredContextAbortsThePass) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/run_context.h"
 #include "core/enumerate.h"
 #include "graph/graph_builder.h"
 
@@ -153,6 +154,26 @@ TEST(MultiOutputTest, EnumQGenProducesEpsilonParetoSet) {
     }
     EXPECT_TRUE(covered);
   }
+}
+
+TEST(MultiOutputTest, EnumQGenStopsOnItsRunContext) {
+  Fixture f;
+  ASSERT_GT(f.domains.InstanceSpaceSize(f.tmpl), 3u);
+  RunContext partial;
+  partial.CancelAfterVerifications(3);
+  QGenConfig config = f.Config();
+  config.run_context = &partial;
+  QGenResult cut = MultiOutputEnumQGen(config, {f.m1, f.m2}).ValueOrDie();
+  EXPECT_EQ(cut.stats.verified, 3u);
+  EXPECT_TRUE(cut.stats.deadline_exceeded);
+
+  RunContext fail;
+  fail.CancelAfterVerifications(3);
+  fail.set_on_expiry(ExpiryPolicy::kFail);
+  config.run_context = &fail;
+  EXPECT_TRUE(MultiOutputEnumQGen(config, {f.m1, f.m2})
+                  .status()
+                  .IsDeadlineExceeded());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/run_context.h"
 #include "core/bi_qgen.h"
 #include "core/enum_qgen.h"
 #include "core/enumerate.h"
@@ -68,11 +69,14 @@ TEST(ParallelQGenTest, ReportsBothVerifyTimeAxes) {
 
 TEST(ParallelQGenTest, RespectsVerificationBudget) {
   SmallScenario s;
+  RunContext ctx;
+  ctx.CancelAfterVerifications(10);
   QGenConfig config = s.Config(0.05);
-  config.max_verifications = 10;
+  config.run_context = &ctx;
   QGenResult r = ParallelQGen::Run(config, 4).ValueOrDie();
   EXPECT_LE(r.stats.verified, 10u);
   EXPECT_EQ(r.stats.generated, 10u);
+  EXPECT_TRUE(r.stats.deadline_exceeded);
 }
 
 TEST(ParallelQGenTest, DeterministicResultAcrossThreadCounts) {
@@ -190,8 +194,8 @@ void ExpectEqualsRun(const QGenConfig& config) {
     EXPECT_EQ(a.aborted_matches, b.aborted_matches);
     EXPECT_EQ(a.timed_out_instances, b.timed_out_instances);
     // The pool's own counters: one time per worker, and every instance of
-    // the pass dispatched. One thread, or a template without the lattice
-    // path, runs Run.
+    // the pass dispatched. One thread runs Run; a space without the
+    // lattice path leaves the pool idle.
     const bool pooled = threads > 1 && LatticeApplies(config);
     EXPECT_EQ(a.per_worker_verify_seconds.size(), pooled ? threads : 0u);
     EXPECT_EQ(a.enqueued, pooled ? config.domains->InstanceSpaceSize(
@@ -205,9 +209,9 @@ TEST(ParallelBiQGenTest, EqualsSequentialAtAnyThreadCount) {
   ASSERT_TRUE(LatticeApplies(s.Config(0.05)));
   ExpectEqualsRun(s.Config(0.05));
 
-  // The fine-ε oracle scenarios: seed 115's template has a cycle, so
-  // RunParallel runs Run there; seed 117's is a tree, where SPrune skips
-  // instances.
+  // The fine-ε oracle scenarios: seed 115's template has a cycle, which
+  // the pooled pass evaluates over a spanning tree; seed 117's is a tree,
+  // where SPrune skips instances.
   for (uint64_t seed : {115, 117}) {
     SCOPED_TRACE(testing::Message() << "dbp seed " << seed);
     Scenario scenario =
@@ -273,10 +277,13 @@ TEST(ParallelBiQGenTest, SingleThreadFallsBackToSequential) {
 
 TEST(ParallelBiQGenTest, RespectsVerificationBudget) {
   SmallScenario s;
+  RunContext ctx;
+  ctx.CancelAfterVerifications(7);
   QGenConfig config = s.Config(0.05);
-  config.max_verifications = 7;
+  config.run_context = &ctx;
   QGenResult r = BiQGen::RunParallel(config, 4).ValueOrDie();
   EXPECT_LE(r.stats.verified, 7u);
+  EXPECT_TRUE(r.stats.deadline_exceeded);
 }
 
 TEST(ParallelBiQGenTest, ReportsParallelStats) {

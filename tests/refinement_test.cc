@@ -63,7 +63,7 @@ TEST(LatticeNeighborsTest, RefineStopsAtDomainEnd) {
 TEST(LatticeNeighborsTest, RelaxChildrenFromBottom) {
   Fixture f;
   Instantiation bottom = Instantiation::MostRefined(f.tmpl, f.domains);
-  auto kids = LatticeNeighbors::RelaxChildren(f.tmpl, f.domains, bottom);
+  auto kids = LatticeNeighbors::RelaxChildren(f.tmpl, bottom);
   ASSERT_EQ(kids.size(), 2u);
   EXPECT_EQ(kids[0].inst.range_binding(0), 1);  // 2 -> 1.
   EXPECT_EQ(kids[1].inst.edge_binding(0), 0);
@@ -75,7 +75,7 @@ TEST(LatticeNeighborsTest, RelaxChildrenFromBottom) {
 TEST(LatticeNeighborsTest, RelaxReachesWildcard) {
   Fixture f;
   Instantiation i({0}, {0});
-  auto kids = LatticeNeighbors::RelaxChildren(f.tmpl, f.domains, i);
+  auto kids = LatticeNeighbors::RelaxChildren(f.tmpl, i);
   ASSERT_EQ(kids.size(), 1u);
   EXPECT_TRUE(kids[0].inst.is_wildcard(0));
 }
@@ -83,7 +83,7 @@ TEST(LatticeNeighborsTest, RelaxReachesWildcard) {
 TEST(LatticeNeighborsTest, RelaxStopsAtRoot) {
   Fixture f;
   Instantiation root = Instantiation::MostRelaxed(f.tmpl);
-  EXPECT_TRUE(LatticeNeighbors::RelaxChildren(f.tmpl, f.domains, root).empty());
+  EXPECT_TRUE(LatticeNeighbors::RelaxChildren(f.tmpl, root).empty());
 }
 
 TEST(LatticeNeighborsTest, HintsSkipUselessValues) {
@@ -123,7 +123,7 @@ TEST(LatticeNeighborsTest, RefineRelaxAreInverse) {
   auto kids = LatticeNeighbors::RefineChildren(f.tmpl, f.domains, mid,
                                                RefinementHints::None(f.tmpl));
   for (const auto& k : kids) {
-    auto back = LatticeNeighbors::RelaxChildren(f.tmpl, f.domains, k.inst);
+    auto back = LatticeNeighbors::RelaxChildren(f.tmpl, k.inst);
     bool found = false;
     for (const auto& b : back) {
       if (b.inst == mid) found = true;

@@ -98,7 +98,7 @@ TEST(VerifierTest, RelaxedVerificationMatchesFull) {
                       bottom_eval->matches.begin(), bottom_eval->matches.end(),
                       std::back_inserter(open));
 
-  auto children = LatticeNeighbors::RelaxChildren(*s.tmpl, *s.domains, bottom);
+  auto children = LatticeNeighbors::RelaxChildren(*s.tmpl, bottom);
   ASSERT_FALSE(children.empty());
   for (const LatticeStep& step : children) {
     NodeSet rejected;
